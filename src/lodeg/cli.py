@@ -19,7 +19,7 @@ from typing import Any, Optional, Sequence
 
 from . import invariants
 from .conormal import DegenerateSlice, DimensionMismatch, InvalidVariety, VarietySpec
-from .groebner import BudgetExceeded, CharacteristicHazard
+from .groebner import MAX_MATRIX_PRIME, BudgetExceeded, CharacteristicHazard
 from .invariants import DegreeVector, NotACone
 from .poly import ParseError
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
@@ -123,6 +123,12 @@ def _vector_payload(vec: DegreeVector) -> dict[str, Any]:
 
 def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
+    for p in primes:
+        if p > MAX_MATRIX_PRIME:
+            raise InputProblem(
+                f"--prime {p} is above {MAX_MATRIX_PRIME}: products of residues "
+                "must fit in 64-bit integers"
+            )
     return AgreementPolicy(
         seeds_per_trial=args.trials, primes=primes, max_retries=3
     )

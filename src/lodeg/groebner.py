@@ -5,14 +5,30 @@ normal (minimal-lcm) selection strategy.  Everything downstream -- Krull
 dimension, elimination, saturation, quotient bases, and point counting via
 the squarefree part of a minimal polynomial -- is built on top of it.
 
+Polynomials are reduced as dicts from monomials to coefficients, on one
+path shared by :func:`buchberger`, :func:`normal_form` and
+:func:`multiplication_matrix`:
+
+- each computation keeps a cache of heap keys, one per monomial it meets
+  (the order key, flattened and negated), and frees it when it returns;
+- a normal form keeps its working set in a heap on those keys, so terms are
+  popped in strictly decreasing order, and every term a reduction step adds
+  is smaller than the term being reduced;
+- a basis element becomes a reducer (leading monomial, tail scaled by minus
+  the inverse leading coefficient) once, when it joins the basis;
+- an S-pair carries its lcm and the lcm's order key from when it is queued.
+
 Wall-clock budgets are first class: every basis computation takes a budget
 in seconds and raises :class:`BudgetExceeded` when it runs out.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,13 +40,15 @@ from .poly import (
     PrimeField,
     block_order,
     fresh_name,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_BUDGET_SECS = 120.0
+
+# Largest characteristic the point counter accepts: the matrix and Krylov
+# steps multiply two residues in int64 arrays, so (p - 1)**2 < 2**63.
+MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -113,7 +131,7 @@ class _Deadline:
 
 
 # ---------------------------------------------------------------------------
-# Internal dict-based polynomial helpers
+# Reduction core: heap keys, prepared reducers, normal forms
 # ---------------------------------------------------------------------------
 
 
@@ -126,105 +144,131 @@ def _field_ops(ring: PolyRing):
     return (lambda c: c), (lambda c: 1 / c)
 
 
-def _leading(d: dict, keyf) -> Mono:
-    return max(d, key=keyf)
+class _HeapKeys(dict):
+    """Monomial -> heap key under one order, each computed on first use.
+
+    The heap key is the order key flattened, with every entry negated, so
+    ascending heap keys are descending monomials.  (Flattening keeps the
+    comparison because every nested tuple of an order key has a fixed
+    length.)  One instance lives for one computation and is freed with it.
+    """
+
+    __slots__ = ("_order_key",)
+
+    def __init__(self, order) -> None:
+        super().__init__()
+        self._order_key = order.key
+
+    def __missing__(self, m: Mono) -> tuple:
+        flat: list[int] = []
+        for part in self._order_key(m):
+            if isinstance(part, tuple):
+                flat.extend(-e for e in part)
+            else:
+                flat.append(-part)
+        key = self[m] = tuple(flat)
+        return key
+
+
+def _reducer(lm: Mono, lc, terms: Iterable[tuple[Mono, object]], normalize, invert):
+    """Prepared reducer ``(lm, tail)`` of the polynomial ``lc*lm + terms``.
+
+    Each tail pair is ``(m, -c/lc)``, so reducing a term ``a*u`` by it adds
+    ``a*t`` at ``(u/lm)*m`` for every tail pair ``(m, t)``."""
+    inv = invert(lc)
+    return lm, tuple((m, normalize(-c * inv)) for m, c in terms)
+
+
+def _basis_reducers(gb: GroebnerBasis) -> list:
+    normalize, invert = _field_ops(gb.ring)
+    return [
+        _reducer(g.terms[0][0], g.terms[0][1], g.terms[1:], normalize, invert)
+        for g in gb.basis
+    ]
 
 
 def _reduce_full(
     target: dict,
-    reducers: Sequence[tuple[Mono, object, tuple]],
-    keyf,
+    reducers: Sequence[tuple[Mono, tuple]],
+    keys: _HeapKeys,
     normalize,
-    invert,
     deadline: Optional[_Deadline] = None,
 ) -> dict:
-    """Full normal form of ``target`` modulo ``reducers``.
+    """Full normal form of ``target`` modulo prepared ``reducers``.
 
-    Each reducer is (leading monomial, leading coefficient, tail term pairs).
+    The first reducer (in list order) whose leading monomial divides a term
+    reduces it.  The working set is a dict of coefficients plus a heap of
+    ``(heap key, monomial)`` entries, one per monomial: a monomial is pushed
+    when it first enters the dict and stays there, with a coefficient that
+    may cancel to zero, until popped; a popped zero is skipped.  Terms are
+    popped in strictly decreasing order, and every term a reduction step
+    adds is smaller than the term being reduced, so a popped monomial never
+    returns and the result comes out in decreasing order.  Coefficients
+    are reduced by ``normalize`` once, when their term is popped.
     """
     work = dict(target)
+    heap = [(keys[m], m) for m in work]
+    heapify(heap)
     out: dict = {}
     steps = 0
-    while work:
+    while heap:
         steps += 1
-        if deadline is not None and steps % 64 == 0:
+        if deadline is not None and not steps & 63:
             deadline.check()
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        hit = None
-        for lm, lc, tail in reducers:
-            ok = True
-            for a, b in zip(lm, m):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                hit = (lm, lc, tail)
+        m = heappop(heap)[1]
+        c = normalize(work.pop(m))
+        if not c:
+            continue
+        for lm, tail in reducers:
+            if all(map(le, lm, m)):
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lm, lc, tail = hit
-        factor = normalize(c * invert(lc))
-        shift = tuple(x - y for x, y in zip(m, lm))
+        shift = tuple(map(sub, m, lm))
         for tm, tc in tail:
-            mm = tuple(x + y for x, y in zip(shift, tm))
-            nv = normalize(work.get(mm, 0) - factor * tc)
-            if nv:
-                work[mm] = nv
-            elif mm in work:
-                del work[mm]
+            mm = tuple(map(add, shift, tm))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = c * tc
+                heappush(heap, (keys[mm], mm))
+            else:
+                work[mm] = old + c * tc
     return out
 
 
-def _prep_reducer(d: dict, keyf) -> tuple[Mono, object, tuple]:
-    lm = max(d, key=keyf)
-    lc = d[lm]
-    tail = tuple((m, c) for m, c in d.items() if m != lm)
-    return (lm, lc, tail)
-
-
-def _spoly(f: dict, g: dict, keyf, normalize, invert) -> dict:
-    lmf, lmg = max(f, key=keyf), max(g, key=keyf)
-    lcm = mono_lcm(lmf, lmg)
-    sf = mono_div(lcm, lmf)
-    sg = mono_div(lcm, lmg)
-    cf = invert(f[lmf])
-    cg = invert(g[lmg])
+def _spoly(f: tuple[Mono, tuple], g: tuple[Mono, tuple], lcm: Mono) -> dict:
+    """S-polynomial of two prepared reducers, unnormalized."""
     acc: dict = {}
-    for m, c in f.items():
-        mm = mono_mul(m, sf)
-        acc[mm] = normalize(acc.get(mm, 0) + c * cf)
-    for m, c in g.items():
-        mm = mono_mul(m, sg)
-        nv = normalize(acc.get(mm, 0) - c * cg)
-        if nv:
-            acc[mm] = nv
-        elif mm in acc:
-            del acc[mm]
-    return {m: c for m, c in acc.items() if c}
+    for (lm, tail), sign in ((f, -1), (g, 1)):
+        shift = tuple(map(sub, lcm, lm))
+        for m, c in tail:
+            mm = tuple(map(add, shift, m))
+            acc[mm] = acc.get(mm, 0) + sign * c
+    return acc
 
 
 def _update_pairs(
     G: set[int],
-    B: set[tuple[int, int]],
+    pairs: dict[tuple[int, int], Mono],
     h: int,
     lms: dict[int, Mono],
-) -> tuple[set[int], set[tuple[int, int]]]:
-    """Gebauer-Moeller pair update: add generator ``h`` to the pair queue,
-    discarding pairs by the lcm-divisibility and coprimality criteria."""
-    mh = lms[h]
+) -> tuple[set[int], list[tuple[int, int, Mono]]]:
+    """Gebauer-Moeller pair update for a new generator ``h``.
 
-    def lcm_with(g: int) -> Mono:
-        return mono_lcm(mh, lms[g])
+    Drops from ``pairs`` (live pair -> lcm) the pairs ``h`` makes redundant
+    and returns the new generator set with the new pairs ``(h, g, lcm)``
+    that survive the lcm-divisibility and coprimality criteria."""
+    mh = lms[h]
+    lcm_with = {g: mono_lcm(mh, lms[g]) for g in G}
 
     def coprime(g: int) -> bool:
         return all(a == 0 or b == 0 for a, b in zip(mh, lms[g]))
 
     def strictly_divided(g: int, pool: Iterable[int]) -> bool:
-        target = lcm_with(g)
+        target = lcm_with[g]
         for g2 in pool:
-            cand = lcm_with(g2)
+            cand = lcm_with[g2]
             if cand != target and mono_divides(cand, target):
                 return True
         return False
@@ -235,20 +279,17 @@ def _update_pairs(
         g = C.pop()
         if coprime(g) or not (strictly_divided(g, C) or strictly_divided(g, D)):
             D.add(g)
-    E = {g for g in D if not coprime(g)}
-    B_new: set[tuple[int, int]] = set()
-    for (i, j) in B:
-        lcm_ij = mono_lcm(lms[i], lms[j])
+    for (i, j), lcm_ij in list(pairs.items()):
         if (
-            not mono_divides(mh, lcm_ij)
-            or mono_lcm(lms[i], mh) == lcm_ij
-            or mono_lcm(lms[j], mh) == lcm_ij
+            mono_divides(mh, lcm_ij)
+            and mono_lcm(lms[i], mh) != lcm_ij
+            and mono_lcm(lms[j], mh) != lcm_ij
         ):
-            B_new.add((i, j))
-    B_new |= {(h, g) for g in E}
+            del pairs[(i, j)]
+    new = [(h, g, lcm_with[g]) for g in D if not coprime(g)]
     G_new = {g for g in G if not mono_divides(mh, lms[g])}
     G_new.add(h)
-    return G_new, B_new
+    return G_new, new
 
 
 def buchberger(
@@ -265,88 +306,88 @@ def buchberger(
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     deadline = _Deadline(budget_secs, "buchberger")
     keyf = ring.order.key
+    keys = _HeapKeys(ring.order)
     normalize, invert = _field_ops(ring)
+    one = ring.field_.one
 
     polys = [g.to_ring(ring).as_dict() for g in ideal.generators if not g.is_zero()]
     if not polys:
         return GroebnerBasis(ring, ())
 
-    store: dict[int, dict] = {}
+    store: dict[int, tuple[Mono, tuple]] = {}
     lms: dict[int, Mono] = {}
     G: set[int] = set()
-    B: set[tuple[int, int]] = set()
-    next_id = 0
+    pairs: dict[tuple[int, int], Mono] = {}
+    queue: list[tuple[tuple, int, int]] = []
+    reducers: list[tuple[Mono, tuple]] = []
+
+    def by_leading_monomial(ids: Iterable[int]) -> list[int]:
+        """Generator ids by increasing leading monomial."""
+        return sorted(ids, key=lambda g: keys[lms[g]], reverse=True)
 
     def add_poly(d: dict) -> None:
-        nonlocal next_id, G, B
-        store[next_id] = d
-        lms[next_id] = max(d, key=keyf)
-        G, B = _update_pairs(G, B, next_id, lms)
-        next_id += 1
+        nonlocal G, reducers
+        h = len(store)
+        lm = next(iter(d))  # reduced remainders come out in decreasing order
+        store[h] = _reducer(lm, d[lm], list(d.items())[1:], normalize, invert)
+        lms[h] = lm
+        G, new = _update_pairs(G, pairs, h, lms)
+        for i, j, lcm in new:
+            pairs[(i, j)] = lcm
+            heappush(queue, (keyf(lcm), i, j))
+        reducers = [store[g] for g in by_leading_monomial(G)]
 
-    for d in sorted(polys, key=lambda q: keyf(max(q, key=keyf))):
-        reducers = [_prep_reducer(store[g], keyf) for g in sorted(G, key=lambda g: keyf(lms[g]))]
-        r = _reduce_full(d, reducers, keyf, normalize, invert, deadline)
+    for d in sorted(polys, key=lambda q: min(keys[m] for m in q), reverse=True):
+        r = _reduce_full(d, reducers, keys, normalize, deadline)
         if r:
             add_poly(r)
 
-    while B:
+    while queue:
+        _, i, j = heappop(queue)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue  # pruned by a later Gebauer-Moeller update
         deadline.check()
-        i, j = min(B, key=lambda pair: keyf(mono_lcm(lms[pair[0]], lms[pair[1]])))
-        B.discard((i, j))
-        s = _spoly(store[i], store[j], keyf, normalize, invert)
-        if not s:
-            continue
-        reducers = [_prep_reducer(store[g], keyf) for g in sorted(G, key=lambda g: keyf(lms[g]))]
-        r = _reduce_full(s, reducers, keyf, normalize, invert, deadline)
+        r = _reduce_full(_spoly(store[i], store[j], lcm), reducers, keys, normalize, deadline)
         if r:
             add_poly(r)
 
     # Minimalize: drop members whose leading monomial another one divides.
-    chosen = sorted(G, key=lambda g: keyf(lms[g]))
     minimal: list[int] = []
-    for g in chosen:
+    for g in by_leading_monomial(G):
         if any(mono_divides(lms[h], lms[g]) for h in minimal):
             continue
         minimal.append(g)
 
-    # Inter-reduce tails and make monic.
+    # Inter-reduce tails; stored reducers are monic, and a minimal leading
+    # monomial is irreducible by the others, so each result is monic.
     reduced: list[dict] = []
-    for idx, g in enumerate(minimal):
+    for g in minimal:
+        lm, tail = store[g]
+        poly = {lm: one}
+        poly.update((m, -c) for m, c in tail)
         others = [store[h] for h in minimal if h != g]
-        reducers = [_prep_reducer(d, keyf) for d in others]
-        r = _reduce_full(store[g], reducers, keyf, normalize, invert, deadline)
-        if not r:
-            continue
-        lm = max(r, key=keyf)
-        inv_lc = invert(r[lm])
-        reduced.append({m: normalize(c * inv_lc) for m, c in r.items()})
+        reduced.append(_reduce_full(poly, others, keys, normalize, deadline))
 
-    reduced.sort(key=lambda d: keyf(max(d, key=keyf)), reverse=True)
-    basis = tuple(ring.from_dict(d) for d in reduced)
+    reduced.reverse()
+    basis = tuple(Polynomial(ring, tuple(d.items())) for d in reduced)
     gb = GroebnerBasis(ring, basis)
 
     # Self-check: every input generator must reduce to zero.
-    for g in ideal.generators:
-        if not _nf_dict(g.to_ring(ring).as_dict(), gb, deadline=None):
-            continue
-        raise RuntimeError("internal error: input generator does not reduce to zero")
+    final = _basis_reducers(gb)
+    for d in polys:
+        if _reduce_full(d, final, keys, normalize):
+            raise RuntimeError("internal error: input generator does not reduce to zero")
     return gb
-
-
-def _nf_dict(d: dict, gb: GroebnerBasis, deadline: Optional[_Deadline]) -> dict:
-    if not d:
-        return {}
-    keyf = gb.ring.order.key
-    normalize, invert = _field_ops(gb.ring)
-    reducers = [_prep_reducer(g.as_dict(), keyf) for g in gb.basis]
-    return _reduce_full(d, reducers, keyf, normalize, invert, deadline)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the basis."""
-    d = _nf_dict(p.to_ring(gb.ring).as_dict(), gb, deadline=None)
-    return gb.ring.from_dict(d)
+    normalize, _ = _field_ops(gb.ring)
+    d = _reduce_full(
+        p.to_ring(gb.ring).as_dict(), _basis_reducers(gb), _HeapKeys(gb.ring.order), normalize
+    )
+    return Polynomial(gb.ring, tuple(d.items()))
 
 
 def is_unit_ideal(ideal: Ideal, budget_secs: Optional[float] = None) -> bool:
@@ -652,7 +693,8 @@ def _krylov_minimal_polynomial(mat: np.ndarray, v0: np.ndarray, p: int) -> list[
 
 
 def _matvec_mod(mat: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    # Row-chunked products keep every intermediate below 2**63.
+    # Residues times residues fit in int64 for p <= MAX_MATRIX_PRIME; each
+    # row sum then adds dim reduced products.
     prod = (mat * v[np.newaxis, :]) % p
     return prod.sum(axis=1) % p
 
@@ -673,9 +715,9 @@ def multiplication_matrix(
     index = {m: i for i, m in enumerate(monos)}
     dim = len(monos)
     mat = np.zeros((dim, dim), dtype=np.int64)
-    keyf = ring.order.key
-    normalize, invert = _field_ops(ring)
-    reducers = [_prep_reducer(g.as_dict(), keyf) for g in gb.basis]
+    keys = _HeapKeys(ring.order)
+    normalize, _ = _field_ops(ring)
+    reducers = _basis_reducers(gb)
     lms = gb.leading_monomials()
     nf_cache: dict[Mono, dict] = {}
     for col, m in enumerate(monos):
@@ -694,7 +736,7 @@ def multiplication_matrix(
             if nf is None:
                 if not any(mono_divides(lm, sm) for lm in lms):
                     raise RuntimeError("standard-monomial closure violated")
-                nf = _reduce_full({sm: 1}, reducers, keyf, normalize, invert, None)
+                nf = _reduce_full({sm: 1}, reducers, keys, normalize)
                 nf_cache[sm] = nf
             for mm, cc in nf.items():
                 row = index[mm]
@@ -721,6 +763,11 @@ def count_points(
     if not isinstance(fld, PrimeField):
         raise TypeError("count_points requires a prime-field ideal")
     p = fld.p
+    if p > MAX_MATRIX_PRIME:
+        raise ValueError(
+            f"characteristic {p} is above {MAX_MATRIX_PRIME}: residue products "
+            "would overflow 64-bit integers"
+        )
     gb = buchberger(ideal, budget_secs=budget_secs)
     if gb.is_unit():
         return 0

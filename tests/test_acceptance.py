@@ -4,6 +4,7 @@ Run with ``-s`` to see one ``ACCEPTANCE <n> <name>: <status>`` line per item;
 without it the verbose test names carry the same information.
 """
 
+import functools
 import itertools
 import time
 from contextlib import contextmanager
@@ -107,8 +108,7 @@ def test_acceptance_5_sphere_correspondence():
         assert report.count_conormal == 2
 
 
-@pytest.fixture(scope="module")
-def det3_results():
+def _det3_numbers():
     spec = load_spec("det3.json")
     try:
         b = bidegrees(spec, budget_secs=STRETCH_BUDGET)
@@ -123,17 +123,25 @@ def det3_results():
     return {"b": b, "lo": lo, "s4": s4, "delta": delta}
 
 
+@pytest.fixture(scope="module")
+def det3_results():
+    """The det3 numbers, computed once on the first call: acceptance 6
+    makes that call inside its timer, so the time limit covers them."""
+    return functools.cache(_det3_numbers)
+
+
 def test_acceptance_6_determinant_hypersurface(det3_results):
     name = "3x3 determinant hypersurface"
-    if det3_results is None:
-        print(f"ACCEPTANCE 6 {name}: SKIPPED(budget)")
-        pytest.skip("stretch computation exceeded its budget")
     with criterion(6, name, STRETCH_BUDGET):
-        b = det3_results["b"]
+        results = det3_results()
+        if results is None:
+            print(f"ACCEPTANCE 6 {name}: SKIPPED(budget)")
+            pytest.skip("stretch computation exceeded its budget")
+        b = results["b"]
         assert b.values == (0, 0, 0, 0, 6, 12, 12, 6, 3)
-        assert det3_results["lo"] == 0 == b.values[0]
-        assert det3_results["s4"] == 6 == b.values[4]
-        assert det3_results["delta"].values == b.values
+        assert results["lo"] == 0 == b.values[0]
+        assert results["s4"] == 6 == b.values[4]
+        assert results["delta"].values == b.values
         assert b.alternating_sum() == 3
         assert chern_mather_from_bidegrees(b).values[0] == 3
 
@@ -144,11 +152,12 @@ def test_acceptance_6_determinant_hypersurface(det3_results):
     "the computed vector places it at indices 4..8",
 )
 def test_acceptance_6_quoted_window(det3_results):
-    if det3_results is None:
+    results = det3_results()
+    if results is None:
         pytest.skip("stretch computation exceeded its budget")
-    b = det3_results["b"]
-    assert det3_results["s4"] == b.values[4] == 3
-    assert det3_results["lo"] == b.values[0] == 6
+    b = results["b"]
+    assert results["s4"] == b.values[4] == 3
+    assert results["lo"] == b.values[0] == 6
     assert b.values[:5] == (6, 12, 12, 6, 3)
 
 

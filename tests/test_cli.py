@@ -196,6 +196,16 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert "not affine" in err
 
+    def test_prime_too_large_for_int64_products(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lodeg", data_path("sphere.json"), "--prime", "4294967291"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("input error: --prime 4294967291")
+        assert err.count("\n") == 1
+
 
 class TestParser:
     def test_commands_registered(self):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from lodeg.groebner import (
     saturate,
     saturate_by_ideal,
 )
-from lodeg.poly import GREVLEX, LEX, PolyRing, PrimeField, QQ
+from lodeg.poly import GREVLEX, LEX, PolyRing, PrimeField, QQ, block_order
 
 P1 = 2147483647
 
@@ -87,6 +89,85 @@ class TestBuchberger:
         ]
         with pytest.raises(BudgetExceeded):
             buchberger(Ideal.of(r, cyclic), budget_secs=1e-9)
+
+
+def _plain_remainder(f, basis, key, p):
+    """Textbook division mod p: cancel the largest term some leading
+    monomial divides, keep the others; basis elements are term dicts."""
+    heads = [(max(g, key=key), g) for g in basis]
+    f = dict(f)
+    rem = {}
+    while f:
+        m = max(f, key=key)
+        c = f.pop(m)
+        for lm, g in heads:
+            if all(a <= b for a, b in zip(lm, m)):
+                factor = c * pow(g[lm], -1, p) % p
+                shift = tuple(a - b for a, b in zip(m, lm))
+                for gm, gc in g.items():
+                    if gm != lm:
+                        mm = tuple(a + b for a, b in zip(shift, gm))
+                        f[mm] = (f.get(mm, 0) - factor * gc) % p
+                        if not f[mm]:
+                            del f[mm]
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _plain_spoly(f, g, key, p):
+    lf, lg = max(f, key=key), max(g, key=key)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    out = {}
+    for h, lm, sign in ((f, lf, 1), (g, lg, -1)):
+        scale = sign * pow(h[lm], -1, p)
+        shift = tuple(a - b for a, b in zip(lcm, lm))
+        for m, c in h.items():
+            mm = tuple(a + b for a, b in zip(shift, m))
+            out[mm] = (out.get(mm, 0) + scale * c) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_generators(rng, ring, count, degree, terms):
+    monos = [
+        (a, b, c)
+        for a in range(degree + 1)
+        for b in range(degree + 1)
+        for c in range(degree + 1)
+        if a + b + c <= degree
+    ]
+    return [
+        ring.from_dict({m: rng.randrange(1, P1) for m in rng.sample(monos, terms)})
+        for _ in range(count)
+    ]
+
+
+class TestReducerAgainstPlainDivision:
+    """Random small ideals over GF(P1), checked with a reduction written
+    here rather than the engine's own: Buchberger's criterion on the
+    returned basis, membership of the inputs, and invariance of the basis
+    under permuting the generators and scaling them by units."""
+
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, block_order(1)], ids=["grevlex", "lex", "block1"]
+    )
+    def test_random_ideals(self, order):
+        rng = random.Random(f"reducer:{order.name}")
+        ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+        key = order.key
+        for count, degree, terms in [(2, 2, 3), (3, 2, 4), (2, 3, 4), (3, 2, 3)] * 2:
+            gens = _random_generators(rng, ring, count, degree, terms)
+            gb = buchberger(Ideal.of(ring, gens))
+            basis = [g.as_dict() for g in gb.basis]
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    s = _plain_spoly(basis[i], basis[j], key, P1)
+                    assert _plain_remainder(s, basis, key, P1) == {}
+            for g in gens:
+                assert _plain_remainder(g.as_dict(), basis, key, P1) == {}
+            shuffled = [g * rng.randrange(1, P1) for g in rng.sample(gens, len(gens))]
+            assert buchberger(Ideal.of(ring, shuffled)).basis == gb.basis
 
 
 class TestDimension:
@@ -191,6 +272,11 @@ class TestZeroDimensional:
         for a in roots:
             f = f * (x - a)
         assert count_points(Ideal.of(r, [f]), seed=77) == len(set(roots))
+
+    def test_count_rejects_primes_beyond_int64_products(self):
+        r = PolyRing(("x",), PrimeField(4294967291), GREVLEX)
+        with pytest.raises(ValueError, match="64-bit"):
+            count_points(Ideal.of(r, [r.parse("x^2 - 2")]), seed=1)
 
     def test_characteristic_hazard_guard(self):
         # the check compares quotient dimension with p; simulate by a tiny
