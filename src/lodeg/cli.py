@@ -5,6 +5,12 @@ each subcommand wraps one library operation and prints a report.  Reports
 are deterministic for a fixed (input, seed, primes) triple, except for the
 timings block, which ``--no-timings`` removes when byte-identical output
 matters.
+
+Exit codes: 0 success, 2 the recounts never agreed (or a characteristic
+hazard), 3 bad input (including inputs whose degrees exceed what the
+Groebner engine represents), 4 budget exhausted, 5 a verified identity
+failed, 6 internal error.  Every failure prints one line to stderr and no
+traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ EXIT_INSTABILITY = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 6
 
 
 class InputProblem(Exception):
@@ -407,6 +414,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CharacteristicHazard as err:
         print(f"instability: {err}", file=sys.stderr)
         return EXIT_INSTABILITY
+    except Exception as err:  # a failed self-check or any other bug
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

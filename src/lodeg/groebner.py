@@ -5,18 +5,65 @@ normal (minimal-lcm) selection strategy.  Everything downstream -- Krull
 dimension, elimination, saturation, quotient bases, and point counting via
 the squarefree part of a minimal polynomial -- is built on top of it.
 
-Polynomials are reduced as dicts from monomials to coefficients, on one
-path shared by :func:`buchberger`, :func:`normal_form` and
-:func:`multiplication_matrix`:
+Packed monomials
+----------------
+Inside :func:`buchberger`, :func:`normal_form` and
+:func:`multiplication_matrix` every monomial is one Python ``int`` of
+``2n`` digits, ``PACK_DIGIT_BITS`` bits each, for ``n`` variables.
+Exponent tuples come back only where a :class:`Polynomial` is built.
 
-- each computation keeps a cache of heap keys, one per monomial it meets
-  (the order key, flattened and negated), and frees it when it returns;
-- a normal form keeps its working set in a heap on those keys, so terms are
-  popped in strictly decreasing order, and every term a reduction step adds
-  is smaller than the term being reduced;
-- a basis element becomes a reducer (leading monomial, tail scaled by minus
-  the inverse leading coefficient) once, when it joins the basis;
-- an S-pair carries its lcm and the lcm's order key from when it is queued.
+- The low ``n`` digits are the exponents, variable ``i`` in digit ``i``.
+- The high ``n`` digits are the order's weight rows, most significant
+  first.  Each variable block of the order gives its prefix degrees, from
+  the block's degree down to the degree of its first variable alone.
+  Grevlex is one block of all variables: its rows are the degree, the
+  degree without the last variable, without the last two, and so on.  At
+  equal degree, comparing the degree without ``x_{n-1}`` compares
+  ``-e_{n-1}``, so these rows order exactly as the degree followed by the
+  negated exponents from the last variable.  ``block_order(k)`` is two
+  blocks, the first ``k`` variables and the rest.  Lex is one block per
+  variable, so its rows are the exponents.
+
+Every digit is a nonnegative sum of exponents.  So, while no digit
+overflows:
+
+- packing is additive, ``pack(a*b) == pack(a) + pack(b)``: a reduction step
+  shifts a tail term ``t`` to ``(m - lm) + t``;
+- int comparison is the monomial order: the working-set heap and the
+  S-pair queue hold plain ints;
+- with ``H`` the top (guard) bit of every digit, ``a`` divides ``b`` iff
+  ``((b | H) - a) & H == H``: while every digit of ``a`` and ``b`` stays
+  below its guard bit, no digit borrows from the next, and a digit keeps its
+  guard bit iff ``a``'s digit is at most ``b``'s (the weight digits are sums
+  of exponents, so they divide whenever the exponents do);
+- the lcm is a digitwise max of the exponent digits, selected by the same
+  guard-bit subtraction; its weight rows are rebuilt with one
+  multiplication per block: for a block of ``s`` exponent digits ``E`` and
+  ``B = 2**PACK_DIGIT_BITS``, digit ``j < s`` of
+  ``E * (1 + B + ... + B**(s-1))`` is the sum of the block's first
+  ``j + 1`` exponents;
+- ``a`` and ``b`` are coprime iff their lcm is their product,
+  ``lcm == a + b``.
+
+Width guard.  Digits never wrap.  The top two bits of every digit are
+headroom: every term a reduction pops with a nonzero coefficient, every
+packed input monomial and every queued S-pair lcm must keep all digits
+below ``PACK_LIMIT = 2**(PACK_DIGIT_BITS - 2)`` (one mask test), or
+:class:`DegreeLimitExceeded` is raised.  That bound suffices: every other
+monomial a computation forms is ``m - lm + t`` (``lm`` dividing ``m``), an
+lcm of two checked monomials, or a product of two checked monomials, whose
+digits are at most the sum of two checked digits, below
+``2 * PACK_LIMIT``, the guard bit.  Each digit is at most the degree of a
+variable block, so the limit reads: total degree below ``PACK_LIMIT`` under
+grevlex, each block's degree under a block order, each exponent under lex.
+
+Reduction
+---------
+A normal form keeps its working set as a coefficient dict plus a heap of
+negated packed monomials, so terms pop in strictly decreasing order.  A
+basis element becomes a reducer (leading monomial, tail scaled by minus
+the inverse leading coefficient) once, when it joins the basis.  An S-pair
+carries its packed lcm from when it is queued.
 
 Wall-clock budgets are first class: every basis computation takes a budget
 in seconds and raises :class:`BudgetExceeded` when it runs out.
@@ -28,12 +75,14 @@ import math
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .poly import (
+    BlockOrder,
+    Grevlex,
+    Lex,
     Mono,
     PolyRing,
     Polynomial,
@@ -41,7 +90,6 @@ from .poly import (
     block_order,
     fresh_name,
     mono_divides,
-    mono_lcm,
 )
 
 DEFAULT_BUDGET_SECS = 120.0
@@ -49,6 +97,11 @@ DEFAULT_BUDGET_SECS = 120.0
 # Largest characteristic the point counter accepts: the matrix and Krylov
 # steps multiply two residues in int64 arrays, so (p - 1)**2 < 2**63.
 MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
+
+# Width of one digit of a packed monomial, and the bound every checked
+# digit stays below (see "Width guard" above).
+PACK_DIGIT_BITS = 16
+PACK_LIMIT = 1 << (PACK_DIGIT_BITS - 2)
 
 
 class BudgetExceeded(RuntimeError):
@@ -66,6 +119,18 @@ class NotZeroDimensional(RuntimeError):
 
 class CharacteristicHazard(RuntimeError):
     """The quotient dimension is too close to the field characteristic."""
+
+
+class DegreeLimitExceeded(ValueError):
+    """A monomial outgrew packed exponents: an input-size limit (see the
+    module docstring)."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"a monomial reached degree {PACK_LIMIT}; Groebner computations "
+            f"need degrees below {PACK_LIMIT} (under a block order, each block's "
+            "degree; under lex, each exponent)"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,7 +196,7 @@ class _Deadline:
 
 
 # ---------------------------------------------------------------------------
-# Reduction core: heap keys, prepared reducers, normal forms
+# Reduction core: packed monomials, prepared reducers, normal forms
 # ---------------------------------------------------------------------------
 
 
@@ -144,70 +209,134 @@ def _field_ops(ring: PolyRing):
     return (lambda c: c), (lambda c: 1 / c)
 
 
-class _HeapKeys(dict):
-    """Monomial -> heap key under one order, each computed on first use.
-
-    The heap key is the order key flattened, with every entry negated, so
-    ascending heap keys are descending monomials.  (Flattening keeps the
-    comparison because every nested tuple of an order key has a fixed
-    length.)  One instance lives for one computation and is freed with it.
-    """
-
-    __slots__ = ("_order_key",)
-
-    def __init__(self, order) -> None:
-        super().__init__()
-        self._order_key = order.key
-
-    def __missing__(self, m: Mono) -> tuple:
-        flat: list[int] = []
-        for part in self._order_key(m):
-            if isinstance(part, tuple):
-                flat.extend(-e for e in part)
-            else:
-                flat.append(-part)
-        key = self[m] = tuple(flat)
-        return key
+def _repeat(digit: int, count: int) -> int:
+    """``digit`` in each of the low ``count`` digits."""
+    return sum(digit << (PACK_DIGIT_BITS * i) for i in range(count))
 
 
-def _reducer(lm: Mono, lc, terms: Iterable[tuple[Mono, object]], normalize, invert):
-    """Prepared reducer ``(lm, tail)`` of the polynomial ``lc*lm + terms``.
+class _Packing:
+    """Packed monomials of one ring (layout in the module docstring).
+
+    Holds only the ring's masks; one instance serves one computation."""
+
+    __slots__ = ("spans", "blocks", "exp_bits", "low", "low_guard", "guard", "over", "shifts")
+
+    def __init__(self, ring: PolyRing) -> None:
+        n = ring.nvars
+        order = ring.order
+        if isinstance(order, Lex):
+            sizes = [1] * n
+        elif isinstance(order, BlockOrder):
+            k = min(order.k, n)
+            sizes = [s for s in (k, n - k) if s]
+        elif isinstance(order, Grevlex):
+            sizes = [n]
+        else:
+            raise TypeError(f"no packed layout for the order {order!r}")
+        w = PACK_DIGIT_BITS
+        digit = (1 << w) - 1
+        self.spans: list[tuple[int, int]] = []
+        # Per block: shift to its first exponent, mask and all-ones of its
+        # width, and its width in bits.
+        self.blocks: list[tuple[int, int, int, int]] = []
+        start = 0
+        for s in sizes:
+            self.spans.append((start, start + s))
+            self.blocks.append((start * w, _repeat(digit, s), _repeat(1, s), s * w))
+            start += s
+        self.exp_bits = n * w
+        self.low = _repeat(digit, n)
+        self.low_guard = _repeat(1 << (w - 1), n)
+        self.guard = _repeat(1 << (w - 1), 2 * n)
+        self.over = _repeat(3 << (w - 2), 2 * n)
+        self.shifts = tuple(w * i for i in range(n))
+
+    def from_exponents(self, e: int) -> int:
+        """Packed monomial of the exponent digits ``e``; its weight rows
+        must stay below one digit."""
+        rows = 0
+        for shift, mask, ones, width in self.blocks:
+            rows = (rows << width) | (((e >> shift) & mask) * ones & mask)
+        return (rows << self.exp_bits) | e
+
+    def pack(self, m: Mono) -> int:
+        if max(sum(m[a:b]) for a, b in self.spans) >= PACK_LIMIT:
+            raise DegreeLimitExceeded()
+        e = 0
+        for x in reversed(m):
+            e = (e << PACK_DIGIT_BITS) | x
+        return self.from_exponents(e)
+
+    def unpack(self, p: int) -> Mono:
+        digit = (1 << PACK_DIGIT_BITS) - 1
+        return tuple((p >> s) & digit for s in self.shifts)
+
+    def pack_terms(self, terms: Iterable[tuple[Mono, object]]) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms}
+
+    def polynomial(self, ring: PolyRing, d: dict) -> Polynomial:
+        """The polynomial of a packed dict whose keys decrease."""
+        unpack = self.unpack
+        return Polynomial(ring, tuple((unpack(m), c) for m, c in d.items()))
+
+    def divides(self, a: int, b: int) -> bool:
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        low, low_guard = self.low, self.low_guard
+        ea, eb = a & low, b & low
+        ge = ((ea | low_guard) - eb) & low_guard  # guard bit where ea >= eb
+        take_a = ge - (ge >> (PACK_DIGIT_BITS - 1))  # those digits' value bits
+        return self.from_exponents(eb ^ ((ea ^ eb) & take_a))
+
+
+def _reducer(d: dict, normalize, invert) -> tuple[int, tuple]:
+    """Prepared reducer ``(lm, tail)`` of a nonzero packed dict whose first
+    key is its leading monomial.
 
     Each tail pair is ``(m, -c/lc)``, so reducing a term ``a*u`` by it adds
-    ``a*t`` at ``(u/lm)*m`` for every tail pair ``(m, t)``."""
+    ``a*t`` at ``(u - lm) + m`` for every tail pair ``(m, t)``."""
+    items = iter(d.items())
+    lm, lc = next(items)
     inv = invert(lc)
-    return lm, tuple((m, normalize(-c * inv)) for m, c in terms)
+    return lm, tuple((m, normalize(-c * inv)) for m, c in items)
 
 
-def _basis_reducers(gb: GroebnerBasis) -> list:
+def _basis_reducers(gb: GroebnerBasis, pk: _Packing) -> list:
     normalize, invert = _field_ops(gb.ring)
-    return [
-        _reducer(g.terms[0][0], g.terms[0][1], g.terms[1:], normalize, invert)
-        for g in gb.basis
-    ]
+    return [_reducer(pk.pack_terms(g.terms), normalize, invert) for g in gb.basis]
 
 
 def _reduce_full(
     target: dict,
-    reducers: Sequence[tuple[Mono, tuple]],
-    keys: _HeapKeys,
+    reducers: Sequence[tuple[int, tuple]],
+    pk: _Packing,
     normalize,
     deadline: Optional[_Deadline] = None,
 ) -> dict:
-    """Full normal form of ``target`` modulo prepared ``reducers``.
+    """Full normal form of the packed dict ``target`` modulo prepared
+    ``reducers``.
 
     The first reducer (in list order) whose leading monomial divides a term
-    reduces it.  The working set is a dict of coefficients plus a heap of
-    ``(heap key, monomial)`` entries, one per monomial: a monomial is pushed
-    when it first enters the dict and stays there, with a coefficient that
-    may cancel to zero, until popped; a popped zero is skipped.  Terms are
-    popped in strictly decreasing order, and every term a reduction step
-    adds is smaller than the term being reduced, so a popped monomial never
-    returns and the result comes out in decreasing order.  Coefficients
-    are reduced by ``normalize`` once, when their term is popped.
+    reduces it; the scan is one guard-bit subtraction per reducer.  The
+    working set is a dict of coefficients plus a heap of negated packed
+    monomials, one entry per monomial: a monomial is pushed when it first
+    enters the dict and stays there, with a coefficient that may cancel to
+    zero, until popped; a popped zero is skipped.  Terms are popped in
+    strictly decreasing order, and every term a reduction step adds is
+    smaller than the term being reduced, so a popped monomial never returns
+    and the result comes out in decreasing order.  Coefficients are reduced
+    by ``normalize`` once, when their term is popped.
+
+    Every popped term with a nonzero coefficient passes the width guard
+    before it is used, so a step's new terms ``(m - lm) + t`` keep their
+    digits below the guard bit (see the module docstring).
     """
+    guard, over = pk.guard, pk.over
     work = dict(target)
-    heap = [(keys[m], m) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
     out: dict = {}
     steps = 0
@@ -215,79 +344,81 @@ def _reduce_full(
         steps += 1
         if deadline is not None and not steps & 63:
             deadline.check()
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = normalize(work.pop(m))
         if not c:
             continue
+        if m & over:
+            raise DegreeLimitExceeded()
+        guarded = m | guard
         for lm, tail in reducers:
-            if all(map(le, lm, m)):
+            if (guarded - lm) & guard == guard:
                 break
         else:
             out[m] = c
             continue
-        shift = tuple(map(sub, m, lm))
+        shift = m - lm
         for tm, tc in tail:
-            mm = tuple(map(add, shift, tm))
+            mm = shift + tm
             old = work.get(mm)
             if old is None:
                 work[mm] = c * tc
-                heappush(heap, (keys[mm], mm))
+                heappush(heap, -mm)
             else:
                 work[mm] = old + c * tc
     return out
 
 
-def _spoly(f: tuple[Mono, tuple], g: tuple[Mono, tuple], lcm: Mono) -> dict:
+def _spoly(f: tuple[int, tuple], g: tuple[int, tuple], lcm: int) -> dict:
     """S-polynomial of two prepared reducers, unnormalized."""
     acc: dict = {}
     for (lm, tail), sign in ((f, -1), (g, 1)):
-        shift = tuple(map(sub, lcm, lm))
+        shift = lcm - lm
         for m, c in tail:
-            mm = tuple(map(add, shift, m))
+            mm = shift + m
             acc[mm] = acc.get(mm, 0) + sign * c
     return acc
 
 
 def _update_pairs(
     G: set[int],
-    pairs: dict[tuple[int, int], Mono],
+    pairs: dict[tuple[int, int], int],
     h: int,
-    lms: dict[int, Mono],
-) -> tuple[set[int], list[tuple[int, int, Mono]]]:
+    lms: dict[int, int],
+    pk: _Packing,
+) -> tuple[set[int], list[tuple[int, int, int]]]:
     """Gebauer-Moeller pair update for a new generator ``h``.
 
     Drops from ``pairs`` (live pair -> lcm) the pairs ``h`` makes redundant
     and returns the new generator set with the new pairs ``(h, g, lcm)``
-    that survive the lcm-divisibility and coprimality criteria."""
+    whose lcm no other new lcm strictly divides and whose leading monomials
+    are not coprime."""
     mh = lms[h]
-    lcm_with = {g: mono_lcm(mh, lms[g]) for g in G}
+    lcm, divides = pk.lcm, pk.divides
+    lcm_with = {g: lcm(mh, lms[g]) for g in G}
 
-    def coprime(g: int) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(mh, lms[g]))
-
-    def strictly_divided(g: int, pool: Iterable[int]) -> bool:
+    # A strict divisor of an lcm precedes it in every monomial order, and a
+    # non-minimal lcm has a minimal strict divisor; so one ascending pass,
+    # testing each lcm against the distinct minimal ones so far, keeps
+    # exactly the minimal lcms.  Equal lcms do not rule each other out.
+    minimal: list[int] = []
+    new: list[tuple[int, int, int]] = []
+    for g in sorted(G, key=lcm_with.__getitem__):
         target = lcm_with[g]
-        for g2 in pool:
-            cand = lcm_with[g2]
-            if cand != target and mono_divides(cand, target):
-                return True
-        return False
+        if not (minimal and minimal[-1] == target):
+            if any(divides(low, target) for low in minimal):
+                continue
+            minimal.append(target)
+        if target != mh + lms[g]:
+            new.append((h, g, target))
 
-    C = set(G)
-    D: set[int] = set()
-    while C:
-        g = C.pop()
-        if coprime(g) or not (strictly_divided(g, C) or strictly_divided(g, D)):
-            D.add(g)
+    def lcm_of(i: int) -> int:
+        return lcm_with[i] if i in lcm_with else lcm(mh, lms[i])
+
     for (i, j), lcm_ij in list(pairs.items()):
-        if (
-            mono_divides(mh, lcm_ij)
-            and mono_lcm(lms[i], mh) != lcm_ij
-            and mono_lcm(lms[j], mh) != lcm_ij
-        ):
+        if divides(mh, lcm_ij) and lcm_of(i) != lcm_ij and lcm_of(j) != lcm_ij:
             del pairs[(i, j)]
-    new = [(h, g, lcm_with[g]) for g in D if not coprime(g)]
-    G_new = {g for g in G if not mono_divides(mh, lms[g])}
+    G_new = {g for g in G if not divides(mh, lms[g])}
     G_new.add(h)
     return G_new, new
 
@@ -301,44 +432,43 @@ def buchberger(
 
     The result is canonical: monic generators, fully inter-reduced, sorted by
     decreasing leading monomial.  Each input generator is checked to reduce
-    to zero against the finished basis.
+    to zero against the finished basis.  Raises
+    :class:`DegreeLimitExceeded` when a monomial outgrows packed exponents.
     """
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     deadline = _Deadline(budget_secs, "buchberger")
-    keyf = ring.order.key
-    keys = _HeapKeys(ring.order)
+    pk = _Packing(ring)
     normalize, invert = _field_ops(ring)
     one = ring.field_.one
 
-    polys = [g.to_ring(ring).as_dict() for g in ideal.generators if not g.is_zero()]
+    # Generators share the ideal's ring, so only the order may differ.
+    polys = [pk.pack_terms(g.terms) for g in ideal.generators if not g.is_zero()]
     if not polys:
         return GroebnerBasis(ring, ())
 
-    store: dict[int, tuple[Mono, tuple]] = {}
-    lms: dict[int, Mono] = {}
+    store: dict[int, tuple[int, tuple]] = {}
+    lms: dict[int, int] = {}
     G: set[int] = set()
-    pairs: dict[tuple[int, int], Mono] = {}
-    queue: list[tuple[tuple, int, int]] = []
-    reducers: list[tuple[Mono, tuple]] = []
-
-    def by_leading_monomial(ids: Iterable[int]) -> list[int]:
-        """Generator ids by increasing leading monomial."""
-        return sorted(ids, key=lambda g: keys[lms[g]], reverse=True)
+    pairs: dict[tuple[int, int], int] = {}
+    queue: list[tuple[int, int, int]] = []
+    reducers: list[tuple[int, tuple]] = []
 
     def add_poly(d: dict) -> None:
         nonlocal G, reducers
         h = len(store)
-        lm = next(iter(d))  # reduced remainders come out in decreasing order
-        store[h] = _reducer(lm, d[lm], list(d.items())[1:], normalize, invert)
-        lms[h] = lm
-        G, new = _update_pairs(G, pairs, h, lms)
+        store[h] = _reducer(d, normalize, invert)  # remainders come out decreasing
+        lms[h] = store[h][0]
+        G, new = _update_pairs(G, pairs, h, lms, pk)
         for i, j, lcm in new:
+            if lcm & pk.over:
+                raise DegreeLimitExceeded()
             pairs[(i, j)] = lcm
-            heappush(queue, (keyf(lcm), i, j))
-        reducers = [store[g] for g in by_leading_monomial(G)]
+            heappush(queue, (lcm, i, j))
+        # Reducers by increasing leading monomial.
+        reducers = [store[g] for g in sorted(G, key=lms.__getitem__)]
 
-    for d in sorted(polys, key=lambda q: min(keys[m] for m in q), reverse=True):
-        r = _reduce_full(d, reducers, keys, normalize, deadline)
+    for d in sorted(polys, key=max):  # by increasing leading monomial
+        r = _reduce_full(d, reducers, pk, normalize, deadline)
         if r:
             add_poly(r)
 
@@ -348,14 +478,14 @@ def buchberger(
         if lcm is None:
             continue  # pruned by a later Gebauer-Moeller update
         deadline.check()
-        r = _reduce_full(_spoly(store[i], store[j], lcm), reducers, keys, normalize, deadline)
+        r = _reduce_full(_spoly(store[i], store[j], lcm), reducers, pk, normalize, deadline)
         if r:
             add_poly(r)
 
     # Minimalize: drop members whose leading monomial another one divides.
     minimal: list[int] = []
-    for g in by_leading_monomial(G):
-        if any(mono_divides(lms[h], lms[g]) for h in minimal):
+    for g in sorted(G, key=lms.__getitem__):
+        if any(pk.divides(lms[h], lms[g]) for h in minimal):
             continue
         minimal.append(g)
 
@@ -367,32 +497,27 @@ def buchberger(
         poly = {lm: one}
         poly.update((m, -c) for m, c in tail)
         others = [store[h] for h in minimal if h != g]
-        reduced.append(_reduce_full(poly, others, keys, normalize, deadline))
-
+        reduced.append(_reduce_full(poly, others, pk, normalize, deadline))
     reduced.reverse()
-    basis = tuple(Polynomial(ring, tuple(d.items())) for d in reduced)
-    gb = GroebnerBasis(ring, basis)
 
     # Self-check: every input generator must reduce to zero.
-    final = _basis_reducers(gb)
+    final = [_reducer(d, normalize, invert) for d in reduced]
     for d in polys:
-        if _reduce_full(d, final, keys, normalize):
-            raise RuntimeError("internal error: input generator does not reduce to zero")
-    return gb
+        if _reduce_full(d, final, pk, normalize):
+            raise RuntimeError("input generator does not reduce to zero against its basis")
+    return GroebnerBasis(ring, tuple(pk.polynomial(ring, d) for d in reduced))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the basis."""
+    pk = _Packing(gb.ring)
     normalize, _ = _field_ops(gb.ring)
-    d = _reduce_full(
-        p.to_ring(gb.ring).as_dict(), _basis_reducers(gb), _HeapKeys(gb.ring.order), normalize
-    )
-    return Polynomial(gb.ring, tuple(d.items()))
+    target = pk.pack_terms(p.to_ring(gb.ring).terms)
+    return pk.polynomial(gb.ring, _reduce_full(target, _basis_reducers(gb, pk), pk, normalize))
 
 
 def is_unit_ideal(ideal: Ideal, budget_secs: Optional[float] = None) -> bool:
     return buchberger(ideal, budget_secs=budget_secs).is_unit()
-
 
 # ---------------------------------------------------------------------------
 # Krull dimension from leading terms
@@ -711,38 +836,34 @@ def multiplication_matrix(
         raise TypeError("multiplication matrices are built over prime fields only")
     p = fld.p
     n = ring.nvars
-    monos = qb.monomials
-    index = {m: i for i, m in enumerate(monos)}
-    dim = len(monos)
+    pk = _Packing(ring)
+    index = {pk.pack(m): i for i, m in enumerate(qb.monomials)}
+    dim = len(index)
     mat = np.zeros((dim, dim), dtype=np.int64)
-    keys = _HeapKeys(ring.order)
     normalize, _ = _field_ops(ring)
-    reducers = _basis_reducers(gb)
-    lms = gb.leading_monomials()
-    nf_cache: dict[Mono, dict] = {}
-    for col, m in enumerate(monos):
-        for i in range(n):
+    reducers = _basis_reducers(gb, pk)
+    variables = [pk.pack(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    nf_cache: dict[int, dict] = {}
+    for col, m in enumerate(index):
+        for i, x in enumerate(variables):
             ci = coefficients[i] % p
             if ci == 0:
                 continue
-            shifted = list(m)
-            shifted[i] += 1
-            sm = tuple(shifted)
-            if sm in index:
-                row = index[sm]
+            sm = m + x
+            row = index.get(sm)
+            if row is not None:
                 mat[row, col] = (mat[row, col] + ci) % p
                 continue
             nf = nf_cache.get(sm)
             if nf is None:
-                if not any(mono_divides(lm, sm) for lm in lms):
+                if not any(pk.divides(lm, sm) for lm, _ in reducers):
                     raise RuntimeError("standard-monomial closure violated")
-                nf = _reduce_full({sm: 1}, reducers, keys, normalize)
+                nf = _reduce_full({sm: 1}, reducers, pk, normalize)
                 nf_cache[sm] = nf
             for mm, cc in nf.items():
                 row = index[mm]
                 mat[row, col] = (mat[row, col] + ci * cc) % p
     return mat
-
 
 def count_points(
     ideal: Ideal,

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from lodeg import invariants
 from lodeg.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     build_parser,
     main,
@@ -205,6 +207,29 @@ class TestFailures:
         assert "Traceback" not in err
         assert err.startswith("input error: --prime 4294967291")
         assert err.count("\n") == 1
+
+    def test_degree_beyond_packed_monomials(self, tmp_path, capsys):
+        # Degree 16383 parses and packs; the computation's first S-pair
+        # reaches degree 16384, the engine's limit.
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^16383 + y^2 - 1"]}))
+        code, out, err = run_cli(capsys, "lodeg", str(big))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("input error: a monomial reached degree 16384")
+        assert err.count("\n") == 1
+
+    def test_internal_error_is_one_line(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("self-check failed")
+
+        monkeypatch.setattr(invariants, "count_points", broken)
+        code, out, err = run_cli(capsys, "lodeg", data_path("sphere.json"))
+        assert code == EXIT_INTERNAL == 6
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == "internal error: RuntimeError: self-check failed\n"
 
 
 class TestParser:

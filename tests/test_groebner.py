@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from lodeg.groebner import (
+    PACK_LIMIT,
     BudgetExceeded,
     CharacteristicHazard,
+    DegreeLimitExceeded,
     GroebnerBasis,
     Ideal,
     NotZeroDimensional,
@@ -19,8 +22,19 @@ from lodeg.groebner import (
     quotient_basis,
     saturate,
     saturate_by_ideal,
+    _Packing,
 )
-from lodeg.poly import GREVLEX, LEX, PolyRing, PrimeField, QQ, block_order
+from lodeg.poly import (
+    GREVLEX,
+    LEX,
+    MAX_EXPONENT,
+    PolyRing,
+    PrimeField,
+    QQ,
+    block_order,
+    mono_divides,
+    mono_lcm,
+)
 
 P1 = 2147483647
 
@@ -130,13 +144,7 @@ def _plain_spoly(f, g, key, p):
 
 
 def _random_generators(rng, ring, count, degree, terms):
-    monos = [
-        (a, b, c)
-        for a in range(degree + 1)
-        for b in range(degree + 1)
-        for c in range(degree + 1)
-        if a + b + c <= degree
-    ]
+    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(m) <= degree]
     return [
         ring.from_dict({m: rng.randrange(1, P1) for m in rng.sample(monos, terms)})
         for _ in range(count)
@@ -168,6 +176,157 @@ class TestReducerAgainstPlainDivision:
                 assert _plain_remainder(g.as_dict(), basis, key, P1) == {}
             shuffled = [g * rng.randrange(1, P1) for g in rng.sample(gens, len(gens))]
             assert buchberger(Ideal.of(ring, shuffled)).basis == gb.basis
+
+    @pytest.mark.parametrize(
+        "order",
+        [GREVLEX, LEX, block_order(1), block_order(2)],
+        ids=["grevlex", "lex", "block1", "block2"],
+    )
+    def test_random_ideals_five_variables(self, order):
+        # Two-variable blocks put multi-digit weight rows under the test.
+        rng = random.Random(f"reducer5:{order.name}:{getattr(order, 'k', 0)}")
+        ring = PolyRing(("v", "w", "x", "y", "z"), PrimeField(P1), order)
+        key = order.key
+        for count, degree, terms in [(2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4)]:
+            gens = _random_generators(rng, ring, count, degree, terms)
+            gb = buchberger(Ideal.of(ring, gens))
+            basis = [g.as_dict() for g in gb.basis]
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    s = _plain_spoly(basis[i], basis[j], key, P1)
+                    assert _plain_remainder(s, basis, key, P1) == {}
+            for g in gens:
+                assert _plain_remainder(g.as_dict(), basis, key, P1) == {}
+            shuffled = [g * rng.randrange(1, P1) for g in rng.sample(gens, len(gens))]
+            assert buchberger(Ideal.of(ring, shuffled)).basis == gb.basis
+
+
+def _order_blocks(order, n):
+    """Variable blocks whose degrees the packed layout stores as digits."""
+    if order == LEX:
+        return [(i, i + 1) for i in range(n)]
+    if order == GREVLEX:
+        return [(0, n)]
+    return [(0, order.k), (order.k, n)]
+
+
+def _block_degree(m, blocks):
+    return max(sum(m[a:b]) for a, b in blocks)
+
+
+def _random_monomial(rng, n, blocks, limit):
+    """Random exponents whose every block degree stays below ``limit``;
+    often a block sits just under it."""
+    m = [0] * n
+    for a, b in blocks:
+        total = rng.choice([limit - 1, limit - 1 - rng.randrange(3), rng.randrange(limit), rng.randrange(6)])
+        support = rng.sample(range(a, b), rng.randrange(1, b - a + 1))
+        for i in support[:-1]:
+            m[i] = rng.randrange(total + 1)
+            total -= m[i]
+        m[support[-1]] = total
+    return tuple(m)
+
+
+def _random_divisor(rng, m):
+    return tuple(rng.choice([0, e, rng.randrange(e + 1)]) for e in m)
+
+
+def _orders(n):
+    yield GREVLEX
+    yield LEX
+    for k in range(1, n):
+        yield block_order(k)
+
+
+class TestPackedMonomials:
+    """Packed monomials against the tuple operations of ``poly``, for every
+    order on 1 to 10 variables, with block degrees up to the guard bound."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_packing_agrees_with_tuples(self, n):
+        rng = random.Random(f"packing:{n}")
+        for order in _orders(n):
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
+            pk = _Packing(ring)
+            blocks = _order_blocks(order, n)
+            key = order.key
+            monos = [_random_monomial(rng, n, blocks, PACK_LIMIT) for _ in range(60)]
+            packed = [pk.pack(m) for m in monos]
+            for m, a in zip(monos, packed):
+                assert pk.unpack(a) == m
+                assert not a & pk.over
+            for _ in range(200):
+                i, j = rng.randrange(len(monos)), rng.randrange(len(monos))
+                a, b = monos[i], monos[j]
+                pa, pb = packed[i], packed[j]
+                assert (pa < pb) == (key(a) < key(b))
+                assert (pa == pb) == (a == b)
+                assert pk.divides(pa, pb) == mono_divides(a, b)
+                lcm = mono_lcm(a, b)
+                assert pk.unpack(pk.lcm(pa, pb)) == lcm
+                coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+                assert (pk.lcm(pa, pb) == pa + pb) == coprime
+                product = tuple(x + y for x, y in zip(a, b))
+                # The mask passes a sum exactly when its block degrees do.
+                assert bool((pa + pb) & pk.over) == (_block_degree(product, blocks) >= PACK_LIMIT)
+                if _block_degree(product, blocks) < PACK_LIMIT:
+                    assert pa + pb == pk.pack(product)
+                if _block_degree(lcm, blocks) < PACK_LIMIT:
+                    assert pk.lcm(pa, pb) == pk.pack(lcm)
+                d = _random_divisor(rng, a)
+                pd = pk.pack(d)
+                assert pk.divides(pd, pa)
+                assert pk.lcm(pd, pa) == pa
+                assert pa - pd == pk.pack(tuple(x - y for x, y in zip(a, d)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_packing_refuses_a_block_at_the_bound(self, n):
+        for order in _orders(n):
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), QQ, order)
+            pk = _Packing(ring)
+            for a, b in _order_blocks(order, n):
+                m = [0] * n
+                m[b - 1] = PACK_LIMIT
+                with pytest.raises(DegreeLimitExceeded):
+                    pk.pack(tuple(m))
+                m[b - 1] = PACK_LIMIT - 1
+                assert pk.unpack(pk.pack(tuple(m))) == tuple(m)
+
+
+class TestWidthGuard:
+    """Degrees past the packed-digit bound (far below poly.MAX_EXPONENT)
+    raise DegreeLimitExceeded instead of returning a basis."""
+
+    def test_bound_is_an_input_size_limit(self):
+        assert PACK_LIMIT < MAX_EXPONENT
+        assert issubclass(DegreeLimitExceeded, ValueError)
+
+    def test_input_at_the_bound(self):
+        r = fring("x", "y")
+        with pytest.raises(DegreeLimitExceeded):
+            buchberger(Ideal.of(r, [r.parse(f"x^{PACK_LIMIT} - y")]))
+        gb = buchberger(Ideal.of(r, [r.parse(f"x^{PACK_LIMIT - 1} - y")]))
+        assert gb.leading_monomials() == ((PACK_LIMIT - 1, 0),)
+
+    def test_s_pair_past_the_bound(self):
+        # Both generators have degree 8193; the lcm of their leading
+        # monomials has degree 16384.
+        r = fring("x", "y")
+        half = PACK_LIMIT // 2
+        gens = [r.parse(f"x^{half}*y - 1"), r.parse(f"x*y^{half} - 1")]
+        with pytest.raises(DegreeLimitExceeded):
+            buchberger(Ideal.of(r, gens))
+        smaller = [r.parse(f"x^{half - 1}*y - 1"), r.parse(f"x*y^{half - 1} - 1")]
+        assert not buchberger(Ideal.of(r, smaller)).is_unit()
+
+    def test_lex_reduction_past_the_bound(self):
+        # Under lex, reducing x*y by x - y^16383 makes y^16384.
+        r = PolyRing(("x", "y"), PrimeField(P1), LEX)
+        gb = buchberger(Ideal.of(r, [r.parse(f"x - y^{PACK_LIMIT - 1}")]))
+        with pytest.raises(DegreeLimitExceeded):
+            normal_form(r.parse("x*y"), gb)
+        assert str(normal_form(r.parse("x"), gb)) == f"y^{PACK_LIMIT - 1}"
 
 
 class TestDimension:
