@@ -38,10 +38,12 @@ from .invariants import (
     critical_correspondence,
     dual_contains_hyperplane_at_infinity,
     euler_obstruction_at_cone_point,
+    euler_obstruction_with_bidegrees,
     lo_degree,
     polar_degrees,
     sectional_lo_degrees,
     variety_degree,
+    verify_identities,
     verify_polar_relation,
     verify_sectional_bidegrees,
 )
@@ -82,6 +84,7 @@ __all__ = [
     "dual_contains_hyperplane_at_infinity",
     "eliminate",
     "euler_obstruction_at_cone_point",
+    "euler_obstruction_with_bidegrees",
     "krull_dimension",
     "lo_degree",
     "normal_form",
@@ -92,6 +95,7 @@ __all__ = [
     "sectional_lo_degrees",
     "slice_variety",
     "variety_degree",
+    "verify_identities",
     "verify_polar_relation",
     "verify_sectional_bidegrees",
 ]

@@ -1,12 +1,16 @@
 """Command line front end.
 
 Input is a JSON file naming the variables and listing polynomial strings;
-each subcommand wraps one library operation and prints a report.  Reports
-are deterministic for a fixed (input, seed, primes) triple, except for the
-timings block, which ``--no-timings`` removes when byte-identical output
-matters.
+each subcommand is one row of ``COMMANDS``: its extra flags, one library
+call and the builder of its ``results`` block.  Reports are deterministic
+for a fixed (input, seed, primes) triple, except for the timings block,
+which ``--no-timings`` removes when byte-identical output matters.  The
+timings block holds one entry, keyed by the command name: the wall time of
+the library call.  Per-stage times come from the benchmark's opt-in tracer
+(``perfbench/run.py --trace 1``), not from the report.
 
-Exit codes: 0 success, 2 the recounts never agreed (or a characteristic
+Exit codes (the ``FAILURES`` table): 0 success, 2 the recounts never
+agreed (including an unlucky random saturation, or a characteristic
 hazard), 3 bad input (including inputs whose degrees exceed what the
 Groebner engine represents), 4 budget exhausted, 5 a verified identity
 failed, 6 internal error.  Every failure prints one line to stderr and no
@@ -20,13 +24,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import invariants
-from .conormal import DegenerateSlice, DimensionMismatch, InvalidVariety, VarietySpec
+from .conormal import DegenerateSlice, DimensionMismatch, VarietySpec
 from .groebner import MAX_MATRIX_PRIME, BudgetExceeded, CharacteristicHazard
-from .invariants import DegreeVector, NotACone
+from .invariants import VerificationReport
 from .poly import ParseError
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
 
@@ -40,6 +45,15 @@ EXIT_INTERNAL = 6
 
 class InputProblem(Exception):
     """Anything wrong with the input file or explicit flag data."""
+
+
+# How ``main`` reports a failure: the first row whose exception types match
+# gives the stderr prefix and the exit code; anything else is internal.
+FAILURES: tuple[tuple[tuple[type[Exception], ...], str, int], ...] = (
+    ((InputProblem, ValueError, DegenerateSlice, DimensionMismatch), "input error", EXIT_INPUT),
+    ((Instability, CharacteristicHazard), "instability", EXIT_INSTABILITY),
+    ((BudgetExceeded,), "budget exceeded", EXIT_BUDGET),
+)
 
 
 def _load_variety(path: str) -> tuple[VarietySpec, dict[str, Any], list[str]]:
@@ -66,8 +80,6 @@ def _load_variety(path: str) -> tuple[VarietySpec, dict[str, Any], list[str]]:
         spec = VarietySpec.define(variables, polynomials, assumed_irreducible=assumed)
     except ParseError as err:
         raise InputProblem(f"{path}: polynomial parse error: {err}") from err
-    except InvalidVariety as err:
-        raise InputProblem(f"{path}: {err}") from err
     except ValueError as err:
         raise InputProblem(f"{path}: {err}") from err
     if "homogeneous" in doc:
@@ -119,15 +131,6 @@ def _parse_slice_form(text: str, spec: VarietySpec) -> tuple[list[Fraction], Fra
     return coeffs, -Fraction(poly.constant_coefficient())
 
 
-def _vector_payload(vec: DegreeVector) -> dict[str, Any]:
-    return {
-        "kind": vec.kind,
-        "values": list(vec.values),
-        "dimension": vec.dimension,
-        "ambient": vec.ambient,
-    }
-
-
 def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     for p in primes:
@@ -141,184 +144,150 @@ def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
     )
 
 
+# One row per subcommand: its help, its library call (given the parsed
+# input, the flags and the agreement policy), the builder of the report's
+# ``results`` block from the call's value, the command's own warnings and
+# its flags beyond the common ones.  Library functions are looked up when
+# a command runs, so wrappers installed on ``invariants`` (tracing, tests)
+# apply.
+Call = Callable[[VarietySpec, argparse.Namespace, AgreementPolicy], Any]
+Flag = tuple[str, dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    call: Call
+    payload: Callable[[Any], dict[str, Any]]
+    warnings: Callable[[Any, argparse.Namespace], list[str]] = lambda value, args: []
+    flags: tuple[Flag, ...] = ()
+
+
+def _counted(name: str) -> Call:
+    """The call ``invariants.<name>(spec, seed, policy=..., budget_secs=...)``."""
+    return lambda spec, args, policy: getattr(invariants, name)(
+        spec, args.seed, policy=policy, budget_secs=args.budget_secs
+    )
+
+
+def _covector(args: argparse.Namespace, spec: VarietySpec) -> Optional[list[Fraction]]:
+    return _parse_covector(args.covector, spec.n) if args.covector else None
+
+
+_COMMON_FLAGS: tuple[Flag, ...] = (
+    ("input", {"help": "variety JSON file"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--prime", {"type": int, "action": "append",
+                 "help": "prime modulus; repeat for agreement across several"}),
+    ("--trials", {"type": int, "default": 2, "help": "independent seeds per agreement round"}),
+    ("--budget-secs", {"type": float, "default": None}),
+    ("--format", {"choices": ("json", "text"), "default": "json"}),
+    ("--no-timings", {"action": "store_true",
+                      "help": "omit wall times for byte-identical reports"}),
+)
+_COVECTOR: Flag = ("--covector", {"help": "comma-separated objective coefficients"})
+_REPORT_FIELDS = ("identity", "passed", "left", "right", "notes")
+
+COMMANDS: dict[str, Command] = {
+    "lodeg": Command(
+        "count critical points of a generic linear objective",
+        lambda spec, args, policy: invariants.lo_degree(
+            spec, args.seed, covector=_covector(args, spec), policy=policy,
+            budget_secs=args.budget_secs,
+        ),
+        lambda value: {"lo_degree": value},
+        warnings=lambda value, args: [
+            "explicit covector supplied; the count is for that objective, "
+            "not the generic one"
+        ] if args.covector else [],
+        flags=(_COVECTOR,),
+    ),
+    "bidegrees": Command(
+        "slice counts of the conormal variety",
+        _counted("bidegrees"), lambda b: {"bidegrees": asdict(b)},
+    ),
+    "sectional": Command(
+        "critical-point counts after 0..d hyperplane sections",
+        _counted("sectional_lo_degrees"), lambda s: {"sectional": asdict(s)},
+    ),
+    "polar": Command(
+        "slice counts of the projective conormal variety",
+        _counted("polar_degrees"), lambda delta: {"polar": asdict(delta)},
+    ),
+    "chern_mather": Command(
+        "characteristic-class coefficients via the binomial transform",
+        _counted("bidegrees"),
+        lambda b: {
+            "bidegrees": asdict(b),
+            "chern_mather": asdict(invariants.chern_mather_from_bidegrees(b)),
+        },
+    ),
+    "euler_obstruction": Command(
+        "alternating sum of slice counts at a cone vertex",
+        _counted("euler_obstruction_with_bidegrees"),
+        lambda value: {"bidegrees": asdict(value[1]), "euler_obstruction": value[0]},
+    ),
+    "dual_infinity": Command(
+        "does the dual variety contain the hyperplane at infinity",
+        lambda spec, args, policy: invariants.dual_contains_hyperplane_at_infinity(
+            spec, seed=args.seed, budget_secs=args.budget_secs
+        ),
+        lambda flag: {"dual_contains_hyperplane_at_infinity": flag},
+    ),
+    "correspondence": Command(
+        "explicit objective and slice versus conormal intersections",
+        lambda spec, args, policy: invariants.critical_correspondence(
+            spec,
+            args.i,
+            args.seed,
+            covector=_covector(args, spec),
+            slices=[_parse_slice_form(s, spec) for s in args.slice] if args.slice else None,
+            policy=policy,
+            budget_secs=args.budget_secs,
+        ),
+        lambda report: {"correspondence": asdict(report)},
+        flags=(
+            _COVECTOR,
+            ("--i", {"type": int, "required": True, "help": "number of affine sections"}),
+            ("--slice", {"action": "append",
+                         "help": "affine form, e.g. 'x3-6' for the section x3=6"}),
+        ),
+    ),
+    "verify": Command(
+        "run the identity checks and report pass/fail",
+        _counted("verify_identities"),
+        lambda outcome: {
+            "reports": [{key: getattr(r, key) for key in _REPORT_FIELDS} for r in outcome[0]],
+            "all_passed": all(r.passed for r in outcome[0]),
+        },
+        warnings=lambda outcome, args: outcome[1],
+    ),
+}
+
+
 def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     spec, meta, warnings = _load_variety(args.input)
     policy = _policy_from_args(args)
-    budget = args.budget_secs
-    seed = args.seed
-    results: dict[str, Any] = {}
-    timings: dict[str, float] = {}
-    exit_code = EXIT_OK
-
-    def timed(name: str, fn):
-        start = time.perf_counter()
-        value = fn()
-        timings[name] = round(time.perf_counter() - start, 3)
-        return value
-
-    if args.command == "lodeg":
-        covector = (
-            _parse_covector(args.covector, spec.n) if args.covector else None
-        )
-        value = timed(
-            "lo_degree",
-            lambda: invariants.lo_degree(
-                spec, seed, covector=covector, policy=policy, budget_secs=budget
-            ),
-        )
-        results["lo_degree"] = value
-        if covector is not None:
-            warnings.append(
-                "explicit covector supplied; the count is for that objective, "
-                "not the generic one"
-            )
-    elif args.command == "bidegrees":
-        vec = timed(
-            "bidegrees",
-            lambda: invariants.bidegrees(spec, seed, policy=policy, budget_secs=budget),
-        )
-        results["bidegrees"] = _vector_payload(vec)
-    elif args.command == "sectional":
-        vec = timed(
-            "sectional",
-            lambda: invariants.sectional_lo_degrees(
-                spec, seed, policy=policy, budget_secs=budget
-            ),
-        )
-        results["sectional"] = _vector_payload(vec)
-    elif args.command == "polar":
-        vec = timed(
-            "polar",
-            lambda: invariants.polar_degrees(spec, seed, policy=policy, budget_secs=budget),
-        )
-        results["polar"] = _vector_payload(vec)
-    elif args.command == "chern_mather":
-        b = timed(
-            "bidegrees",
-            lambda: invariants.bidegrees(spec, seed, policy=policy, budget_secs=budget),
-        )
-        a = timed("transform", lambda: invariants.chern_mather_from_bidegrees(b))
-        results["bidegrees"] = _vector_payload(b)
-        results["chern_mather"] = _vector_payload(a)
-    elif args.command == "euler_obstruction":
-        b = timed(
-            "bidegrees",
-            lambda: invariants.bidegrees(spec, seed, policy=policy, budget_secs=budget),
-        )
-        results["bidegrees"] = _vector_payload(b)
-        if not spec.is_homogeneous():
-            raise NotACone("all generators must be homogeneous")
-        results["euler_obstruction"] = b.alternating_sum()
-    elif args.command == "dual_infinity":
-        flag = timed(
-            "dual_infinity",
-            lambda: invariants.dual_contains_hyperplane_at_infinity(
-                spec, seed=seed, budget_secs=budget
-            ),
-        )
-        results["dual_contains_hyperplane_at_infinity"] = flag
-    elif args.command == "correspondence":
-        covector = (
-            _parse_covector(args.covector, spec.n) if args.covector else None
-        )
-        slices = (
-            [_parse_slice_form(s, spec) for s in args.slice] if args.slice else None
-        )
-        report = timed(
-            "correspondence",
-            lambda: invariants.critical_correspondence(
-                spec,
-                args.i,
-                seed,
-                covector=covector,
-                slices=slices,
-                policy=policy,
-                budget_secs=budget,
-            ),
-        )
-        results["correspondence"] = {
-            "i": report.i,
-            "seed": report.seed,
-            "count_critical": report.count_critical,
-            "count_conormal": report.count_conormal,
-            "generic": report.generic,
-            "expected": report.expected,
-        }
-    elif args.command == "verify":
-        reports = []
-        sectional = timed(
-            "sectional_vs_bidegrees",
-            lambda: invariants.verify_sectional_bidegrees(
-                spec, seed, policy=policy, budget_secs=budget
-            ),
-        )
-        reports.append(sectional)
-        polar = timed(
-            "polar_relation",
-            lambda: invariants.verify_polar_relation(
-                spec, seed, policy=policy, budget_secs=budget
-            ),
-        )
-        reports.append(polar)
-        b = DegreeVector("bidegree", sectional.left, spec.dimension, spec.n)
-        a = invariants.chern_mather_from_bidegrees(b)
-        roundtrip = invariants.bidegrees_from_chern_mather(a)
-        reports.append(
-            invariants.VerificationReport(
-                "binomial transform round-trip",
-                roundtrip.values == b.values,
-                b.values,
-                roundtrip.values,
-                seed,
-                policy.primes,
-            )
-        )
-        if spec.is_homogeneous():
-            reports.append(
-                invariants.VerificationReport(
-                    "alternating sum equals transform's 0th entry",
-                    b.alternating_sum() == a.values[0],
-                    (b.alternating_sum(),),
-                    (a.values[0],),
-                    seed,
-                    policy.primes,
-                )
-            )
-        else:
-            warnings.append(
-                "generators are not homogeneous; cone-point check skipped"
-            )
-        results["reports"] = [
-            {
-                "identity": r.identity,
-                "passed": r.passed,
-                "left": list(r.left),
-                "right": list(r.right),
-                "notes": list(r.notes),
-            }
-            for r in reports
-        ]
-        results["all_passed"] = all(r.passed for r in reports)
-        if not results["all_passed"]:
-            exit_code = EXIT_VERIFY
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputProblem(f"unknown command {args.command!r}")
-
+    command = COMMANDS[args.command]
+    start = time.perf_counter()
+    value = command.call(spec, args, policy)
+    elapsed = round(time.perf_counter() - start, 3)
+    results = command.payload(value)
     report = {
         "command": args.command,
         "input": meta,
         "config": {
-            "seed": seed,
+            "seed": args.seed,
             "primes": list(policy.primes),
             "trials": policy.seeds_per_trial,
-            "budget_secs": budget,
+            "budget_secs": args.budget_secs,
         },
         "results": results,
-        "warnings": warnings,
+        "warnings": warnings + command.warnings(value, args),
     }
     if not args.no_timings:
-        report["timings"] = timings
-    return report, exit_code
+        report["timings"] = {args.command: elapsed}
+    return report, EXIT_OK if results.get("all_passed", True) else EXIT_VERIFY
 
 
 def _render_text(report: dict[str, Any]) -> str:
@@ -345,8 +314,7 @@ def _render_text(report: dict[str, Any]) -> str:
     for w in report["warnings"]:
         lines.append(f"warning: {w}")
     if "timings" in report:
-        total = sum(report["timings"].values())
-        lines.append(f"time: {total:.3f}s")
+        lines.append(f"time: {report['timings'][report['command']]:.3f}s")
     return "\n".join(lines)
 
 
@@ -356,41 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact critical-point counts of linear objectives on affine varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "lodeg": "count critical points of a generic linear objective",
-        "bidegrees": "slice counts of the conormal variety",
-        "sectional": "critical-point counts after 0..d hyperplane sections",
-        "polar": "slice counts of the projective conormal variety",
-        "chern_mather": "characteristic-class coefficients via the binomial transform",
-        "euler_obstruction": "alternating sum of slice counts at a cone vertex",
-        "dual_infinity": "does the dual variety contain the hyperplane at infinity",
-        "correspondence": "explicit objective and slice versus conormal intersections",
-        "verify": "run the identity checks and report pass/fail",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="variety JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--prime",
-            type=int,
-            action="append",
-            help="prime modulus; repeat for agreement across several",
-        )
-        p.add_argument("--trials", type=int, default=2,
-                       help="independent seeds per agreement round")
-        p.add_argument("--budget-secs", type=float, default=None)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--no-timings", action="store_true",
-                       help="omit wall times for byte-identical reports")
-        if name in ("lodeg", "correspondence"):
-            p.add_argument("--covector",
-                           help="comma-separated objective coefficients")
-        if name == "correspondence":
-            p.add_argument("--i", type=int, required=True,
-                           help="number of affine sections")
-            p.add_argument("--slice", action="append",
-                           help="affine form, e.g. 'x3-6' for the section x3=6")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in _COMMON_FLAGS + command.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -399,22 +336,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, exit_code = _run_command(args)
-    except InputProblem as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotACone, DegenerateSlice, DimensionMismatch, ValueError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except Instability as err:
-        print(f"instability: {err}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except BudgetExceeded as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CharacteristicHazard as err:
-        print(f"instability: {err}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except Exception as err:  # a failed self-check or any other bug
+    except Exception as err:
+        for kinds, prefix, code in FAILURES:
+            if isinstance(err, kinds):
+                print(f"{prefix}: {err}", file=sys.stderr)
+                return code
+        # A failed self-check or any other bug.
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":

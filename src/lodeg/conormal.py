@@ -23,7 +23,6 @@ from .groebner import (
     buchberger,
     eliminate,
     krull_dimension,
-    saturate,
     saturate_by_ideal,
 )
 from .poly import (
@@ -38,7 +37,7 @@ from .poly import (
     fresh_name,
     fresh_names,
 )
-from .randomness import DEFAULT_PRIMES, SeedStream, derive_seed
+from .randomness import DEFAULT_PRIMES, Instability, SeedStream, derive_seed
 
 
 class InvalidVariety(ValueError):
@@ -108,13 +107,6 @@ class VarietySpec:
         """The generator ideal over GF(prime)."""
         target = self.ring.with_field(PrimeField(prime))
         return Ideal.of(target, [g.to_ring(target) for g in self.generators])
-
-    def degree_forms(self) -> list[int]:
-        return [g.total_degree() for g in self.generators]
-
-
-def codimension(spec: VarietySpec) -> int:
-    return spec.codimension
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +385,12 @@ def projective_multiplier_system(
     return _assemble_multiplier_system(pring, hom, spec.codimension)
 
 
+def _lift(poly: Polynomial, big: PolyRing) -> Polynomial:
+    """``poly`` in ``big``, whose extra variables follow the poly's own."""
+    pad = (0,) * (big.nvars - poly.ring.nvars)
+    return big.from_dict({m + pad: c for m, c in poly.terms})
+
+
 def _assemble_multiplier_system(
     base: PolyRing, gens: list[Polynomial], codim: int
 ) -> MultiplierSystem:
@@ -401,11 +399,8 @@ def _assemble_multiplier_system(
     lam_names = fresh_names("lam", m, base.variables)
     big = PolyRing(base.variables + tuple(lam_names), base.field_, base.order)
 
-    def lift(p: Polynomial) -> Polynomial:
-        return big.from_dict({mm + (0,) * m: c for mm, c in p.terms})
-
-    lifted = [lift(g) for g in gens]
-    grads = [[lift(g.partial(k)) for k in range(nb)] for g in gens]
+    lifted = [_lift(g, big) for g in gens]
+    grads = [[_lift(g.partial(k), big) for k in range(nb)] for g in gens]
     lams = [big.gen(nb + j) for j in range(m)]
     covector = []
     for k in range(nb):
@@ -537,15 +532,12 @@ def affine_conormal_ideal(
     u_names = fresh_names("u", n, spec.ring.variables)
     big = PolyRing(base.variables + tuple(u_names), base.field_, base.order)
 
-    def lift(poly: Polynomial) -> Polynomial:
-        return big.from_dict({m + (0,) * n: cc for m, cc in poly.terms})
-
     if method == "minors":
-        jac = [[lift(g.partial(k)) for k in range(n)] for g in gens]
+        jac = [[_lift(g.partial(k), big) for k in range(n)] for g in gens]
         dual_row = [big.gen(n + k) for k in range(n)]
         stacked = [dual_row] + jac
         minors = _rank_minors(stacked, c + 1, big)
-        ideal = Ideal.of(big, [lift(g) for g in gens] + minors)
+        ideal = Ideal.of(big, [_lift(g, big) for g in gens] + minors)
         rank_locus = _rank_minors(jac, c, big)
         sat = saturate_by_ideal(
             ideal, Ideal.of(big, rank_locus), seed=seed, budget_secs=budget_secs
@@ -608,13 +600,10 @@ def projective_conormal_ideal(
     y_names = fresh_names("y", n + 1, pring.variables)
     big = PolyRing(pring.variables + tuple(y_names), pring.field_, pring.order)
 
-    def lift(poly: Polynomial) -> Polynomial:
-        return big.from_dict({m + (0,) * (n + 1): cc for m, cc in poly.terms})
-
-    jac = [[lift(g.partial(k)) for k in range(n + 1)] for g in hom]
+    jac = [[_lift(g.partial(k), big) for k in range(n + 1)] for g in hom]
     dual_row = [big.gen(n + 1 + k) for k in range(n + 1)]
     minors = _rank_minors([dual_row] + jac, c + 1, big)
-    ideal = Ideal.of(big, [lift(g) for g in hom] + minors)
+    ideal = Ideal.of(big, [_lift(g, big) for g in hom] + minors)
     rank_locus = _rank_minors(jac, c, big)
     sat = saturate_by_ideal(
         ideal, Ideal.of(big, rank_locus), seed=seed, budget_secs=budget_secs
@@ -623,15 +612,15 @@ def projective_conormal_ideal(
     sat = saturate_by_ideal(
         sat, irrelevant, seed=derive_seed(seed, 97), budget_secs=budget_secs
     )
-    if not all(_is_bihomogeneous(g, n + 1) for g in sat.generators):
-        # Regenerate with per-generator saturation, which preserves the
-        # bigrading step by step.
-        current = ideal
-        for g in rank_locus:
-            current = saturate(current, g, budget_secs=budget_secs)
-        for k in range(n + 1):
-            current = saturate(current, big.gen(k), budget_secs=budget_secs)
-        sat = Ideal.of(big, buchberger(current, budget_secs=budget_secs).basis)
+    mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.generators)
+    if mixed:
+        # The saturation by the whole ideals is bihomogeneous, and so is
+        # its reduced basis: a mixed generator means an unlucky combination.
+        raise Instability(
+            "bihomogeneity of the projective conormal saturation "
+            "(generators not bihomogeneous)",
+            {(seed, p): mixed},
+        )
     dim = krull_dimension(Ideal.of(big, sat.generators), budget_secs=budget_secs)
     if dim != n + 1:
         raise DimensionMismatch(

@@ -152,9 +152,6 @@ class Ideal:
                 raise ValueError("generator lives in a different ring")
         return Ideal(ring, kept)
 
-    def map_ring(self, target: PolyRing) -> "Ideal":
-        return Ideal(target, tuple(g.to_ring(target) for g in self.generators))
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -516,9 +513,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return pk.polynomial(gb.ring, _reduce_full(target, _basis_reducers(gb, pk), pk, normalize))
 
 
-def is_unit_ideal(ideal: Ideal, budget_secs: Optional[float] = None) -> bool:
-    return buchberger(ideal, budget_secs=budget_secs).is_unit()
-
 # ---------------------------------------------------------------------------
 # Krull dimension from leading terms
 # ---------------------------------------------------------------------------
@@ -626,12 +620,13 @@ def saturate_by_ideal(
 ) -> Ideal:
     """Saturate ``ideal`` by a whole ideal.
 
-    Strategy: saturate by a random linear combination of the generators of
-    ``other`` for two derived seeds; if the two answers agree, accept.  On
-    disagreement fall back to iterated per-generator saturation until the
-    basis stabilizes.
+    Saturate by a random linear combination of the generators of ``other``
+    for two derived seeds.  A generic combination gives the saturation by
+    the whole ideal exactly, so the two answers agree unless a draw was
+    unlucky; disagreement raises :class:`Instability` (the observations are
+    the two basis sizes).
     """
-    from .randomness import SeedStream, derive_seed
+    from .randomness import Instability, SeedStream, derive_seed
 
     if not other.generators:
         raise ValueError("cannot saturate by the zero ideal")
@@ -646,20 +641,16 @@ def saturate_by_ideal(
             if not acc.is_zero():
                 return acc
 
-    first = saturate(ideal, combo(derive_seed(seed, 0)), budget_secs=budget_secs)
-    second = saturate(ideal, combo(derive_seed(seed, 1)), budget_secs=budget_secs)
-    if first.generators == second.generators:
-        return first
-
-    current = ideal
-    for _ in range(20):
-        before = buchberger(current, budget_secs=budget_secs).basis
-        for g in other.generators:
-            current = saturate(current, g, budget_secs=budget_secs)
-        after = buchberger(current, budget_secs=budget_secs).basis
-        if before == after:
-            return Ideal.of(ring, after)
-    raise RuntimeError("iterated saturation did not stabilize")
+    seeds = (derive_seed(seed, 0), derive_seed(seed, 1))
+    first, second = (saturate(ideal, combo(s), budget_secs=budget_secs) for s in seeds)
+    if first.generators != second.generators:
+        # Keyed by (seed, characteristic); 0 stands for the rationals.
+        p = getattr(ring.field_, "p", 0)
+        raise Instability(
+            "saturation by random combinations of the generators",
+            {(seeds[0], p): len(first.generators), (seeds[1], p): len(second.generators)},
+        )
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ from math import comb
 from typing import Optional, Sequence, Union
 
 from .conormal import (
-    ConormalIdeal,
     DegenerateSlice,
     MultiplierSystem,
-    SlicedVariety,
     VarietySpec,
     affine_conormal_ideal,
     multiplier_slack_forms,
@@ -465,6 +463,20 @@ def euler_obstruction_at_cone_point(
 ) -> int:
     """Local Euler obstruction at the vertex of an affine cone: the
     alternating sum of the conormal slice counts."""
+    return euler_obstruction_with_bidegrees(spec, seed, policy, budget_secs)[0]
+
+
+def euler_obstruction_with_bidegrees(
+    spec: VarietySpec,
+    seed: int = 0,
+    policy: AgreementPolicy = DEFAULT_POLICY,
+    budget_secs: Optional[float] = None,
+) -> tuple[int, DegreeVector]:
+    """The Euler obstruction at the cone vertex and the bidegrees it sums.
+
+    A non-cone is rejected before anything is counted; the alternating sum
+    is cross-checked against entry 0 of the Chern-Mather transform.
+    """
     if not spec.is_homogeneous():
         raise NotACone("all generators must be homogeneous")
     b = bidegrees(spec, seed, policy=policy, budget_secs=budget_secs)
@@ -472,7 +484,7 @@ def euler_obstruction_at_cone_point(
     a = chern_mather_from_bidegrees(b)
     if value != a.values[0]:
         raise RuntimeError("alternating sum disagrees with the transform's 0th entry")
-    return value
+    return value, b
 
 
 # ---------------------------------------------------------------------------
@@ -529,34 +541,23 @@ def critical_correspondence(
     d, n = spec.dimension, spec.n
     if not 0 <= i <= d:
         raise ValueError(f"slice codimension {i} outside 0..{d}")
+    if slices is not None and len(slices) != i:
+        raise ValueError(f"expected {i} slicing forms, got {len(slices)}")
+    # Drawn data is redrawn when it degenerates; explicit data is not.
     explicit = covector is not None or slices is not None
-    attempts = 1 if explicit else 4
-    last: Optional[Exception] = None
-    for attempt in range(attempts):
+    for attempt in range(1 if explicit else 4):
         stream = SeedStream(derive_seed(seed, 301 + attempt))
-        u = [Fraction(c) for c in covector] if covector is not None else [
-            Fraction(c) for c in stream.coefficients(n)
+        u = [Fraction(c) for c in (covector if covector is not None else stream.coefficients(n))]
+        drawn = slices if slices is not None else [
+            (stream.coefficients(n), stream.integer()) for _ in range(i)
         ]
-        if slices is not None:
-            forms = [
-                ([Fraction(c) for c in coeffs], Fraction(const))
-                for coeffs, const in slices
-            ]
-            if len(forms) != i:
-                raise ValueError(f"expected {i} slicing forms, got {len(forms)}")
-        else:
-            forms = [
-                ([Fraction(c) for c in stream.coefficients(n)], Fraction(stream.integer()))
-                for _ in range(i)
-            ]
+        forms = [([Fraction(c) for c in coeffs], Fraction(const)) for coeffs, const in drawn]
         try:
-            return _correspondence_once(
-                spec, i, seed, u, forms, policy, budget_secs
-            )
+            return _correspondence_once(spec, i, seed, u, forms, policy, budget_secs)
         except DegenerateSlice as err:
-            last = err
             if explicit:
                 raise
+            last = err
     raise DegenerateSlice(f"correspondence data kept degenerating: {last}")
 
 
@@ -573,22 +574,11 @@ def _correspondence_once(
     sliced = slice_variety(spec, i, seed=0, forms=forms, budget_secs=budget_secs)
     pushed, _ = sliced.trail.push_objective(u)
 
-    def count_critical_comp(child: int, prime: int) -> int:
-        system = multiplier_system(sliced.spec, prime)
-        stream = SeedStream(child)
-        pins = [
-            system.covector[k] - system.ring.constant(system.ring.field_.coerce(pushed[k]))
-            for k in range(sliced.spec.n)
-        ]
-        return _count_system(system, pins, stream, derive_seed(child, 5), budget_secs)
-
-    count_critical = agreed_value(
-        count_critical_comp, derive_seed(seed, 303), policy, "sliced critical count"
+    count_critical = lo_degree(
+        sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy, budget_secs=budget_secs
     )
 
-    kernel = _rational_kernel([list(c) for c, _ in forms], n) if forms else [
-        [Fraction(1 if k == j else 0) for k in range(n)] for j in range(n)
-    ]
+    kernel = _rational_kernel([list(c) for c, _ in forms], n)
 
     def count_conormal_comp(child: int, prime: int) -> int:
         system = multiplier_system(spec, prime)
@@ -623,15 +613,7 @@ def verify_sectional_bidegrees(
     """Check that slicing the variety and slicing its conormal variety give
     the same counts, componentwise."""
     b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
-    s = sectional_lo_degrees(spec, derive_seed(seed, 2), policy=policy, budget_secs=budget_secs)
-    return VerificationReport(
-        "sectional counts match conormal slice counts",
-        b.values == s.values,
-        b.values,
-        s.values,
-        seed,
-        policy.primes,
-    )
+    return _sectional_check(spec, b, seed, policy, budget_secs)
 
 
 def verify_polar_relation(
@@ -647,6 +629,61 @@ def verify_polar_relation(
     first nonzero projective count strictly exceeds its affine partner.
     """
     b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
+    return _polar_check(spec, b, seed, policy, budget_secs)
+
+
+def verify_identities(
+    spec: VarietySpec,
+    seed: int = 0,
+    policy: AgreementPolicy = DEFAULT_POLICY,
+    budget_secs: Optional[float] = None,
+) -> tuple[list[VerificationReport], list[str]]:
+    """Every identity check on one input, and the warnings of checks that do
+    not apply.
+
+    The bidegrees are counted once and shared by the sectional and polar
+    checks, whose reports equal those of :func:`verify_sectional_bidegrees`
+    and :func:`verify_polar_relation`; then the binomial transform must
+    round-trip them and, for a cone, their alternating sum must equal the
+    transform's 0th entry.
+    """
+    b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
+    a = chern_mather_from_bidegrees(b)
+    back = bidegrees_from_chern_mather(a).values
+    reports = [
+        _sectional_check(spec, b, seed, policy, budget_secs),
+        _polar_check(spec, b, seed, policy, budget_secs),
+        VerificationReport(
+            "binomial transform round-trip", back == b.values, b.values, back, seed, policy.primes
+        ),
+    ]
+    if not spec.is_homogeneous():
+        return reports, ["generators are not homogeneous; cone-point check skipped"]
+    total = b.alternating_sum()
+    reports.append(VerificationReport(
+        "alternating sum equals transform's 0th entry",
+        total == a.values[0], (total,), (a.values[0],), seed, policy.primes,
+    ))
+    return reports, []
+
+
+def _sectional_check(
+    spec: VarietySpec, b: DegreeVector, seed: int, policy: AgreementPolicy, budget_secs: Optional[float]
+) -> VerificationReport:
+    s = sectional_lo_degrees(spec, derive_seed(seed, 2), policy=policy, budget_secs=budget_secs)
+    return VerificationReport(
+        "sectional counts match conormal slice counts",
+        b.values == s.values,
+        b.values,
+        s.values,
+        seed,
+        policy.primes,
+    )
+
+
+def _polar_check(
+    spec: VarietySpec, b: DegreeVector, seed: int, policy: AgreementPolicy, budget_secs: Optional[float]
+) -> VerificationReport:
     delta = polar_degrees(spec, derive_seed(seed, 2), policy=policy, budget_secs=budget_secs)
     contained = dual_contains_hyperplane_at_infinity(
         spec, seed=derive_seed(seed, 3), budget_secs=budget_secs

@@ -193,18 +193,9 @@ def block_order(k: int) -> BlockOrder:
 # ---------------------------------------------------------------------------
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when ``a`` divides ``b``."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """Exponentwise ``a / b``; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
@@ -291,9 +282,6 @@ class PolyRing:
     def with_field(self, fld: FieldT) -> "PolyRing":
         return PolyRing(self.variables, fld, self.order)
 
-    def with_variables(self, names: Sequence[str]) -> "PolyRing":
-        return PolyRing(tuple(names), self.field_, self.order)
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -334,11 +322,7 @@ class Polynomial:
         return self.terms[0][1]
 
     def constant_coefficient(self) -> CoefT:
-        zero_m = (0,) * self.ring.nvars
-        for m, c in self.terms:
-            if m == zero_m:
-                return c
-        return self.ring.field_.zero
+        return self.coefficient((0,) * self.ring.nvars)
 
     def coefficient(self, m: Mono) -> CoefT:
         for mm, c in self.terms:
@@ -348,14 +332,6 @@ class Polynomial:
 
     def as_dict(self) -> dict[Mono, CoefT]:
         return dict(self.terms)
-
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
 
     # -- arithmetic ------------------------------------------------------
 
@@ -456,22 +432,6 @@ class Polynomial:
                 cc %= fld.p
             acc[tuple(dm)] = cc
         return self.ring.from_dict(acc)
-
-    def evaluate(self, point: Sequence[Union[int, Fraction]]) -> CoefT:
-        if len(point) != self.ring.nvars:
-            raise ValueError("evaluation point has wrong length")
-        fld = self.ring.field_
-        vals = [fld.coerce(v) for v in point]
-        total = fld.zero
-        for m, c in self.terms:
-            term = c
-            for v, e in zip(vals, m):
-                if e:
-                    term = term * (v ** e if not isinstance(fld, PrimeField) else pow(v, e, fld.p))
-            total = total + term
-        if isinstance(fld, PrimeField):
-            total %= fld.p
-        return total
 
     def homogenize(self, name: str) -> "Polynomial":
         """Homogenize with a fresh variable prepended as the new first one."""

@@ -18,8 +18,8 @@ carrying everything observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -143,14 +143,3 @@ def agreed_value(
         last_observations = observations or last_observations
     raise Instability(context, last_observations)
 
-
-def random_affine_form(
-    stream: SeedStream, nvars: int
-) -> tuple[list[int], int]:
-    """Coefficients and constant of an affine form with all entries nonzero."""
-    return stream.coefficients(nvars), stream.integer()
-
-
-def random_covector(stream: SeedStream, nvars: int) -> list[int]:
-    """A generic objective direction; every entry nonzero."""
-    return stream.coefficients(nvars)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from lodeg import invariants
+from lodeg import groebner, invariants
 from lodeg.cli import (
     EXIT_INPUT,
+    EXIT_INSTABILITY,
     EXIT_INTERNAL,
     EXIT_OK,
     build_parser,
@@ -92,6 +93,25 @@ class TestReports:
         assert body["count_conormal"] == 2
         assert body["generic"] is True
 
+    def test_verify_counts_bidegrees_once(self, monkeypatch, capsys):
+        real = invariants.bidegrees
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "bidegrees", counted)
+        code, report = run_json(capsys, "verify", data_path("quadric_cone.json"))
+        assert code == EXIT_OK
+        assert report["results"]["all_passed"] is True
+        assert len(calls) == 1
+
+    def test_timings_one_entry_per_command(self, capsys):
+        code, report = run_json(capsys, "verify", data_path("sphere.json"))
+        assert code == EXIT_OK
+        assert list(report["timings"]) == ["verify"]
+
     def test_verify_passes(self, capsys):
         code, report = run_json(capsys, "verify", data_path("sphere.json"))
         assert code == EXIT_OK
@@ -120,6 +140,72 @@ class TestDeterminism:
         assert report["config"]["primes"] == [2147483647]
         assert report["config"]["trials"] == 1
         assert report["results"]["bidegrees"]["values"] == [2, 2, 2]
+
+
+def _identity(name, left, right, notes=()):
+    return {"identity": name, "passed": True, "left": left, "right": right, "notes": list(notes)}
+
+
+SECTIONAL = "sectional counts match conormal slice counts"
+DICHOTOMY = "affine vs projective conormal count dichotomy"
+ROUND_TRIP = "binomial transform round-trip"
+CONE_POINT = "alternating sum equals transform's 0th entry"
+NOT_AT_INFINITY = "dual contains hyperplane at infinity: False"
+
+
+class TestReportSnapshots:
+    """Whole ``results`` and ``warnings`` blocks, pinned exactly."""
+
+    def snapshot(self, capsys, *argv):
+        code, report = run_json(capsys, *argv, "--no-timings")
+        assert code == EXIT_OK
+        return report["results"], report["warnings"]
+
+    def test_verify_quadric_cone(self, capsys):
+        results, warnings = self.snapshot(capsys, "verify", data_path("quadric_cone.json"))
+        assert results == {
+            "all_passed": True,
+            "reports": [
+                _identity(SECTIONAL, [0, 2, 2], [0, 2, 2]),
+                _identity(DICHOTOMY, [0, 2, 2], [0, 2, 2], [NOT_AT_INFINITY]),
+                _identity(ROUND_TRIP, [0, 2, 2], [0, 2, 2]),
+                _identity(CONE_POINT, [0], [0]),
+            ],
+        }
+        assert warnings == []
+
+    def test_verify_sphere(self, capsys):
+        results, warnings = self.snapshot(capsys, "verify", data_path("sphere.json"))
+        assert results == {
+            "all_passed": True,
+            "reports": [
+                _identity(SECTIONAL, [2, 2, 2], [2, 2, 2]),
+                _identity(DICHOTOMY, [2, 2, 2], [2, 2, 2], [NOT_AT_INFINITY]),
+                _identity(ROUND_TRIP, [2, 2, 2], [2, 2, 2]),
+            ],
+        }
+        assert warnings == ["generators are not homogeneous; cone-point check skipped"]
+
+    def test_correspondence_worked_example(self, capsys):
+        results, warnings = self.snapshot(
+            capsys,
+            "correspondence",
+            data_path("sphere.json"),
+            "--i", "1",
+            "--covector", "10,5,17",
+            "--slice", "x3-6",
+        )
+        assert results == {
+            "correspondence": {
+                "i": 1,
+                "seed": 0,
+                "count_critical": 2,
+                "count_conormal": 2,
+                "generic": True,
+                "expected": 2,
+            }
+        }
+        assert warnings == []
 
 
 class TestTextFormat:
@@ -180,6 +266,36 @@ class TestFailures:
         )
         assert code == EXIT_INPUT
         assert "homogeneous" in err
+
+    def test_euler_obstruction_rejects_before_counting(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("bidegrees counted for a non-cone")
+
+        monkeypatch.setattr(invariants, "bidegrees", never)
+        code, out, err = run_cli(capsys, "euler_obstruction", data_path("sphere.json"))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: all generators must be homogeneous\n"
+
+    def test_saturation_disagreement_is_instability(self, monkeypatch, capsys):
+        real = groebner.saturate
+        calls = []
+
+        def drifting(ideal, g, budget_secs=None):
+            out = real(ideal, g, budget_secs=budget_secs)
+            calls.append(out)
+            if len(calls) % 2 == 0:
+                ring = out.ring
+                out = groebner.Ideal.of(ring, list(out.generators) + [ring.gen(0) ** 7])
+            return out
+
+        monkeypatch.setattr(groebner, "saturate", drifting)
+        code, out, err = run_cli(capsys, "dual_infinity", data_path("sphere.json"))
+        assert code == EXIT_INSTABILITY == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("instability: saturation by random combinations")
+        assert err.count("\n") == 1
 
     def test_covector_width(self, capsys):
         code, _, err = run_cli(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lodeg import conormal
 from lodeg.conormal import (
     DegenerateSlice,
     InvalidVariety,
@@ -17,7 +18,7 @@ from lodeg.conormal import (
 )
 from lodeg.groebner import Ideal, buchberger, krull_dimension, normal_form
 from lodeg.poly import GREVLEX, QQ, PolyRing
-from lodeg.randomness import DEFAULT_PRIMES, SeedStream
+from lodeg.randomness import DEFAULT_PRIMES, Instability, SeedStream
 
 
 class TestVarietySpec:
@@ -51,9 +52,6 @@ class TestVarietySpec:
         ideal = sphere.reduce_mod(DEFAULT_PRIMES[0])
         assert ideal.ring.field_.p == DEFAULT_PRIMES[0]
         assert len(ideal.generators) == 1
-
-    def test_degree_forms(self, space_curve):
-        assert space_curve.degree_forms() == [2, 2]
 
 
 class TestTrail:
@@ -200,3 +198,14 @@ class TestConormalIdeals:
         for g in cono.generators:
             bidegrees = {(sum(m[:4]), sum(m[4:])) for m, _ in g.terms}
             assert len(bidegrees) == 1
+
+    def test_projective_rejects_mixed_saturation(self, sphere, monkeypatch):
+        # x1 - 1 mixes point-side degrees 1 and 0: only an unlucky random
+        # combination could leave it in the saturation.
+        def mixed(ideal, other, seed, budget_secs=None):
+            ring = ideal.ring
+            return Ideal.of(ring, [ring.gen(0) - ring.one()])
+
+        monkeypatch.setattr(conormal, "saturate_by_ideal", mixed)
+        with pytest.raises(Instability, match="bihomogeneity"):
+            projective_conormal_ideal(sphere)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from lodeg import groebner
 from lodeg.groebner import (
     PACK_LIMIT,
     BudgetExceeded,
@@ -15,7 +16,6 @@ from lodeg.groebner import (
     buchberger,
     count_points,
     eliminate,
-    is_unit_ideal,
     krull_dimension,
     multiplication_matrix,
     normal_form,
@@ -35,6 +35,7 @@ from lodeg.poly import (
     mono_divides,
     mono_lcm,
 )
+from lodeg.randomness import Instability
 
 P1 = 2147483647
 
@@ -80,7 +81,6 @@ class TestBuchberger:
         r = qring("x")
         gb = buchberger(Ideal.of(r, [r.parse("x"), r.parse("x - 1")]))
         assert gb.is_unit()
-        assert is_unit_ideal(Ideal.of(r, [r.parse("x"), r.parse("x-1")]))
 
     def test_zero_ideal(self):
         r = qring("x", "y")
@@ -374,6 +374,27 @@ class TestEliminateAndSaturate:
         other = Ideal.of(r, [r.parse("y"), r.parse("z")])
         out = saturate_by_ideal(ideal, other, seed=5)
         assert [str(g) for g in out.generators] == ["x"]
+
+    def test_saturate_by_ideal_raises_when_draws_disagree(self, monkeypatch):
+        # Each random combination alone gives the saturation by the whole
+        # ideal; two different answers mean an unlucky draw, not a result.
+        r = fring("x", "y", "z")
+        ideal = Ideal.of(r, [r.parse("x*y"), r.parse("x*z")])
+        other = Ideal.of(r, [r.parse("y"), r.parse("z")])
+        real = groebner.saturate
+        answers = []
+
+        def drifting(ideal, g, budget_secs=None):
+            out = real(ideal, g, budget_secs=budget_secs)
+            answers.append(out)
+            if len(answers) == 2:
+                out = Ideal.of(r, list(out.generators) + [r.parse("y^2")])
+            return out
+
+        monkeypatch.setattr(groebner, "saturate", drifting)
+        with pytest.raises(Instability, match="saturation by random combinations"):
+            saturate_by_ideal(ideal, other, seed=5)
+        assert len(answers) == 2
 
     def test_saturate_no_op_when_coprime(self):
         r = qring("x", "y")

@@ -12,10 +12,12 @@ from lodeg.invariants import (
     critical_correspondence,
     dual_contains_hyperplane_at_infinity,
     euler_obstruction_at_cone_point,
+    euler_obstruction_with_bidegrees,
     lo_degree,
     polar_degrees,
     sectional_lo_degrees,
     variety_degree,
+    verify_identities,
     verify_polar_relation,
     verify_sectional_bidegrees,
 )
@@ -204,6 +206,11 @@ class TestEulerObstruction:
         with pytest.raises(NotACone):
             euler_obstruction_at_cone_point(sphere)
 
+    def test_with_bidegrees(self, quadric_cone):
+        value, b = euler_obstruction_with_bidegrees(quadric_cone)
+        assert value == euler_obstruction_at_cone_point(quadric_cone) == 0
+        assert b == bidegrees(quadric_cone)
+
 
 class TestCorrespondence:
     def test_sphere_worked_example(self, sphere):
@@ -268,3 +275,14 @@ class TestVerification:
         assert report.left == (1, 4, 5, 3)
         assert report.right == (3, 6, 6, 3)
         assert any("strictness" in note and "1 < 3 is True" in note for note in report.notes)
+
+    def test_identities_share_the_public_checks(self, affine_cubic):
+        # The dual of the affine cubic contains the hyperplane at infinity,
+        # so the polar check takes its strictness branch.
+        reports, warnings = verify_identities(affine_cubic, seed=4)
+        assert reports[0] == verify_sectional_bidegrees(affine_cubic, seed=4)
+        assert reports[1] == verify_polar_relation(affine_cubic, seed=4)
+        assert any("strictness" in note for note in reports[1].notes)
+        assert [r.identity for r in reports[2:]] == ["binomial transform round-trip"]
+        assert all(r.passed for r in reports)
+        assert warnings == ["generators are not homogeneous; cone-point check skipped"]

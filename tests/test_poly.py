@@ -87,10 +87,6 @@ class TestArithmetic:
         assert f.partial(0) == ring.parse("3*x^2*y")
         assert f.partial(2) == ring.parse("y")
 
-    def test_evaluate(self, ring):
-        f = ring.parse("x^2 + y*z")
-        assert f.evaluate((2, 3, 5)) == 19
-
     def test_homogenize_prepends_variable(self, ring):
         f = ring.parse("x^2 + y - 3")
         h = f.homogenize("w")

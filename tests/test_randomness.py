@@ -9,8 +9,6 @@ from lodeg.randomness import (
     SeedStream,
     agreed_value,
     derive_seed,
-    random_affine_form,
-    random_covector,
 )
 
 
@@ -44,19 +42,6 @@ def test_residue_and_nonzero_residue():
 def test_derive_seed_decorrelates():
     children = {derive_seed(99, i) for i in range(100)}
     assert len(children) == 100
-
-
-def test_random_affine_form_shape():
-    coeffs, const = random_affine_form(SeedStream(3), 4)
-    assert len(coeffs) == 4
-    assert const != 0
-    assert all(c != 0 for c in coeffs)
-    again_coeffs, again_const = random_affine_form(SeedStream(3), 4)
-    assert (coeffs, const) == (again_coeffs, again_const)
-
-
-def test_random_covector_nonzero_entries():
-    assert all(c != 0 for c in random_covector(SeedStream(4), 6))
 
 
 class TestAgreement:
