@@ -230,7 +230,7 @@ COMMANDS: dict[str, Command] = {
     "dual_infinity": Command(
         "does the dual variety contain the hyperplane at infinity",
         lambda spec, args, policy: invariants.dual_contains_hyperplane_at_infinity(
-            spec, seed=args.seed, budget_secs=args.budget_secs
+            spec, policy.primes[0], seed=args.seed, budget_secs=args.budget_secs
         ),
         lambda flag: {"dual_contains_hyperplane_at_infinity": flag},
     ),

@@ -442,17 +442,27 @@ def chern_mather_from_bidegrees(
     d: Optional[int] = None,
     n: Optional[int] = None,
 ) -> DegreeVector:
-    """Invert the binomial transform by back-substitution, exactly."""
+    """Invert the binomial transform by back-substitution, exactly; the
+    result must transform back to ``b``."""
+    result = _back_substitute(b, d, n)
+    if bidegrees_from_chern_mather(result).values != _as_values(b, d, n, "bidegree")[0]:
+        raise RuntimeError("binomial transform inversion failed to round-trip")
+    return result
+
+
+def _back_substitute(
+    b: Union[DegreeVector, Sequence[int]],
+    d: Optional[int] = None,
+    n: Optional[int] = None,
+) -> DegreeVector:
+    """The back-substitution of :func:`chern_mather_from_bidegrees`, without
+    its round-trip check."""
     values, dd, nn = _as_values(b, d, n, "bidegree")
     a = [0] * (dd + 1)
     for j in range(dd, -1, -1):
         tail = sum((-1) ** (dd - k) * comb(k, j) * a[k] for k in range(j + 1, dd + 1))
         a[j] = (-1) ** (dd - j) * (values[j] - tail)
-    result = DegreeVector("chern_mather", tuple(a), dd, nn)
-    check = bidegrees_from_chern_mather(result)
-    if check.values != values:
-        raise RuntimeError("binomial transform inversion failed to round-trip")
-    return result
+    return DegreeVector("chern_mather", tuple(a), dd, nn)
 
 
 def euler_obstruction_at_cone_point(
@@ -648,7 +658,7 @@ def verify_identities(
     transform's 0th entry.
     """
     b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
-    a = chern_mather_from_bidegrees(b)
+    a = _back_substitute(b)
     back = bidegrees_from_chern_mather(a).values
     reports = [
         _sectional_check(spec, b, seed, policy, budget_secs),
@@ -686,7 +696,7 @@ def _polar_check(
 ) -> VerificationReport:
     delta = polar_degrees(spec, derive_seed(seed, 2), policy=policy, budget_secs=budget_secs)
     contained = dual_contains_hyperplane_at_infinity(
-        spec, seed=derive_seed(seed, 3), budget_secs=budget_secs
+        spec, policy.primes[0], seed=derive_seed(seed, 3), budget_secs=budget_secs
     )
     matched = b.values == delta.values
     passed = matched != contained

@@ -8,6 +8,7 @@ from lodeg.cli import (
     EXIT_INSTABILITY,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_VERIFY,
     build_parser,
     main,
 )
@@ -78,6 +79,22 @@ class TestReports:
         assert code == EXIT_OK
         assert report["results"]["dual_contains_hyperplane_at_infinity"] is False
 
+    def test_dual_infinity_uses_the_requested_prime(self, monkeypatch, capsys):
+        real = invariants.projective_conormal_ideal
+        primes = []
+
+        def spied(spec, p, **kwargs):
+            primes.append(p)
+            return real(spec, p, **kwargs)
+
+        monkeypatch.setattr(invariants, "projective_conormal_ideal", spied)
+        code, report = run_json(
+            capsys, "dual_infinity", data_path("sphere.json"), "--prime", "2147483629"
+        )
+        assert code == EXIT_OK
+        assert report["config"]["primes"] == [2147483629]
+        assert primes == [2147483629]
+
     def test_correspondence_worked_example(self, capsys):
         code, report = run_json(
             capsys,
@@ -106,6 +123,20 @@ class TestReports:
         assert code == EXIT_OK
         assert report["results"]["all_passed"] is True
         assert len(calls) == 1
+
+    def test_verify_reports_a_failed_round_trip(self, monkeypatch, capsys):
+        def wrong(a, d=None, n=None):
+            return invariants.DegreeVector("bidegree", (9,) * len(a.values), a.dimension, a.ambient)
+
+        monkeypatch.setattr(invariants, "bidegrees_from_chern_mather", wrong)
+        code, report = run_json(capsys, "verify", data_path("quadric_cone.json"))
+        assert code == EXIT_VERIFY
+        assert report["results"]["all_passed"] is False
+        (round_trip,) = [
+            r for r in report["results"]["reports"] if r["identity"] == ROUND_TRIP
+        ]
+        assert round_trip["passed"] is False
+        assert round_trip["right"] == [9, 9, 9]
 
     def test_timings_one_entry_per_command(self, capsys):
         code, report = run_json(capsys, "verify", data_path("sphere.json"))

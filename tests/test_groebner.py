@@ -187,7 +187,8 @@ class TestReducerAgainstPlainDivision:
         rng = random.Random(f"reducer5:{order.name}:{getattr(order, 'k', 0)}")
         ring = PolyRing(("v", "w", "x", "y", "z"), PrimeField(P1), order)
         key = order.key
-        for count, degree, terms in [(2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4)]:
+        # The last two cases are square, so they run the signature loop.
+        for count, degree, terms in [(2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4), (5, 2, 3), (5, 2, 4)]:
             gens = _random_generators(rng, ring, count, degree, terms)
             gb = buchberger(Ideal.of(ring, gens))
             basis = [g.as_dict() for g in gb.basis]
@@ -199,6 +200,76 @@ class TestReducerAgainstPlainDivision:
                 assert _plain_remainder(g.as_dict(), basis, key, P1) == {}
             shuffled = [g * rng.randrange(1, P1) for g in rng.sample(gens, len(gens))]
             assert buchberger(Ideal.of(ring, shuffled)).basis == gb.basis
+
+
+class TestTwoLoops:
+    """A square ideal runs the signature loop; adding a combination of two
+    of its generators gives the same ideal, which runs the pair loop."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = groebner._signature_basis
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_signature_basis", counted)
+        return calls
+
+    def both_loops(self, monkeypatch, gens, rng):
+        calls = self.spy(monkeypatch)
+        ring = gens[0].ring
+        square = buchberger(Ideal.of(ring, gens))
+        assert len(calls) == 1
+        combo = gens[0] * rng.randrange(1, P1) + gens[-1] * rng.randrange(1, P1)
+        paired = buchberger(Ideal.of(ring, gens + [combo]))
+        assert len(calls) == 1
+        assert square.basis == paired.basis
+        return square
+
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, block_order(1)], ids=["grevlex", "lex", "block1"]
+    )
+    def test_random_square_ideals(self, monkeypatch, order):
+        rng = random.Random(f"loops:{order.name}")
+        for n, degree, terms in [(2, 2, 3), (2, 3, 4), (3, 2, 3), (3, 2, 4), (3, 3, 3), (4, 2, 3)] * 3:
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
+            self.both_loops(monkeypatch, _random_generators(rng, ring, n, degree, terms), rng)
+
+    def test_pinned_lex_case(self, monkeypatch):
+        ring = PolyRing(("x0", "x1", "x2"), PrimeField(P1), LEX)
+        gens = [
+            ring.parse(
+                "220547508*x0*x2 + 1505213744*x1^2 + 482324626*x1 + 1897056492*x2^2 + 889894590*x2"
+            ),
+            ring.parse(
+                "2042045049*x0^2*x1 + 1647610138*x0^2*x2 + 1583737606*x0*x1*x2 + 1643881240*x0 + 103699768*x2"
+            ),
+            ring.parse(
+                "1656379082*x0*x2^2 + 366336344*x1^2*x2 + 1122565993*x1*x2^2 + 992705623*x1*x2 + 1900017490*x1"
+            ),
+        ]
+        gb = self.both_loops(monkeypatch, gens, random.Random("pinned"))
+        assert gb.leading_monomials() == ((1, 0, 0), (0, 1, 0), (0, 0, 14))
+
+
+class TestPairUpdate:
+    def test_one_pair_per_lcm_and_none_beside_a_coprime_one(self):
+        ring = fring("x", "y", "z")
+        pk = _Packing(ring)
+
+        def new_pairs(*monos):
+            # The last monomial is the new generator h.
+            lms = {i: pk.pack(m) for i, m in enumerate(monos)}
+            h = len(monos) - 1
+            return groebner._update_pairs(set(range(h)), {}, h, lms, pk)[1]
+
+        # x*z and y*z both make the lcm x*y*z with h = x*y.
+        assert len(new_pairs((1, 0, 1), (0, 1, 1), (1, 1, 0))) == 1
+        # z is coprime to h and makes the same lcm as x*z.
+        assert new_pairs((0, 0, 1), (1, 0, 1), (1, 1, 0)) == []
 
 
 def _order_blocks(order, n):

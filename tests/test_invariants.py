@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from lodeg.conormal import VarietySpec
+from lodeg import invariants
+from lodeg.conormal import DegenerateSlice, VarietySpec
 from lodeg.invariants import (
     DegreeVector,
     NotACone,
@@ -21,6 +22,7 @@ from lodeg.invariants import (
     verify_polar_relation,
     verify_sectional_bidegrees,
 )
+from lodeg.randomness import SeedStream, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +252,53 @@ class TestCorrespondence:
             critical_correspondence(
                 sphere, 2, covector=(1, 2, 3), slices=[((0, 0, 1), 6)]
             )
+
+
+class TestCorrespondenceRedraw:
+    """Drawn data is redrawn when it degenerates, at most four times;
+    explicit data is not redrawn."""
+
+    @staticmethod
+    def degenerate(monkeypatch, failures):
+        real = invariants._correspondence_once
+        seen = []
+
+        def flaky(spec, i, seed, u, forms, policy, budget_secs):
+            seen.append((u, forms))
+            if len(seen) <= failures:
+                raise DegenerateSlice(f"degenerate draw {len(seen)}")
+            return real(spec, i, seed, u, forms, policy, budget_secs)
+
+        monkeypatch.setattr(invariants, "_correspondence_once", flaky)
+        return seen
+
+    def test_one_degenerate_draw(self, monkeypatch, sphere):
+        seen = self.degenerate(monkeypatch, 1)
+        report = critical_correspondence(sphere, 1, seed=4)
+        stream = SeedStream(derive_seed(4, 302))  # attempt 1
+        u = [Fraction(c) for c in stream.coefficients(sphere.n)]
+        coeffs = stream.coefficients(sphere.n)
+        forms = [([Fraction(c) for c in coeffs], Fraction(stream.integer()))]
+        assert seen[1:] == [(u, forms)]
+        assert seen[0] != seen[1]
+        assert report.count_critical == report.count_conormal == report.expected == 2
+
+    def test_keeps_degenerating(self, monkeypatch, sphere):
+        seen = self.degenerate(monkeypatch, 4)
+        with pytest.raises(DegenerateSlice, match="kept degenerating: degenerate draw 4"):
+            critical_correspondence(sphere, 1, seed=4)
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"covector": (10, 5, 17)}, {"slices": [((0, 0, 1), 6)]}],
+        ids=["covector", "slices"],
+    )
+    def test_explicit_data_is_not_redrawn(self, monkeypatch, sphere, data):
+        seen = self.degenerate(monkeypatch, 1)
+        with pytest.raises(DegenerateSlice, match="degenerate draw 1"):
+            critical_correspondence(sphere, 1, seed=4, **data)
+        assert len(seen) == 1
 
 
 class TestVerification:
