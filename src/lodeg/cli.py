@@ -11,28 +11,30 @@ the library call.  Per-stage times come from the benchmark's opt-in tracer
 
 Exit codes (the ``FAILURES`` table): 0 success, 2 the recounts never
 agreed (including an unlucky random saturation, or a characteristic
-hazard), 3 bad input (including inputs whose degrees exceed what the
-Groebner engine represents), 4 budget exhausted, 5 a verified identity
+hazard), 3 bad input (a usage error, any ``poly.InputError``, including
+inputs whose degrees exceed what the Groebner engine represents, or data
+that degenerates a slice), 4 budget exhausted, 5 a verified identity
 failed, 6 internal error.  Every failure prints one line to stderr and no
-traceback.
+traceback; ``--help`` exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import invariants
 from .conormal import DegenerateSlice, DimensionMismatch, VarietySpec
 from .groebner import MAX_MATRIX_PRIME, BudgetExceeded, CharacteristicHazard
 from .invariants import VerificationReport
-from .poly import ParseError
+from .poly import InputError, ParseError
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
 
 EXIT_OK = 0
@@ -43,14 +45,10 @@ EXIT_VERIFY = 5
 EXIT_INTERNAL = 6
 
 
-class InputProblem(Exception):
-    """Anything wrong with the input file or explicit flag data."""
-
-
 # How ``main`` reports a failure: the first row whose exception types match
 # gives the stderr prefix and the exit code; anything else is internal.
 FAILURES: tuple[tuple[tuple[type[Exception], ...], str, int], ...] = (
-    ((InputProblem, ValueError, DegenerateSlice, DimensionMismatch), "input error", EXIT_INPUT),
+    ((InputError, DegenerateSlice, DimensionMismatch), "input error", EXIT_INPUT),
     ((Instability, CharacteristicHazard), "instability", EXIT_INSTABILITY),
     ((BudgetExceeded,), "budget exceeded", EXIT_BUDGET),
 )
@@ -61,32 +59,32 @@ def _load_variety(path: str) -> tuple[VarietySpec, dict[str, Any], list[str]]:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as err:
-        raise InputProblem(f"cannot read {path}: {err}") from err
+        raise InputError(f"cannot read {path}: {err}") from err
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as err:
-        raise InputProblem(f"{path}: invalid JSON: {err}") from err
+        raise InputError(f"{path}: invalid JSON: {err}") from err
     if not isinstance(doc, dict):
-        raise InputProblem(f"{path}: expected a JSON object")
+        raise InputError(f"{path}: expected a JSON object")
     variables = doc.get("variables")
     polynomials = doc.get("polynomials")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputProblem(f"{path}: 'variables' must be a list of names")
+        raise InputError(f"{path}: 'variables' must be a list of names")
     if not isinstance(polynomials, list) or not all(isinstance(p, str) for p in polynomials):
-        raise InputProblem(f"{path}: 'polynomials' must be a list of strings")
+        raise InputError(f"{path}: 'polynomials' must be a list of strings")
     warnings: list[str] = []
     assumed = bool(doc.get("assumed_irreducible", True))
     try:
         spec = VarietySpec.define(variables, polynomials, assumed_irreducible=assumed)
     except ParseError as err:
-        raise InputProblem(f"{path}: polynomial parse error: {err}") from err
-    except ValueError as err:
-        raise InputProblem(f"{path}: {err}") from err
+        raise InputError(f"{path}: polynomial parse error: {err}") from err
+    except InputError as err:
+        raise InputError(f"{path}: {err}") from err
     if "homogeneous" in doc:
         declared = bool(doc["homogeneous"])
         actual = spec.is_homogeneous()
         if declared and not actual:
-            raise InputProblem(f"{path}: declared homogeneous but generators are not")
+            raise InputError(f"{path}: declared homogeneous but generators are not")
         if actual and not declared:
             warnings.append("generators are homogeneous although the file says otherwise")
     if not assumed:
@@ -106,11 +104,11 @@ def _load_variety(path: str) -> tuple[VarietySpec, dict[str, Any], list[str]]:
 def _parse_covector(text: str, n: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise InputProblem(f"covector needs {n} entries, got {len(parts)}")
+        raise InputError(f"covector needs {n} entries, got {len(parts)}")
     try:
         return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
-        raise InputProblem(f"bad covector entry: {err}") from err
+        raise InputError(f"bad covector entry: {err}") from err
 
 
 def _parse_slice_form(text: str, spec: VarietySpec) -> tuple[list[Fraction], Fraction]:
@@ -118,16 +116,16 @@ def _parse_slice_form(text: str, spec: VarietySpec) -> tuple[list[Fraction], Fra
     try:
         poly = spec.ring.parse(text)
     except ParseError as err:
-        raise InputProblem(f"bad slice form {text!r}: {err}") from err
+        raise InputError(f"bad slice form {text!r}: {err}") from err
     if poly.total_degree() > 1:
-        raise InputProblem(f"slice form {text!r} is not affine")
+        raise InputError(f"slice form {text!r} is not affine")
     coeffs = []
     for k in range(spec.n):
         unit = [0] * spec.n
         unit[k] = 1
         coeffs.append(Fraction(poly.coefficient(tuple(unit))))
     if all(c == 0 for c in coeffs):
-        raise InputProblem(f"slice form {text!r} has no variable part")
+        raise InputError(f"slice form {text!r} has no variable part")
     return coeffs, -Fraction(poly.constant_coefficient())
 
 
@@ -135,7 +133,7 @@ def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     for p in primes:
         if p > MAX_MATRIX_PRIME:
-            raise InputProblem(
+            raise InputError(
                 f"--prime {p} is above {MAX_MATRIX_PRIME}: products of residues "
                 "must fit in 64-bit integers"
             )
@@ -318,8 +316,17 @@ def _render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3, one line)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built on first use and kept."""
+    parser = _Parser(
         prog="lodeg",
         description="Exact critical-point counts of linear objectives on affine varieties.",
     )
@@ -332,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, exit_code = _run_command(args)
     except Exception as err:
         for kinds, prefix, code in FAILURES:

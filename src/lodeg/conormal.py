@@ -7,6 +7,12 @@ rank-deficient locus.  The implicit one keeps Lagrange multipliers as
 honest variables and represents each dual coordinate as a polynomial in
 (point, multiplier) space; the counting routines slice that presentation
 directly, which keeps the variable count low.
+
+Slicing, of the variety or of the base of a multiplier system, is one
+affine change of coordinates: :func:`solve_forms` solves all the affine
+forms at once, each for its nonzero coefficient of largest index, which
+gives every variable an affine image in the variables left; then each
+polynomial is substituted once (:meth:`Polynomial.substitute`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .poly import (
     GREVLEX,
     CoefT,
     FieldT,
-    Mono,
+    InputError,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -40,7 +46,7 @@ from .poly import (
 from .randomness import DEFAULT_PRIMES, Instability, SeedStream, derive_seed
 
 
-class InvalidVariety(ValueError):
+class InvalidVariety(InputError):
     """The input system does not describe a proper affine variety."""
 
 
@@ -110,127 +116,83 @@ class VarietySpec:
 
 
 # ---------------------------------------------------------------------------
-# Affine substitution trails
+# Solving affine forms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubstitutionStep:
-    """One pivot substitution: the named variable was solved for and removed."""
-
-    pivot_name: str
-    pivot_index: int
-    replacement: Polynomial  # lives in the ring after removal
+FormT = tuple[Sequence[CoefT], CoefT]
 
 
-@dataclass(frozen=True)
-class SubstitutionTrail:
-    """A chain of affine pivot substitutions; applies to arbitrary polynomials."""
+def solve_forms(
+    ring: PolyRing, forms: Sequence[FormT], width: Optional[int] = None
+) -> tuple[PolyRing, list[Polynomial], list[tuple[tuple[CoefT, ...], CoefT]]]:
+    """Solve affine forms ``(coeffs, constant)``, meaning ``coeffs . x =
+    constant``, for one variable each.
 
-    original: PolyRing
-    steps: tuple[SubstitutionStep, ...]
-    final_ring: PolyRing
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        if poly.ring != self.original:
-            raise ValueError("polynomial is not in the trail's source ring")
-        current = poly
-        for step in self.steps:
-            current = _substitute_out(current, step.pivot_index, step.replacement)
-        return current
-
-    def push_objective(self, coefficients: Sequence[CoefT]) -> tuple[list[CoefT], CoefT]:
-        """Rewrite a linear objective through the trail.
-
-        Returns the induced coefficients on the surviving variables together
-        with the constant offset (which never affects criticality).
-        """
-        ring = self.original
-        fld = ring.field_
-        acc = ring.zero()
-        for i, c in enumerate(coefficients):
-            acc = acc + ring.gen(i) * fld.coerce(c)
-        pushed = self.apply(acc)
-        if pushed.total_degree() > 1:
-            raise ValueError("objective did not stay affine through the trail")
-        coeffs: list[CoefT] = []
-        for i in range(self.final_ring.nvars):
-            unit: list[int] = [0] * self.final_ring.nvars
-            unit[i] = 1
-            coeffs.append(pushed.coefficient(tuple(unit)))
-        return coeffs, pushed.constant_coefficient()
-
-
-def _substitute_out(poly: Polynomial, pivot: int, replacement: Polynomial) -> Polynomial:
-    """Substitute ``pivot -> replacement`` and drop the pivot variable."""
-    ring = poly.ring
-    keep = [i for i in range(ring.nvars) if i != pivot]
-    lifted_terms = []
-    for m, c in replacement.terms:
-        mm = list(m)
-        mm.insert(pivot, 0)
-        lifted_terms.append((tuple(mm), c))
-    lifted = ring.from_dict(dict(lifted_terms))
-    return poly.substitute({pivot: lifted}).project(keep)
-
-
-def _pivot_index(coeffs: Sequence[CoefT], zero: CoefT) -> int:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i] != zero:
-            return i
-    raise DegenerateSlice("affine form with no variable to solve for")
-
-
-def build_trail(
-    ring: PolyRing,
-    forms: Sequence[tuple[Sequence[CoefT], CoefT]],
-    restrict_to: Optional[int] = None,
-) -> SubstitutionTrail:
-    """Turn affine forms (coeffs, constant) into successive pivot substitutions.
-
-    Each form is interpreted in the ring current at its turn; the pivot is
-    the nonzero coefficient of largest variable index.  ``restrict_to``
-    limits pivots (and expected coefficient length) to the first variables
-    of the ring, which keeps multiplier variables out of reach.
+    Form k is read on the first ``width - k`` variables left at its turn
+    (``width`` defaults to all of ``ring``; a smaller one keeps the trailing
+    variables, such as multipliers, out of reach), and is solved for its
+    nonzero coefficient of largest index.  A form as wide as ``width`` is
+    on the source variables instead, and is first rewritten through the
+    forms solved before it.  Returns the ring of the variables left, the
+    image there of every variable of ``ring`` (an affine form), and the
+    forms as solved.
     """
-    steps: list[SubstitutionStep] = []
-    current = ring
-    width = restrict_to if restrict_to is not None else ring.nvars
     fld = ring.field_
-    for coeffs, const in forms:
-        if len(coeffs) != width:
+    zero = fld.zero
+    names = list(ring.variables)
+    n = len(names)
+    source = left = n if width is None else width
+    # rows[i] is the image of variable i: coefficients on ``names``, then
+    # the constant.
+    rows = [[fld.one if j == i else zero for j in range(n + 1)] for i in range(n)]
+    solved = []
+    for raw_coeffs, raw_const in forms:
+        coeffs = [fld.coerce(c) for c in raw_coeffs]
+        const = fld.coerce(raw_const)
+        if len(coeffs) == source:
+            pushed = _combine(fld, coeffs, rows)
+            coeffs, const = pushed[:left], fld.coerce(const - pushed[-1])
+        elif len(coeffs) != left:
             raise ValueError("affine form has the wrong number of coefficients")
-        pivot = _pivot_index(coeffs, fld.zero)
-        small_vars = tuple(v for i, v in enumerate(current.variables) if i != pivot)
-        small = PolyRing(small_vars, fld, current.order)
+        pivot = next((i for i in range(left - 1, -1, -1) if coeffs[i] != zero), None)
+        if pivot is None:
+            raise DegenerateSlice("affine form with no variable to solve for")
         inv = fld.invert(coeffs[pivot])
-        terms: dict[Mono, CoefT] = {}
-        zero_m = (0,) * small.nvars
-        cc = _normalized(fld, const * inv)
-        if cc != fld.zero:
-            terms[zero_m] = cc
-        for i in range(width):
-            if i == pivot:
-                continue
-            ci = _normalized(fld, -coeffs[i] * inv)
-            if ci == fld.zero:
-                continue
-            e = [0] * small.nvars
-            e[i if i < pivot else i - 1] = 1
-            terms[tuple(e)] = ci
-        replacement = small.from_dict(terms)
-        steps.append(
-            SubstitutionStep(current.variables[pivot], pivot, replacement)
-        )
-        current = small
-        width -= 1
-    return SubstitutionTrail(ring, tuple(steps), current)
+        # The pivot's image in the other variables; its own entry is zero.
+        image = [fld.coerce(-c * inv) if i != pivot else zero for i, c in enumerate(coeffs)]
+        image += [zero] * (len(names) - left) + [fld.coerce(const * inv)]
+        for row in rows:
+            a = row[pivot]
+            if a != zero:
+                row[:] = [fld.coerce(x + a * y) for x, y in zip(row, image)]
+            del row[pivot]
+        del names[pivot]
+        solved.append((tuple(coeffs), const))
+        left -= 1
+    small = PolyRing(tuple(names), fld, ring.order)
+    units = _affine_monomials(small.nvars)
+    return small, [small.from_dict(dict(zip(units, row))) for row in rows], solved
 
 
-def _normalized(fld: FieldT, value: CoefT) -> CoefT:
-    if isinstance(fld, PrimeField):
-        return value % fld.p
-    return value
+def push_form(images: Sequence[Polynomial], coeffs: Sequence[CoefT]) -> tuple[list[CoefT], CoefT]:
+    """The affine form ``sum_i coeffs[i] * images[i]``: its coefficients on
+    the variables of the images' ring and its constant."""
+    ring = images[0].ring
+    units = _affine_monomials(ring.nvars)
+    rows = [[q.coefficient(m) for m in units] for q in images]
+    pushed = _combine(ring.field_, [ring.field_.coerce(c) for c in coeffs], rows)
+    return pushed[:-1], pushed[-1]
+
+
+def _affine_monomials(n: int) -> list[tuple[int, ...]]:
+    """The monomials of the n variables, then that of the constant."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n + 1)]
+
+
+def _combine(fld: FieldT, coeffs: Sequence[CoefT], rows: Sequence[Sequence[CoefT]]) -> list[CoefT]:
+    """``sum_i coeffs[i] * rows[i]``, entry by entry."""
+    return [fld.coerce(sum(c * r[j] for c, r in zip(coeffs, rows))) for j in range(len(rows[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +202,11 @@ def _normalized(fld: FieldT, value: CoefT) -> CoefT:
 
 @dataclass(frozen=True)
 class SlicedVariety:
-    """A variety cut by affine forms, with the substitutions that realized it."""
+    """A variety cut by affine forms: ``images`` holds the image in the
+    sliced ring of every variable of the source ring."""
 
     spec: VarietySpec
-    trail: SubstitutionTrail
+    images: tuple[Polynomial, ...]
     forms: tuple[tuple[tuple[CoefT, ...], CoefT], ...]
 
 
@@ -252,20 +215,20 @@ def slice_variety(
     count: int,
     seed: int,
     budget_secs: Optional[float] = None,
-    forms: Optional[Sequence[tuple[Sequence[CoefT], CoefT]]] = None,
+    forms: Optional[Sequence[FormT]] = None,
 ) -> SlicedVariety:
-    """Cut ``spec`` by ``count`` affine forms, substituting one pivot per form.
+    """Cut ``spec`` by ``count`` affine forms, solved as by :func:`solve_forms`.
 
     With no explicit forms, seeded random ones are drawn (all coefficients
     nonzero) and redrawn up to three times if the dimension fails to drop by
     exactly ``count``.
     """
     if not 0 <= count <= spec.dimension:
-        raise ValueError(
+        raise InputError(
             f"cannot cut dimension {spec.dimension} by {count} sections"
         )
     if count == 0:
-        return SlicedVariety(spec, SubstitutionTrail(spec.ring, (), spec.ring), ())
+        return SlicedVariety(spec, tuple(solve_forms(spec.ring, ())[1]), ())
     explicit = forms is not None
     attempts = 1 if explicit else 4
     last_error: Optional[Exception] = None
@@ -281,8 +244,7 @@ def slice_variety(
                 chosen.append((tuple(coeffs), Fraction(stream.integer())))
                 width -= 1
         try:
-            sliced = _apply_slices(spec, chosen, budget_secs)
-            return sliced
+            return _apply_slices(spec, chosen)
         except (DegenerateSlice, InvalidVariety) as err:
             last_error = err
             if explicit:
@@ -292,44 +254,19 @@ def slice_variety(
     )
 
 
-def _apply_slices(
-    spec: VarietySpec,
-    forms: Sequence[tuple[Sequence[CoefT], CoefT]],
-    budget_secs: Optional[float],
-) -> SlicedVariety:
-    ring = spec.ring
-    steps: list[SubstitutionStep] = []
-    current_polys = list(spec.generators)
-    current_ring = ring
-    norm_forms: list[tuple[tuple[CoefT, ...], CoefT]] = []
-    for raw_coeffs, raw_const in forms:
-        fld = current_ring.field_
-        coeffs = [fld.coerce(c) for c in raw_coeffs]
-        const = fld.coerce(raw_const)
-        if len(coeffs) > current_ring.nvars:
-            # Explicit forms arrive in the source ring; push them through
-            # the substitutions already performed.
-            partial_trail = SubstitutionTrail(ring, tuple(steps), current_ring)
-            pushed_coeffs, pushed_const = partial_trail.push_objective(coeffs)
-            coeffs = pushed_coeffs
-            const = _normalized(fld, const - pushed_const)
-        norm_forms.append((tuple(coeffs), const))
-        one_step = build_trail(current_ring, [(coeffs, const)])
-        step = one_step.steps[0]
-        steps.append(step)
-        current_polys = [_substitute_out(g, step.pivot_index, step.replacement) for g in current_polys]
-        current_ring = one_step.final_ring
-    survivors = tuple(g for g in current_polys if not g.is_zero())
+def _apply_slices(spec: VarietySpec, forms: Sequence[FormT]) -> SlicedVariety:
+    ring, images, solved = solve_forms(spec.ring, forms)
+    cut = (g.substitute(ring, images) for g in spec.generators)
+    survivors = tuple(g for g in cut if not g.is_zero())
     if not survivors or any(g.is_constant() for g in survivors):
         raise DegenerateSlice("sections made the system inconsistent or empty")
-    trail = SubstitutionTrail(ring, tuple(steps), current_ring)
-    new_spec = VarietySpec(current_ring, survivors, spec.assumed_irreducible)
+    new_spec = VarietySpec(ring, survivors, spec.assumed_irreducible)
     expected = spec.dimension - len(forms)
     if new_spec.dimension != expected:
         raise DegenerateSlice(
             f"dimension {new_spec.dimension} after cutting, expected {expected}"
         )
-    return SlicedVariety(new_spec, trail, tuple(norm_forms))
+    return SlicedVariety(new_spec, tuple(images), tuple(solved))
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +312,21 @@ def projective_multiplier_system(
     order this yields the ideal of the closure with no spurious components
     at the hyperplane at infinity.
     """
-    ideal = spec.reduce_mod(prime)
-    gb = buchberger(ideal, budget_secs=budget_secs)
+    hom = _homogenized_basis(spec, prime, budget_secs)
+    return _assemble_multiplier_system(hom[0].ring, hom, spec.codimension)
+
+
+def _homogenized_basis(
+    spec: VarietySpec, prime: int, budget_secs: Optional[float]
+) -> list[Polynomial]:
+    """The grevlex basis of ``spec`` over GF(prime), homogenized by a fresh
+    first variable: generators of the projective closure."""
+    gb = buchberger(spec.reduce_mod(prime), budget_secs=budget_secs)
     hname = fresh_name("p0", spec.ring.variables)
     hom = [g.homogenize(hname) for g in gb.basis]
     if not hom:
         raise InvalidVariety("zero ideal has no projective closure here")
-    pring = hom[0].ring
-    return _assemble_multiplier_system(pring, hom, spec.codimension)
+    return hom
 
 
 def _lift(poly: Polynomial, big: PolyRing) -> Polynomial:
@@ -411,36 +355,16 @@ def _assemble_multiplier_system(
     return MultiplierSystem(big, nb, tuple(lifted), tuple(covector), m - codim)
 
 
-def restrict_base(
-    system: MultiplierSystem,
-    forms: Sequence[tuple[Sequence[CoefT], CoefT]],
-) -> MultiplierSystem:
-    """Substitute affine forms into the base variables of the system."""
-    equations = list(system.equations)
-    covector = list(system.covector)
-    ring = system.ring
-    base_left = system.base_count
-    for raw_coeffs, raw_const in forms:
-        fld = ring.field_
-        coeffs = [fld.coerce(c) for c in raw_coeffs]
-        if len(coeffs) != base_left:
-            raise ValueError("form width does not match remaining base variables")
-        const = fld.coerce(raw_const)
-        # The affine form equates a base combination with a constant; solve
-        # for the pivot and substitute everywhere, multipliers included.
-        step = build_trail(ring, [(coeffs, const)], restrict_to=base_left).steps[0]
-        equations = [_substitute_out(g, step.pivot_index, step.replacement) for g in equations]
-        covector = [_substitute_out(g, step.pivot_index, step.replacement) for g in covector]
-        keep = [i for i in range(ring.nvars) if i != step.pivot_index]
-        ring = PolyRing(
-            tuple(ring.variables[i] for i in keep), ring.field_, ring.order
-        )
-        base_left -= 1
+def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> MultiplierSystem:
+    """Solve affine forms on the base variables (see :func:`solve_forms`)
+    and substitute the solution everywhere, multipliers included."""
+    ring, images, _ = solve_forms(system.ring, forms, width=system.base_count)
+    equations = (g.substitute(ring, images) for g in system.equations)
     return MultiplierSystem(
         ring,
-        base_left,
+        system.base_count - len(forms),
         tuple(g for g in equations if not g.is_zero()),
-        tuple(covector),
+        tuple(g.substitute(ring, images) for g in system.covector),
         system.excess,
     )
 
@@ -590,13 +514,8 @@ def projective_conormal_ideal(
     p = prime if prime is not None else DEFAULT_PRIMES[0]
     n = spec.n
     c = spec.codimension
-    psystem = projective_multiplier_system(spec, p, budget_secs=budget_secs)
-    pring = PolyRing(
-        psystem.ring.variables[: psystem.base_count],
-        psystem.ring.field_,
-        psystem.ring.order,
-    )
-    hom = [g.project(list(range(psystem.base_count))) for g in psystem.equations]
+    hom = _homogenized_basis(spec, p, budget_secs)
+    pring = hom[0].ring
     y_names = fresh_names("y", n + 1, pring.variables)
     big = PolyRing(pring.variables + tuple(y_names), pring.field_, pring.order)
 

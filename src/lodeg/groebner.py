@@ -143,6 +143,7 @@ import numpy as np
 from .poly import (
     BlockOrder,
     Grevlex,
+    InputError,
     Lex,
     Mono,
     PolyRing,
@@ -182,7 +183,7 @@ class CharacteristicHazard(RuntimeError):
     """The quotient dimension is too close to the field characteristic."""
 
 
-class DegreeLimitExceeded(ValueError):
+class DegreeLimitExceeded(InputError):
     """A monomial outgrew packed exponents: an input-size limit (see the
     module docstring)."""
 
@@ -450,7 +451,8 @@ def _update_pairs(
     Drops from ``pairs`` (live pair -> lcm) the pairs ``h`` makes redundant
     and returns the new generator set with the new pairs ``(h, g, lcm)``:
     one per minimal lcm (no other new lcm strictly divides it), and none
-    for an lcm that some ``g`` coprime to ``h`` attains."""
+    with a ``g`` coprime to ``h``.  ``G`` must be an antichain under
+    divisibility of leading monomials, as the pair loop keeps it."""
     mh = lms[h]
     lcm, divides = pk.lcm, pk.divides
     lcm_with = {g: lcm(mh, lms[g]) for g in G}
@@ -459,21 +461,20 @@ def _update_pairs(
     # non-minimal lcm has a minimal strict divisor; so one ascending pass,
     # testing each lcm against the distinct minimal ones so far, keeps
     # exactly the minimal lcms.  Equal lcms are adjacent, and the first of
-    # a class stands for it, unless a coprime member shows that the class's
-    # S-polynomial reduces to zero.
+    # a class stands for it.  A class with a member g coprime to h has no
+    # other member: any member with the lcm h*g is divisible by g, which an
+    # antichain forbids; so its S-polynomial, which reduces to zero, is
+    # never queued.
     minimal: list[int] = []
     new: list[tuple[int, int, int]] = []
     for g in sorted(G, key=lcm_with.__getitem__):
         target = lcm_with[g]
-        coprime = target == mh + lms[g]
         if minimal and minimal[-1] == target:
-            if coprime and new and new[-1][2] == target:
-                new.pop()
             continue
         if any(divides(low, target) for low in minimal):
             continue
         minimal.append(target)
-        if not coprime:
+        if target != mh + lms[g]:
             new.append((h, g, target))
 
     def lcm_of(i: int) -> int:
@@ -803,13 +804,17 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Idea
     if not 1 <= k < n:
         raise ValueError(f"cannot eliminate {k} of {n} variables")
     gb = buchberger(ideal, order=block_order(k), budget_secs=budget_secs)
-    keep = list(range(k, n))
-    # Under a block order a leading monomial free of the eliminated block
-    # forces the whole polynomial to be free of it.
-    kept = [g for g in gb.basis if all(e == 0 for e in g.leading_monomial()[:k])]
-    projected = [g.project(keep) for g in kept]
     small = PolyRing(tuple(ideal.ring.variables[k:]), ideal.ring.field_, ideal.ring.order)
-    return Ideal.of(small, [q.to_ring(small) for q in projected])
+    kept = []
+    for g in gb.basis:
+        if any(g.leading_monomial()[:k]):
+            continue
+        # Under a block order a leading monomial free of the eliminated
+        # block forces the whole polynomial to be free of it.
+        if any(any(m[:k]) for m, _ in g.terms):
+            raise RuntimeError(f"eliminated variables left in {g}")
+        kept.append(small.from_dict({m[k:]: c for m, c in g.terms}))
+    return Ideal.of(small, kept)
 
 
 def saturate(ideal: Ideal, g: Polynomial, budget_secs: Optional[float] = None) -> Ideal:

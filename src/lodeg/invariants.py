@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .conormal import (
     DegenerateSlice,
+    FormT,
     MultiplierSystem,
     VarietySpec,
     affine_conormal_ideal,
@@ -27,11 +28,12 @@ from .conormal import (
     multiplier_system,
     projective_conormal_ideal,
     projective_multiplier_system,
+    push_form,
     restrict_base,
     slice_variety,
 )
 from .groebner import Ideal, count_points, krull_dimension
-from .poly import CoefT, Polynomial
+from .poly import CoefT, InputError, PolyRing, Polynomial
 from .randomness import (
     DEFAULT_POLICY,
     DEFAULT_PRIMES,
@@ -42,10 +44,7 @@ from .randomness import (
     derive_seed,
 )
 
-FormT = tuple[Sequence[CoefT], CoefT]
-
-
-class NotACone(ValueError):
+class NotACone(InputError):
     """Raised when a cone-point invariant is asked of a non-homogeneous input."""
 
 
@@ -388,15 +387,10 @@ def dual_contains_hyperplane_at_infinity(
     )
     ring = cono.ring
     nb = cono.base_count
-    assignments = {nb: ring.one()}
-    for k in range(1, nb):
-        assignments[nb + k] = ring.zero()
-    keep = list(range(nb))
-    specialized = [
-        g.substitute(assignments).project(keep) for g in cono.generators
-    ]
-    point_ring = specialized[0].ring if specialized else ring
-    fiber = Ideal.of(point_ring, specialized)
+    point_ring = PolyRing(ring.variables[:nb], ring.field_, ring.order)
+    images = [point_ring.gen(k) for k in range(nb)]
+    images += [point_ring.one()] + [point_ring.zero()] * (nb - 1)
+    fiber = Ideal.of(point_ring, [g.substitute(point_ring, images) for g in cono.generators])
     return krull_dimension(fiber, budget_secs=budget_secs) >= 1
 
 
@@ -550,9 +544,9 @@ def critical_correspondence(
     """
     d, n = spec.dimension, spec.n
     if not 0 <= i <= d:
-        raise ValueError(f"slice codimension {i} outside 0..{d}")
+        raise InputError(f"slice codimension {i} outside 0..{d}")
     if slices is not None and len(slices) != i:
-        raise ValueError(f"expected {i} slicing forms, got {len(slices)}")
+        raise InputError(f"expected {i} slicing forms, got {len(slices)}")
     # Drawn data is redrawn when it degenerates; explicit data is not.
     explicit = covector is not None or slices is not None
     for attempt in range(1 if explicit else 4):
@@ -582,7 +576,7 @@ def _correspondence_once(
 ) -> CorrespondenceReport:
     n = spec.n
     sliced = slice_variety(spec, i, seed=0, forms=forms, budget_secs=budget_secs)
-    pushed, _ = sliced.trail.push_objective(u)
+    pushed, _ = push_form(sliced.images, u)
 
     count_critical = lo_degree(
         sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy, budget_secs=budget_secs

@@ -47,7 +47,12 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-class CoefficientError(ValueError):
+class InputError(ValueError):
+    """Base of every failure caused by what the user supplied: the input
+    file, a flag or explicit data.  Any other ``ValueError`` is a bug."""
+
+
+class CoefficientError(InputError):
     """A coefficient could not be coerced into the requested field."""
 
 
@@ -207,7 +212,7 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
 # ---------------------------------------------------------------------------
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Raised on malformed polynomial text; carries the character offset."""
 
     def __init__(self, message: str, position: int) -> None:
@@ -225,9 +230,9 @@ class PolyRing:
 
     def __post_init__(self) -> None:
         if not self.variables:
-            raise ValueError("a polynomial ring needs at least one variable")
+            raise InputError("a polynomial ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate variable names in {self.variables}")
+            raise InputError(f"duplicate variable names in {self.variables}")
 
     @property
     def nvars(self) -> int:
@@ -383,19 +388,8 @@ class Polynomial:
                 return Polynomial(self.ring, tuple((m, c * cc % p) for m, c in self.terms))
             return Polynomial(self.ring, tuple((m, c * cc) for m, c in self.terms))
         ring = self._binary_ring(other)
-        fld = ring.field_
         acc: dict[Mono, CoefT] = {}
-        if isinstance(fld, PrimeField):
-            p = fld.p
-            for ma, ca in self.terms:
-                for mb, cb in other.terms:
-                    m = tuple(x + y for x, y in zip(ma, mb))
-                    acc[m] = (acc.get(m, 0) + ca * cb) % p
-        else:
-            for ma, ca in self.terms:
-                for mb, cb in other.terms:
-                    m = tuple(x + y for x, y in zip(ma, mb))
-                    acc[m] = acc.get(m, fld.zero) + ca * cb
+        _add_products(acc, self.terms, other.terms, ring.field_)
         return ring.from_dict(acc)
 
     __rmul__ = __mul__
@@ -405,15 +399,15 @@ class Polynomial:
             raise ValueError("negative polynomial powers are not defined here")
         if exponent * max(self.total_degree(), 0) > MAX_EXPONENT:
             raise OverflowError("exponent overflow in polynomial power")
-        result = self.ring.one()
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return self.ring.one() if result is None else result
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -446,46 +440,34 @@ class Polynomial:
         pairs = [((deg - sum(m),) + m, c) for m, c in self.terms]
         return new_ring.from_dict(dict(pairs))
 
-    def substitute(self, assignments: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials of the same ring."""
-        ring = self.ring
-        for q in assignments.values():
-            if q.ring != ring:
-                raise ValueError("substitution polynomial lives in a different ring")
-        result = ring.zero()
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
+    def substitute(self, target: PolyRing, images: Sequence["Polynomial"]) -> "Polynomial":
+        """The polynomial of ``target`` that replaces variable ``i`` by
+        ``images[i]``; the images set the target ring, which may drop
+        variables or add new ones."""
+        fld = self.ring.field_
+        if (
+            len(images) != self.ring.nvars
+            or target.field_ != fld
+            or any(q.ring != target for q in images)
+        ):
+            raise ValueError("substitution needs one image per variable, all in the target ring")
+        acc: dict[Mono, CoefT] = {}
+        powers: dict[tuple[int, int], tuple] = {}
+        one = (((0,) * target.nvars, fld.one),)
         for m, c in self.terms:
-            term = ring.constant(c)
+            factors = []
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i in assignments:
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = assignments[i] ** e
-                    term = term * pow_cache[key]
-                else:
-                    g = [0] * ring.nvars
-                    g[i] = e
-                    term = term * Polynomial(ring, ((tuple(g), ring.field_.one),))
-            result = result + term
-        return result
-
-    def project(self, keep: Sequence[int]) -> "Polynomial":
-        """Move to the subring on the kept variables; the others must be absent."""
-        keep = list(keep)
-        dropped = [i for i in range(self.ring.nvars) if i not in keep]
-        for m, _ in self.terms:
-            for i in dropped:
-                if m[i]:
-                    raise ValueError(
-                        f"variable {self.ring.variables[i]!r} still present, cannot project"
-                    )
-        new_ring = PolyRing(
-            tuple(self.ring.variables[i] for i in keep), self.ring.field_, self.ring.order
-        )
-        pairs = [(tuple(m[i] for i in keep), c) for m, c in self.terms]
-        return new_ring.from_dict(dict(pairs))
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = (images[i] ** e).terms
+                    factors.append(powers[i, e])
+            product = (((0,) * target.nvars, c),)
+            for factor in factors[:-1]:
+                step: dict[Mono, CoefT] = {}
+                _add_products(step, product, factor, fld)
+                product = step.items()
+            _add_products(acc, product, factors[-1] if factors else one, fld)
+        return target.from_dict(acc)
 
     def to_ring(self, target: PolyRing) -> "Polynomial":
         """Recoerce into a ring with the same variable names (field or order may differ)."""
@@ -516,6 +498,22 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _add_products(acc: dict, a: Iterable, b: Sequence, fld: FieldT) -> None:
+    """``acc += a * b`` for polynomials given as (monomial, coefficient) pairs."""
+    if isinstance(fld, PrimeField):
+        p = fld.p
+        for ma, ca in a:
+            for mb, cb in b:
+                m = tuple(x + y for x, y in zip(ma, mb))
+                acc[m] = (acc.get(m, 0) + ca * cb) % p
+    else:
+        zero = fld.zero
+        for ma, ca in a:
+            for mb, cb in b:
+                m = tuple(x + y for x, y in zip(ma, mb))
+                acc[m] = acc.get(m, zero) + ca * cb
 
 
 def _format_term(coeff: CoefT, m: Mono, names: tuple[str, ...]) -> str:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .poly import InputError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -101,7 +103,7 @@ class AgreementPolicy:
 
     def __post_init__(self) -> None:
         if self.seeds_per_trial < 1 or not self.primes or self.max_retries < 0:
-            raise ValueError("degenerate agreement policy")
+            raise InputError("degenerate agreement policy")
 
 
 DEFAULT_POLICY = AgreementPolicy()

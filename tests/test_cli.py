@@ -367,6 +367,40 @@ class TestFailures:
         assert err.startswith("input error: a monomial reached degree 16384")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lodeg", data_path("sphere.json"), "--prime", "7"],
+            ["correspondence", data_path("sphere.json"), "--i", "5"],
+            ["correspondence", data_path("sphere.json"), "--i", "1", "--slice", "x3-6", "--slice", "x2"],
+            ["lodeg", data_path("sphere.json"), "--trials", "0"],
+        ],
+        ids=["small-prime", "i-beyond-dimension", "two-slices-for-one", "no-trials"],
+    )
+    def test_bad_flag_values_are_input_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: ")
+        assert err.count("\n") == 1
+
+    def test_duplicate_variable_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"variables": ["x", "x"], "polynomials": ["x - 1"]}))
+        code, _, err = run_cli(capsys, "lodeg", str(bad))
+        assert code == EXIT_INPUT
+        assert "duplicate variable names" in err
+
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("an internal check failed")
+
+        monkeypatch.setattr(invariants, "count_points", broken)
+        code, out, err = run_cli(capsys, "lodeg", data_path("sphere.json"))
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "internal error: ValueError: an internal check failed\n"
+
     def test_internal_error_is_one_line(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise RuntimeError("self-check failed")
@@ -387,7 +421,33 @@ class TestParser:
         assert args.seed == 4
 
     def test_correspondence_requires_i(self, capsys):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["correspondence", "foo.json"])
-        capsys.readouterr()
+        code, out, err = run_cli(capsys, "correspondence", "foo.json")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: the following arguments are required: --i\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bidegrees", "foo.json", "--frobnicate"],
+            ["bidegrees", "foo.json", "--seed", "x"],
+            ["transmogrify", "foo.json"],
+            [],
+        ],
+        ids=["unknown-flag", "bad-seed", "unknown-command", "no-command"],
+    )
+    def test_usage_errors_are_input_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: ")
+        assert err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bidegrees", "--help"])
+        assert exit_.value.code == 0
+        assert "--budget-secs" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()

@@ -9,12 +9,13 @@ from lodeg.conormal import (
     MultiplierSystem,
     VarietySpec,
     affine_conormal_ideal,
-    build_trail,
     multiplier_slack_forms,
     multiplier_system,
     projective_conormal_ideal,
+    push_form,
     restrict_base,
     slice_variety,
+    solve_forms,
 )
 from lodeg.groebner import Ideal, buchberger, krull_dimension, normal_form
 from lodeg.poly import GREVLEX, QQ, PolyRing
@@ -54,34 +55,57 @@ class TestVarietySpec:
         assert len(ideal.generators) == 1
 
 
-class TestTrail:
+def _q(*values):
+    return tuple(Fraction(v) for v in values)
+
+
+class TestSolveForms:
     def test_pivot_is_last_nonzero_coefficient(self):
         ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
-        trail = build_trail(ring, [((Fraction(1), Fraction(2), Fraction(3)), Fraction(6))])
-        step = trail.steps[0]
-        assert step.pivot_name == "z"
+        left, images, solved = solve_forms(ring, [(_q(1, 2, 3), 6)])
+        assert left.variables == ("x", "y")
         # x + 2y + 3z = 6 solves to z = 2 - x/3 - 2y/3.
-        assert str(step.replacement) == "-1/3*x - 2/3*y + 2"
+        assert str(images[2]) == "-1/3*x - 2/3*y + 2"
+        assert images[:2] == [left.gen(0), left.gen(1)]
+        assert solved == [(_q(1, 2, 3), 6)]
+        # A zero last coefficient moves the pivot down.
+        left, images, _ = solve_forms(ring, [(_q(1, 1, 0), 0)])
+        assert left.variables == ("x", "z")
+        assert str(images[1]) == "-x"
 
     def test_push_objective(self):
         ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
-        trail = build_trail(ring, [((Fraction(1), Fraction(2), Fraction(3)), Fraction(6))])
-        coeffs, const = trail.push_objective([0, 0, 1])
+        _, images, _ = solve_forms(ring, [(_q(1, 2, 3), 6)])
+        coeffs, const = push_form(images, [0, 0, 1])
         assert coeffs == [Fraction(-1, 3), Fraction(-2, 3)]
         assert const == Fraction(2)
 
-    def test_apply_rejects_foreign_ring(self):
-        ring = PolyRing(("x", "y"), QQ, GREVLEX)
-        other = PolyRing(("a", "b"), QQ, GREVLEX)
-        trail = build_trail(ring, [((Fraction(1), Fraction(1)), Fraction(0))])
-        with pytest.raises(ValueError):
-            trail.apply(other.parse("a"))
-
-    def test_restrict_to_keeps_trailing_variables(self):
+    def test_width_keeps_multipliers_out_of_reach(self):
         ring = PolyRing(("x1", "x2", "lam0"), QQ, GREVLEX)
-        trail = build_trail(ring, [((Fraction(1), Fraction(1)), Fraction(0))], restrict_to=2)
-        assert trail.steps[0].pivot_name == "x2"
-        assert trail.final_ring.variables == ("x1", "lam0")
+        left, images, _ = solve_forms(ring, [(_q(1, 1), 0)], width=2)
+        assert left.variables == ("x1", "lam0")
+        assert images == [left.gen(0), -left.gen(0), left.gen(1)]
+        with pytest.raises(DegenerateSlice):
+            solve_forms(ring, [(_q(0, 0), 1)], width=2)
+
+    def test_source_width_forms_are_pushed(self):
+        ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
+        # z = 0 on the source variables, after x + 2y + 3z = 6, reads
+        # -x/3 - 2y/3 = -2 on (x, y) and solves for y.
+        left, images, solved = solve_forms(ring, [(_q(1, 2, 3), 6), (_q(0, 0, 1), 0)])
+        assert solved[1] == ((Fraction(-1, 3), Fraction(-2, 3)), -2)
+        assert left.variables == ("x",)
+        assert str(images[1]) == "-1/2*x + 3"
+        assert images[2].is_zero()
+        # The same form read on the variables left gives the same images.
+        assert solve_forms(ring, [(_q(1, 2, 3), 6), solved[1]])[1] == images
+
+    def test_other_widths_raise(self):
+        ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
+        with pytest.raises(ValueError):
+            solve_forms(ring, [(_q(1, 1), 0)])
+        with pytest.raises(ValueError):
+            solve_forms(ring, [(_q(1, 2, 3), 6), (_q(1,), 0)])
 
 
 class TestSlicing:
@@ -89,12 +113,13 @@ class TestSlicing:
         sliced = slice_variety(sphere, 1, seed=5)
         assert sliced.spec.dimension == 1
         assert sliced.spec.n == 2
-        assert len(sliced.trail.steps) == 1
+        assert len(sliced.images) == 3
+        assert all(q.ring == sliced.spec.ring and q.total_degree() <= 1 for q in sliced.images)
 
     def test_zero_sections_is_identity(self, sphere):
         sliced = slice_variety(sphere, 0, seed=5)
         assert sliced.spec is sphere
-        assert sliced.trail.steps == ()
+        assert sliced.images == tuple(sphere.ring.gen(i) for i in range(3))
 
     def test_too_many_sections(self, sphere):
         with pytest.raises(ValueError):

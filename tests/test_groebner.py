@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lodeg.poly import (
     LEX,
     MAX_EXPONENT,
     PolyRing,
+    Polynomial,
     PrimeField,
     QQ,
     block_order,
@@ -268,8 +270,29 @@ class TestPairUpdate:
 
         # x*z and y*z both make the lcm x*y*z with h = x*y.
         assert len(new_pairs((1, 0, 1), (0, 1, 1), (1, 1, 0))) == 1
-        # z is coprime to h and makes the same lcm as x*z.
-        assert new_pairs((0, 0, 1), (1, 0, 1), (1, 1, 0)) == []
+        # z is coprime to h = x*y; only y^2 gets a pair.
+        assert [g for _, g, _ in new_pairs((0, 0, 1), (0, 2, 0), (1, 1, 0))] == [1]
+
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, block_order(1)], ids=["grevlex", "lex", "block1"]
+    )
+    def test_generators_stay_an_antichain(self, monkeypatch, order):
+        # The update relies on it: no leading monomial of G divides another.
+        real = groebner._update_pairs
+        calls = []
+
+        def checked(G, pairs, h, lms, pk):
+            for a in G:
+                assert not any(b != a and pk.divides(lms[a], lms[b]) for b in G)
+            calls.append(len(G))
+            return real(G, pairs, h, lms, pk)
+
+        monkeypatch.setattr(groebner, "_update_pairs", checked)
+        rng = random.Random(f"antichain:{order.name}")
+        ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+        for count, degree, terms in [(2, 2, 3), (4, 2, 3), (2, 3, 4), (4, 2, 4)] * 2:
+            buchberger(Ideal.of(ring, _random_generators(rng, ring, count, degree, terms)))
+        assert max(calls) > 2
 
 
 def _order_blocks(order, n):
@@ -427,6 +450,15 @@ class TestEliminateAndSaturate:
         out = eliminate(ideal, 1)
         assert [str(g) for g in out.generators] == ["y^3 - z^2"]
         assert out.ring.variables == ("y", "z")
+
+    def test_eliminate_rejects_a_survivor_of_the_eliminated_block(self, monkeypatch):
+        # x^2 + t listed with the leading monomial x^2: wrong under any
+        # block order, and caught rather than projected away.
+        r = qring("t", "x")
+        bad = Polynomial(r, (((0, 2), Fraction(1)), ((1, 0), Fraction(1))))
+        monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: GroebnerBasis(r, (bad,)))
+        with pytest.raises(RuntimeError, match="eliminated variables"):
+            eliminate(Ideal.of(r, [r.parse("x")]), 1)
 
     def test_eliminate_can_be_empty(self):
         r = qring("x", "y")

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,9 @@ from lodeg.poly import (
     fresh_names,
     parse_polynomial,
 )
+
+
+P = 2147483647
 
 
 @pytest.fixture
@@ -94,16 +99,53 @@ class TestArithmetic:
         assert h.is_homogeneous()
         assert str(h) == "-3*w^2 + x^2 + w*y"
         # setting the new variable to 1 recovers the original
-        assert h.substitute({0: h.ring.one()}).project([1, 2, 3]) == f
+        images = [f.ring.one()] + [f.ring.gen(i) for i in range(3)]
+        assert h.substitute(f.ring, images) == f
 
     def test_substitute_and_project(self, ring):
-        f = ring.parse("x^2 + z")
-        g = f.substitute({0: ring.parse("y + 1")})
-        assert g == ring.parse("y^2 + 2*y + 1 + z")
-        reduced = g.project([1, 2])
-        assert reduced.ring.variables == ("y", "z")
+        # x -> y + 1 into the ring on (y, z): substitution and projection
+        # are one map.
+        small = PolyRing(("y", "z"), QQ, GREVLEX)
+        images = [small.parse("y + 1"), small.gen(0), small.gen(1)]
+        g = ring.parse("x^2 + z").substitute(small, images)
+        assert g == small.parse("y^2 + 2*y + 1 + z")
+        assert g.ring.variables == ("y", "z")
+
+    def test_substitute_rejects_foreign_images(self, ring):
+        small = PolyRing(("y", "z"), QQ, GREVLEX)
+        other = PolyRing(("y", "z"), PrimeField(P), GREVLEX)
+        f = ring.parse("x + z")
         with pytest.raises(ValueError):
-            f.project([1, 2])
+            f.substitute(small, [small.gen(0), small.gen(0), other.gen(1)])
+        with pytest.raises(ValueError):
+            f.substitute(small, [small.gen(0), small.gen(1)])
+        with pytest.raises(ValueError):
+            f.substitute(other, [other.gen(0)] * 3)
+
+    @pytest.mark.parametrize("field_", [QQ, PrimeField(P)], ids=["QQ", "GFp"])
+    def test_substitute_is_the_sum_of_products(self, field_):
+        # g(images) built with Polynomial arithmetic, term by term.
+        rng = random.Random(f"substitute:{field_}")
+        source = PolyRing(("x", "y", "z"), field_, GREVLEX)
+        target = PolyRing(("a", "b"), field_, LEX)
+
+        def random_poly(r, degree, terms):
+            monos = [m for m in itertools.product(range(degree + 1), repeat=r.nvars) if sum(m) <= degree]
+            return r.from_terms(
+                (m, Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) if field_ == QQ else rng.randrange(P))
+                for m in rng.sample(monos, terms)
+            )
+
+        for _ in range(20):
+            g = random_poly(source, 4, 6)
+            images = [random_poly(target, rng.randrange(1, 3), rng.randrange(1, 4)) for _ in range(3)]
+            expected = target.zero()
+            for m, c in g.terms:
+                term = target.constant(c)
+                for q, e in zip(images, m):
+                    term = term * q ** e
+                expected = expected + term
+            assert g.substitute(target, images) == expected
 
 
 class TestOrders:

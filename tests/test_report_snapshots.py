@@ -1,0 +1,68 @@
+"""Whole ``--no-timings`` reports, pinned byte for byte.
+
+Each file under ``tests/data/reports/`` holds the exit code, stdout and
+stderr of one ``lodeg`` call, run from the repository root with relative
+input paths so that the report's ``input.path`` is stable.  After an
+intended report change, rewrite them from the repository root with
+``PYTHONPATH=src python tests/test_report_snapshots.py``.
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+from lodeg.cli import COMMANDS, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPORTS = os.path.join(ROOT, "tests", "data", "reports")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name in ("quadric_cone", "sphere"):
+        for command in COMMANDS:
+            extra = ["--i", "1"] if command == "correspondence" else []
+            cases[f"{name}.{command}"] = [command, f"tests/data/{name}.json"] + extra
+    cases["sphere.correspondence.explicit"] = [
+        "correspondence", "tests/data/sphere.json",
+        "--i", "1", "--covector", "10,5,17", "--slice", "x3-6",
+    ]
+    cases["sphere.bidegrees.text"] = ["bidegrees", "tests/data/sphere.json", "--format", "text"]
+    cases["quadric_cone.verify.text"] = ["verify", "tests/data/quadric_cone.json", "--format", "text"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--no-timings"])
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def _snapshot_path(case: str) -> str:
+    return os.path.join(REPORTS, f"{case}.txt")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_snapshot(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    with open(_snapshot_path(case)) as fh:
+        expected = fh.read()
+    assert _run(CASES[case]) == expected
+
+
+def test_every_snapshot_has_a_case():
+    assert sorted(f[: -len(".txt")] for f in os.listdir(REPORTS)) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    os.makedirs(REPORTS, exist_ok=True)
+    for case, argv in sorted(CASES.items()):
+        with open(_snapshot_path(case), "w") as fh:
+            fh.write(_run(argv))
