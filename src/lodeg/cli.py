@@ -34,7 +34,7 @@ from . import invariants
 from .conormal import DegenerateSlice, DimensionMismatch, VarietySpec
 from .groebner import MAX_MATRIX_PRIME, BudgetExceeded, CharacteristicHazard
 from .invariants import VerificationReport
-from .poly import InputError, ParseError
+from .poly import InputError, ParseError, residue_ring
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
 
 EXIT_OK = 0
@@ -54,7 +54,9 @@ FAILURES: tuple[tuple[tuple[type[Exception], ...], str, int], ...] = (
 )
 
 
-def _load_variety(path: str) -> tuple[VarietySpec, dict[str, Any], list[str]]:
+def _load_variety(
+    path: str, primes: tuple[int, ...]
+) -> tuple[VarietySpec, dict[str, Any], list[str]]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -75,7 +77,9 @@ def _load_variety(path: str) -> tuple[VarietySpec, dict[str, Any], list[str]]:
     warnings: list[str] = []
     assumed = bool(doc.get("assumed_irreducible", True))
     try:
-        spec = VarietySpec.define(variables, polynomials, assumed_irreducible=assumed)
+        spec = VarietySpec.define(
+            variables, polynomials, assumed_irreducible=assumed, primes=primes
+        )
     except ParseError as err:
         raise InputError(f"{path}: polynomial parse error: {err}") from err
     except InputError as err:
@@ -137,6 +141,7 @@ def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
                 f"--prime {p} is above {MAX_MATRIX_PRIME}: products of residues "
                 "must fit in 64-bit integers"
             )
+    residue_ring(primes)  # each prime must be a valid characteristic
     return AgreementPolicy(
         seeds_per_trial=args.trials, primes=primes, max_retries=3
     )
@@ -264,8 +269,8 @@ COMMANDS: dict[str, Command] = {
 
 
 def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    spec, meta, warnings = _load_variety(args.input)
     policy = _policy_from_args(args)
+    spec, meta, warnings = _load_variety(args.input, policy.primes)
     command = COMMANDS[args.command]
     start = time.perf_counter()
     value = command.call(spec, args, policy)

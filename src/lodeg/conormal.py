@@ -13,13 +13,19 @@ affine change of coordinates: :func:`solve_forms` solves all the affine
 forms at once, each for its nonzero coefficient of largest index, which
 gives every variable an affine image in the variables left; then each
 polynomial is substituted once (:meth:`Polynomial.substitute`).
+
+The builders take the coefficient ring as a *modulus*: a prime, a
+:class:`PrimeField`, or the internal :class:`~lodeg.poly.ResidueRing` of
+several primes that the agreement grid computes over (see "Several primes
+at once" in ``groebner``).  Every zero test they branch on is
+:meth:`Polynomial.vanishes`, which raises ``SplitModulus`` where the
+primes would branch apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -40,8 +46,11 @@ from .poly import (
     Polynomial,
     PrimeField,
     QQ,
+    ResidueRing,
+    SplitModulus,
     fresh_name,
     fresh_names,
+    residue_ring,
 )
 from .randomness import DEFAULT_PRIMES, Instability, SeedStream, derive_seed
 
@@ -58,6 +67,14 @@ class DegenerateSlice(RuntimeError):
     """Random affine sections failed to cut the dimension as expected."""
 
 
+# A prime, or the field (or residue ring) to compute over.
+Modulus = Union[int, PrimeField]
+
+
+def _field(modulus: Modulus) -> PrimeField:
+    return modulus if isinstance(modulus, PrimeField) else PrimeField(modulus)
+
+
 @dataclass(frozen=True)
 class VarietySpec:
     """An affine variety given by polynomial generators over the rationals.
@@ -65,17 +82,20 @@ class VarietySpec:
     The generators are assumed to cut the variety out generically
     transversally; irreducibility is assumed, not checked, and is recorded
     in ``assumed_irreducible`` so reports can warn when it was disclaimed.
+    The dimension is computed modulo ``primes`` (an agreement policy's).
     """
 
     ring: PolyRing
     generators: tuple[Polynomial, ...]
     assumed_irreducible: bool = True
+    primes: tuple[int, ...] = DEFAULT_PRIMES
 
     @staticmethod
     def define(
         variables: Sequence[str],
         polynomials: Sequence[Union[str, Polynomial]],
         assumed_irreducible: bool = True,
+        primes: Sequence[int] = DEFAULT_PRIMES,
     ) -> "VarietySpec":
         ring = PolyRing(tuple(variables), QQ, GREVLEX)
         gens: list[Polynomial] = []
@@ -86,7 +106,7 @@ class VarietySpec:
             gens.append(poly)
         if not gens:
             raise InvalidVariety("at least one generator is required")
-        spec = VarietySpec(ring, tuple(gens), assumed_irreducible)
+        spec = VarietySpec(ring, tuple(gens), assumed_irreducible, tuple(primes))
         if spec.dimension < 0:
             raise InvalidVariety("generators have no common zero (unit ideal)")
         return spec
@@ -95,12 +115,39 @@ class VarietySpec:
     def n(self) -> int:
         return self.ring.nvars
 
-    @cached_property
+    @property
     def dimension(self) -> int:
-        """Dimension of the vanishing locus, computed over the first
-        configured prime field."""
-        ideal = self.reduce_mod(DEFAULT_PRIMES[0])
-        return krull_dimension(ideal, budget_secs=DEFAULT_BUDGET_SECS)
+        """Dimension of the vanishing locus (see :meth:`dimension_within`)."""
+        return self.dimension_within(DEFAULT_BUDGET_SECS)
+
+    def dimension_within(self, budget_secs: Optional[float]) -> int:
+        """Dimension of the vanishing locus, computed once, with
+        ``budget_secs`` per Groebner basis, and then kept.
+
+        One basis modulo the product of ``primes`` has the leading
+        monomials of the basis modulo each prime, so it gives the dimension
+        at every prime.  After a split, the dimension is computed prime by
+        prime, and the primes must agree (:class:`Instability` if not).
+        """
+        known = self.__dict__.get("_dimension")
+        if known is not None:
+            return known
+        try:
+            ideal = self.reduce_mod(residue_ring(self.primes))
+            known = krull_dimension(ideal, budget_secs=budget_secs)
+        except SplitModulus:
+            found = {
+                p: krull_dimension(self.reduce_mod(p), budget_secs=budget_secs)
+                for p in dict.fromkeys(self.primes)
+            }
+            if len(set(found.values())) > 1:
+                # Keyed by (seed, prime); no seed is drawn here.
+                raise Instability(
+                    "dimension of the vanishing locus", {(0, p): d for p, d in found.items()}
+                ) from None
+            known = found[self.primes[0]]
+        object.__setattr__(self, "_dimension", known)
+        return known
 
     @property
     def codimension(self) -> int:
@@ -109,9 +156,10 @@ class VarietySpec:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
 
-    def reduce_mod(self, prime: int) -> Ideal:
-        """The generator ideal over GF(prime)."""
-        target = self.ring.with_field(PrimeField(prime))
+    def reduce_mod(self, modulus: Modulus) -> Ideal:
+        """The generator ideal modulo a prime (or over a field or residue
+        ring)."""
+        target = self.ring.with_field(_field(modulus))
         return Ideal.of(target, [g.to_ring(target) for g in self.generators])
 
 
@@ -223,10 +271,9 @@ def slice_variety(
     nonzero) and redrawn up to three times if the dimension fails to drop by
     exactly ``count``.
     """
-    if not 0 <= count <= spec.dimension:
-        raise InputError(
-            f"cannot cut dimension {spec.dimension} by {count} sections"
-        )
+    dimension = spec.dimension_within(budget_secs)
+    if not 0 <= count <= dimension:
+        raise InputError(f"cannot cut dimension {dimension} by {count} sections")
     if count == 0:
         return SlicedVariety(spec, tuple(solve_forms(spec.ring, ())[1]), ())
     explicit = forms is not None
@@ -244,7 +291,7 @@ def slice_variety(
                 chosen.append((tuple(coeffs), Fraction(stream.integer())))
                 width -= 1
         try:
-            return _apply_slices(spec, chosen)
+            return _apply_slices(spec, chosen, budget_secs)
         except (DegenerateSlice, InvalidVariety) as err:
             last_error = err
             if explicit:
@@ -254,17 +301,20 @@ def slice_variety(
     )
 
 
-def _apply_slices(spec: VarietySpec, forms: Sequence[FormT]) -> SlicedVariety:
+def _apply_slices(
+    spec: VarietySpec, forms: Sequence[FormT], budget_secs: Optional[float]
+) -> SlicedVariety:
     ring, images, solved = solve_forms(spec.ring, forms)
     cut = (g.substitute(ring, images) for g in spec.generators)
     survivors = tuple(g for g in cut if not g.is_zero())
     if not survivors or any(g.is_constant() for g in survivors):
         raise DegenerateSlice("sections made the system inconsistent or empty")
-    new_spec = VarietySpec(ring, survivors, spec.assumed_irreducible)
-    expected = spec.dimension - len(forms)
-    if new_spec.dimension != expected:
+    new_spec = VarietySpec(ring, survivors, spec.assumed_irreducible, spec.primes)
+    expected = spec.dimension_within(budget_secs) - len(forms)
+    dimension = new_spec.dimension_within(budget_secs)
+    if dimension != expected:
         raise DegenerateSlice(
-            f"dimension {new_spec.dimension} after cutting, expected {expected}"
+            f"dimension {dimension} after cutting, expected {expected}"
         )
     return SlicedVariety(new_spec, tuple(images), tuple(solved))
 
@@ -294,16 +344,16 @@ class MultiplierSystem:
         return self.ring.nvars - self.base_count
 
 
-def multiplier_system(spec: VarietySpec, prime: int) -> MultiplierSystem:
+def multiplier_system(spec: VarietySpec, modulus: Modulus) -> MultiplierSystem:
     """Multiplier presentation of the conormal directions of ``spec``."""
-    base = spec.ring.with_field(PrimeField(prime))
+    base = spec.ring.with_field(_field(modulus))
     gens = [g.to_ring(base) for g in spec.generators]
     return _assemble_multiplier_system(base, gens, spec.codimension)
 
 
 def projective_multiplier_system(
     spec: VarietySpec,
-    prime: int,
+    modulus: Modulus,
     budget_secs: Optional[float] = None,
 ) -> MultiplierSystem:
     """Multiplier presentation over the projective closure.
@@ -312,16 +362,16 @@ def projective_multiplier_system(
     order this yields the ideal of the closure with no spurious components
     at the hyperplane at infinity.
     """
-    hom = _homogenized_basis(spec, prime, budget_secs)
+    hom = _homogenized_basis(spec, modulus, budget_secs)
     return _assemble_multiplier_system(hom[0].ring, hom, spec.codimension)
 
 
 def _homogenized_basis(
-    spec: VarietySpec, prime: int, budget_secs: Optional[float]
+    spec: VarietySpec, modulus: Modulus, budget_secs: Optional[float]
 ) -> list[Polynomial]:
-    """The grevlex basis of ``spec`` over GF(prime), homogenized by a fresh
-    first variable: generators of the projective closure."""
-    gb = buchberger(spec.reduce_mod(prime), budget_secs=budget_secs)
+    """The grevlex basis of ``spec`` modulo ``modulus``, homogenized by a
+    fresh first variable: generators of the projective closure."""
+    gb = buchberger(spec.reduce_mod(modulus), budget_secs=budget_secs)
     hname = fresh_name("p0", spec.ring.variables)
     hom = [g.homogenize(hname) for g in gb.basis]
     if not hom:
@@ -363,7 +413,7 @@ def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> Multiplie
     return MultiplierSystem(
         ring,
         system.base_count - len(forms),
-        tuple(g for g in equations if not g.is_zero()),
+        tuple(g for g in equations if not g.vanishes()),
         tuple(g.substitute(ring, images) for g in system.covector),
         system.excess,
     )
@@ -399,8 +449,13 @@ class ConormalIdeal:
     ring: PolyRing
     generators: tuple[Polynomial, ...]
     base_count: int
-    prime: int
     source: VarietySpec
+
+    @property
+    def prime(self) -> int:
+        """The modulus: the prime, or the product of the primes of a
+        residue ring."""
+        return self.ring.field_.p
 
 
 def _determinant(rows: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
@@ -427,14 +482,14 @@ def _rank_minors(
     for rsel in combinations(range(nrows), size):
         for csel in combinations(range(ncols), size):
             det = _determinant([[matrix[r][c] for c in csel] for r in rsel], ring)
-            if not det.is_zero():
+            if not det.vanishes():
                 out.append(det)
     return out
 
 
 def affine_conormal_ideal(
     spec: VarietySpec,
-    prime: Optional[int] = None,
+    prime: Optional[Modulus] = None,
     seed: int = 0,
     budget_secs: Optional[float] = None,
     method: str = "minors",
@@ -446,12 +501,12 @@ def affine_conormal_ideal(
     the dual row and saturates away the rank-deficient locus;
     ``method="multiplier"`` eliminates Lagrange multipliers instead.  Both
     must describe the same locus of dimension n or :class:`DimensionMismatch`
-    is raised.
+    is raised.  ``prime`` defaults to the first default prime.
     """
-    p = prime if prime is not None else DEFAULT_PRIMES[0]
+    fld = _field(prime if prime is not None else DEFAULT_PRIMES[0])
     n = spec.n
     c = spec.codimension
-    base = spec.ring.with_field(PrimeField(p))
+    base = spec.ring.with_field(fld)
     gens = [g.to_ring(base) for g in spec.generators]
     u_names = fresh_names("u", n, spec.ring.variables)
     big = PolyRing(base.variables + tuple(u_names), base.field_, base.order)
@@ -467,7 +522,7 @@ def affine_conormal_ideal(
             ideal, Ideal.of(big, rank_locus), seed=seed, budget_secs=budget_secs
         )
     elif method == "multiplier":
-        system = multiplier_system(spec, p)
+        system = multiplier_system(spec, fld)
         m = system.multiplier_count
         # Reorder to (multipliers, base, duals) so a block order eliminates
         # the multipliers.
@@ -499,22 +554,23 @@ def affine_conormal_ideal(
         raise DimensionMismatch(
             f"conormal locus has dimension {dim}, expected {n}"
         )
-    return ConormalIdeal("affine", big, tuple(sat.generators), n, p, spec)
+    return ConormalIdeal("affine", big, tuple(sat.generators), n, spec)
 
 
 def projective_conormal_ideal(
     spec: VarietySpec,
-    prime: Optional[int] = None,
+    prime: Optional[Modulus] = None,
     seed: int = 0,
     budget_secs: Optional[float] = None,
 ) -> ConormalIdeal:
     """Conormal locus of the projective closure, in doubled projective
     coordinates, saturated by the rank-deficient locus and the irrelevant
-    ideal of the point factor."""
-    p = prime if prime is not None else DEFAULT_PRIMES[0]
+    ideal of the point factor.  ``prime`` defaults to the first default
+    prime."""
+    fld = _field(prime if prime is not None else DEFAULT_PRIMES[0])
     n = spec.n
     c = spec.codimension
-    hom = _homogenized_basis(spec, p, budget_secs)
+    hom = _homogenized_basis(spec, fld, budget_secs)
     pring = hom[0].ring
     y_names = fresh_names("y", n + 1, pring.variables)
     big = PolyRing(pring.variables + tuple(y_names), pring.field_, pring.order)
@@ -533,19 +589,23 @@ def projective_conormal_ideal(
     )
     mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.generators)
     if mixed:
+        if isinstance(fld, ResidueRing):
+            # Terms of different bidegrees may vanish modulo different
+            # primes: only one prime at a time tells.
+            raise SplitModulus("projective conormal saturation not bihomogeneous")
         # The saturation by the whole ideals is bihomogeneous, and so is
         # its reduced basis: a mixed generator means an unlucky combination.
         raise Instability(
             "bihomogeneity of the projective conormal saturation "
             "(generators not bihomogeneous)",
-            {(seed, p): mixed},
+            {(seed, fld.p): mixed},
         )
     dim = krull_dimension(Ideal.of(big, sat.generators), budget_secs=budget_secs)
     if dim != n + 1:
         raise DimensionMismatch(
             f"projective conormal cone has dimension {dim}, expected {n + 1}"
         )
-    return ConormalIdeal("projective", big, tuple(sat.generators), n + 1, p, spec)
+    return ConormalIdeal("projective", big, tuple(sat.generators), n + 1, spec)
 
 
 def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:

@@ -125,6 +125,65 @@ work but never a wrong basis.  Each popped signature and its lcm pass the
 width guard after the criteria and before the pair is reduced or its
 signature stored.
 
+Several primes at once
+----------------------
+The agreement grid counts every trial modulo each of a policy's primes
+``p_1, ..., p_k``.  Its integer data are the same modulo each, so one
+computation over ``Z/N``, ``N = p_1*...*p_k`` (a
+:class:`~lodeg.poly.ResidueRing`), does the work of ``k``, in the style of
+the D5 principle (Della Dora, Dicrescenzo, Duval, EUROCAL 1985) and of
+modular Groebner bases (Arnold, JSC 35, 2003).  By the Chinese remainder
+theorem a residue mod ``N`` is its ``k`` residues mod the ``p_i``, and ring
+operations act on each alone.  So the run mod ``N``, read mod ``p_i``, is
+the run mod ``p_i``, up to terms whose coefficient is zero mod ``p_i`` and
+not mod ``N``, until a branch depends on such a coefficient.
+
+- As a tail term, such a coefficient is harmless: it reduces or stays in a
+  remainder, and mod ``p_i`` the step adds nothing.
+- As a leading coefficient or a pivot, it is inverted, and inverting a
+  residue that is not a unit raises ``SplitModulus``.  The run stops there,
+  and the caller reruns one prime at a time.
+
+Without a split, every reducer mod ``p_i`` is the reducer of the run mod
+``p_i``: same leading monomial, monic.  Every criterion and selection looks
+only at leading monomials and signatures, which agree.  So the run mod
+``p_i`` is a valid run of the same algorithm, perhaps with its inputs in
+another order, and the reduced basis, being unique, is the basis mod
+``p_i``: :func:`count_points` takes it term by term, dropping the terms that
+vanish there.  Then the cheap per-prime steps (quotient basis, matrix,
+Krylov) run once per prime, below ``MAX_MATRIX_PRIME``.
+
+Every zero test crossed mod ``N`` is followed by an inversion of the same
+value, is harmless, or raises ``SplitModulus`` itself:
+
+- ``_reduce_full`` and ``_reduce_regular``, ``if not c``: a term that is
+  zero mod ``p_i`` only is either reduced (mod ``p_i`` the step adds
+  nothing) or kept in the remainder.  Every nonzero remainder (``if r``)
+  becomes a reducer, whose leading coefficient is inverted, so a remainder
+  that is zero mod ``p_i`` only splits.  That covers an input generator
+  that vanishes mod ``p_i`` only: it reduces to such a remainder or to zero.
+  The width guard checks such a term too, though mod ``p_i`` it is absent:
+  a limit on degrees that the counts stay far below.
+- ``conormal.restrict_base`` drops a vanishing equation, and
+  ``conormal._rank_minors`` a vanishing minor, through
+  ``Polynomial.vanishes``, which raises for one that vanishes mod some
+  primes only.  The number of minors also fixes how many coefficients a
+  combination in :func:`saturate_by_ideal` draws.
+- The loop selection ``len(polys) == ring.nvars`` counts the generators
+  that are nonzero mod ``N``.  Both loops end in the same reduced basis,
+  so the choice changes the path, never the result.
+- ``conormal.solve_forms`` picks the pivot of each form by ``!= zero`` and
+  inverts it at once.  Its row updates test ``a != zero`` and add a
+  multiple of ``a``, which is nothing mod ``p_i`` when ``a`` vanishes there.
+- :func:`saturate_by_ideal` redraws a combination that vanishes, through
+  ``Polynomial.vanishes``.
+- Checks that fail mod ``N`` (two saturations that differ, a saturation
+  that is not bihomogeneous) raise ``SplitModulus`` too: which prime fails,
+  and what the primes before it did, only one prime at a time tells.
+
+The self-check of :func:`buchberger` runs mod ``N``: an input reduces to
+zero mod every ``p_i``, hence mod ``N``.
+
 Wall-clock budgets are first class: every basis computation takes a budget
 in seconds and raises :class:`BudgetExceeded` when it runs out.
 """
@@ -149,6 +208,8 @@ from .poly import (
     PolyRing,
     Polynomial,
     PrimeField,
+    ResidueRing,
+    SplitModulus,
     block_order,
     fresh_name,
     mono_divides,
@@ -264,7 +325,7 @@ def _field_ops(ring: PolyRing):
     fld = ring.field_
     if isinstance(fld, PrimeField):
         p = fld.p
-        return (lambda c: c % p), (lambda c: pow(c, -1, p))
+        return (lambda c: c % p), fld.invert
     return (lambda c: c), (lambda c: 1 / c)
 
 
@@ -869,12 +930,16 @@ def saturate_by_ideal(
             acc = ring.zero()
             for g in other.generators:
                 acc = acc + g * ring.field_.coerce(stream.integer())
-            if not acc.is_zero():
+            if not acc.vanishes():
                 return acc
 
     seeds = (derive_seed(seed, 0), derive_seed(seed, 1))
     first, second = (saturate(ideal, combo(s), budget_secs=budget_secs) for s in seeds)
     if first.generators != second.generators:
+        if isinstance(ring.field_, ResidueRing):
+            # The answers differ modulo some prime; which one, and what the
+            # runs before it did, only one prime at a time tells.
+            raise SplitModulus("saturations by random combinations differ")
         # Keyed by (seed, characteristic); 0 stands for the rationals.
         p = getattr(ring.field_, "p", 0)
         raise Instability(
@@ -1091,27 +1156,53 @@ def count_points(
     ideal: Ideal,
     seed: int,
     budget_secs: Optional[float] = None,
-) -> int:
+) -> dict[int, int]:
     """Number of distinct solutions of a zero-dimensional system over the
-    algebraic closure of the ideal's prime field.
+    algebraic closure of GF(p), for each prime ``p`` of the ideal's field:
+    ``{p: count}``.
 
-    Counts distinct eigenvalues of a seeded random linear form acting on the
-    quotient algebra: the squarefree part of its minimal polynomial (the lcm
-    of two Krylov-vector minimal polynomials) has one root per solution once
-    the form separates the points.
+    One Buchberger basis is computed over the field, a
+    :class:`~lodeg.poly.ResidueRing` of several primes included, and split
+    modulo each prime (see "Several primes at once").  Then, per prime, the
+    count is the number of distinct eigenvalues of a seeded random linear
+    form acting on the quotient algebra: the squarefree part of its minimal
+    polynomial (the lcm of two Krylov-vector minimal polynomials) has one
+    root per solution once the form separates the points.  Each prime draws
+    its form and vectors from a fresh ``SeedStream(seed)``.
     """
-    from .randomness import SeedStream
-
     fld = ideal.ring.field_
     if not isinstance(fld, PrimeField):
         raise TypeError("count_points requires a prime-field ideal")
-    p = fld.p
-    if p > MAX_MATRIX_PRIME:
-        raise ValueError(
-            f"characteristic {p} is above {MAX_MATRIX_PRIME}: residue products "
-            "would overflow 64-bit integers"
-        )
+    primes = fld.primes if isinstance(fld, ResidueRing) else (fld.p,)
+    for p in primes:
+        if p > MAX_MATRIX_PRIME:
+            raise ValueError(
+                f"characteristic {p} is above {MAX_MATRIX_PRIME}: residue products "
+                "would overflow 64-bit integers"
+            )
     gb = buchberger(ideal, budget_secs=budget_secs)
+    return {p: _count_basis(_split_basis(gb, p), seed) for p in primes}
+
+
+def _split_basis(gb: GroebnerBasis, p: int) -> GroebnerBasis:
+    """The basis modulo the prime ``p`` of its field, dropping the terms
+    that vanish there; the reduced basis over GF(p) when ``gb`` is a reduced
+    basis over a :class:`~lodeg.poly.ResidueRing` computed without a
+    split."""
+    if not isinstance(gb.ring.field_, ResidueRing):
+        return gb
+    ring = gb.ring.with_field(PrimeField(p))
+    return GroebnerBasis(
+        ring,
+        tuple(Polynomial(ring, tuple((m, c % p) for m, c in g.terms if c % p)) for g in gb.basis),
+    )
+
+
+def _count_basis(gb: GroebnerBasis, seed: int) -> int:
+    """The point count of :func:`count_points` from a basis over GF(p)."""
+    from .randomness import SeedStream
+
+    p = gb.ring.field_.p
     if gb.is_unit():
         return 0
     qb = quotient_basis(gb)
@@ -1123,7 +1214,7 @@ def count_points(
             f"quotient dimension {dim} is not far below characteristic {p}"
         )
     stream = SeedStream(seed)
-    coeffs = [stream.nonzero_residue(p) for _ in range(ideal.ring.nvars)]
+    coeffs = [stream.nonzero_residue(p) for _ in range(gb.ring.nvars)]
     mat = multiplication_matrix(gb, qb, coeffs)
     v1 = np.array([stream.residue(p) for _ in range(dim)], dtype=np.int64)
     v2 = np.array([stream.residue(p) for _ in range(dim)], dtype=np.int64)

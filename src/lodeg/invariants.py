@@ -8,7 +8,9 @@ into characteristic-class coefficients, and an alternating sum of them
 reads off the local Euler obstruction at the vertex of a cone.
 
 Every randomized count goes through the cross-seed, cross-prime agreement
-protocol; reported integers are exact.
+protocol; reported integers are exact.  A grid callable takes a seed and
+the policy's primes, builds and counts its system once modulo their
+product (:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .conormal import (
     slice_variety,
 )
 from .groebner import Ideal, count_points, krull_dimension
-from .poly import CoefT, InputError, PolyRing, Polynomial
+from .poly import CoefT, InputError, PolyRing, Polynomial, residue_ring
 from .randomness import (
     DEFAULT_POLICY,
     DEFAULT_PRIMES,
@@ -129,7 +131,7 @@ def _count_system(
     stream: SeedStream,
     count_seed: int,
     budget_secs: Optional[float],
-) -> int:
+) -> dict[int, int]:
     eqs = list(system.equations) + list(extra)
     eqs.extend(multiplier_slack_forms(system, stream))
     return count_points(Ideal.of(system.ring, eqs), seed=count_seed, budget_secs=budget_secs)
@@ -171,8 +173,8 @@ def lo_degree(
     """
     n = spec.n
 
-    def computation(child: int, prime: int) -> int:
-        system = multiplier_system(spec, prime)
+    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         u = list(covector) if covector is not None else stream.coefficients(n)
         pins = [
@@ -223,8 +225,8 @@ def _bidegree_computation(
 ):
     n = spec.n
 
-    def by_multiplier(child: int, prime: int) -> int:
-        system = multiplier_system(spec, prime)
+    def by_multiplier(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         restricted = restrict_base(system, _draw_base_forms(stream, n, i, None))
         duals = [
@@ -233,9 +235,9 @@ def _bidegree_computation(
         ]
         return _count_system(restricted, duals, stream, derive_seed(child, 3), budget_secs)
 
-    def by_conormal(child: int, prime: int) -> int:
+    def by_conormal(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         cono = affine_conormal_ideal(
-            spec, prime, seed=derive_seed(child, 1), budget_secs=budget_secs
+            spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
         )
         stream = SeedStream(child)
         eqs = list(cono.generators)
@@ -291,8 +293,9 @@ def variety_degree(
         spec, d, derive_seed(seed, 101), budget_secs=budget_secs
     ).spec
 
-    def computation(child: int, prime: int) -> int:
-        return count_points(target.reduce_mod(prime), seed=child, budget_secs=budget_secs)
+    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        ideal = target.reduce_mod(residue_ring(primes))
+        return count_points(ideal, seed=child, budget_secs=budget_secs)
 
     return agreed_value(computation, seed, policy, "degree by slicing to points")
 
@@ -329,8 +332,8 @@ def _polar_computation(
 ):
     n = spec.n
 
-    def by_multiplier(child: int, prime: int) -> int:
-        system = projective_multiplier_system(spec, prime, budget_secs=budget_secs)
+    def by_multiplier(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        system = projective_multiplier_system(spec, residue_ring(primes), budget_secs=budget_secs)
         stream = SeedStream(child)
         nb = system.base_count  # n + 1
         chart = _draw_base_forms(stream, nb, 1, 1)
@@ -344,9 +347,9 @@ def _polar_computation(
             duals.append(_dual_form(restricted, stream.coefficients(nb), 0))
         return _count_system(restricted, duals, stream, derive_seed(child, 3), budget_secs)
 
-    def by_conormal(child: int, prime: int) -> int:
+    def by_conormal(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         cono = projective_conormal_ideal(
-            spec, prime, seed=derive_seed(child, 1), budget_secs=budget_secs
+            spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
         )
         stream = SeedStream(child)
         ring = cono.ring
@@ -584,8 +587,8 @@ def _correspondence_once(
 
     kernel = _rational_kernel([list(c) for c, _ in forms], n)
 
-    def count_conormal_comp(child: int, prime: int) -> int:
-        system = multiplier_system(spec, prime)
+    def count_conormal_comp(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         restricted = restrict_base(system, list(sliced.forms))
         conditions = [

@@ -5,10 +5,16 @@ tuple of (monomial, coefficient) pairs kept strictly decreasing in the
 ring's active monomial order, so equal polynomials compare equal and hash
 equal.  Coefficients are ``Fraction`` values over the rationals and plain
 ``int`` residues in ``[0, p)`` over a prime field.
+
+Internally, a :class:`ResidueRing` stands for several prime fields at once:
+the integers modulo the product of distinct primes (see "Several primes at
+once" in ``groebner``).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,8 +29,10 @@ MAX_EXPONENT = 1 << 30
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.cache
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for word-sized integers."""
+    """Deterministic Miller-Rabin for word-sized integers; kept per ``n``,
+    as every grid evaluation builds its fields anew."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -54,6 +62,14 @@ class InputError(ValueError):
 
 class CoefficientError(InputError):
     """A coefficient could not be coerced into the requested field."""
+
+
+class SplitModulus(ArithmeticError):
+    """A computation modulo a product of primes reached a step whose
+    outcome may differ from prime to prime: a residue to invert, or a
+    polynomial to test for zero, vanishes modulo some of the primes but not
+    all; or a check failed, which one prime at a time may fail differently.
+    The caller reruns the computation one prime at a time."""
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,55 @@ class PrimeField:
 
     def __str__(self) -> str:
         return f"GF({self.p})"
+
+
+@dataclass(frozen=True)
+class ResidueRing(PrimeField):
+    """Integers modulo ``p``, the product of two or more distinct primes
+    ``primes``, each a valid :class:`PrimeField` characteristic.
+
+    By the Chinese remainder theorem one computation here is one
+    computation modulo each prime, as long as it never inverts a residue
+    that is not a unit: :meth:`invert` and :meth:`coerce` raise
+    :class:`SplitModulus` for one.  Arithmetic is that of
+    :class:`PrimeField` with the product as ``p``.  Internal: built by
+    :func:`residue_ring` for the agreement grid.
+    """
+
+    primes: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        for q in self.primes:
+            PrimeField(q)
+        distinct = len(set(self.primes))
+        if distinct < 2 or distinct != len(self.primes) or math.prod(self.primes) != self.p:
+            raise ValueError(f"{self.p} is not a product of distinct primes {self.primes}")
+
+    def coerce(self, value: Union[int, Fraction]) -> int:
+        if isinstance(value, Fraction) and math.gcd(value.denominator, self.p) != 1:
+            raise SplitModulus(f"denominator {value.denominator} is not a unit modulo {self}")
+        return super().coerce(value)
+
+    def invert(self, value: int) -> int:
+        try:
+            return pow(value, -1, self.p)
+        except ValueError:
+            if value % self.p == 0:
+                raise ZeroDivisionError("inverse of zero residue") from None
+            raise SplitModulus(f"{value % self.p} is not a unit modulo {self}") from None
+
+    def __str__(self) -> str:
+        return f"Z/({'*'.join(map(str, self.primes))})"
+
+
+def residue_ring(primes: Sequence[int]) -> PrimeField:
+    """GF(p) for one distinct prime, else the :class:`ResidueRing` of the
+    distinct primes in their order; every prime is validated as by
+    :class:`PrimeField`."""
+    distinct = tuple(dict.fromkeys(primes))
+    if len(distinct) == 1:
+        return PrimeField(distinct[0])
+    return ResidueRing(math.prod(distinct), distinct)
 
 
 FieldT = Union[Rationals, PrimeField]
@@ -300,6 +365,20 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def vanishes(self) -> bool:
+        """Whether the polynomial is zero, for a caller that branches on it.
+
+        Over a :class:`ResidueRing`, a polynomial that is zero modulo some
+        of the primes but not all raises :class:`SplitModulus`: those
+        primes, one at a time, would take the other branch.  It is zero
+        modulo exactly the primes that divide every coefficient."""
+        if not self.terms:
+            return True
+        fld = self.ring.field_
+        if isinstance(fld, ResidueRing) and math.gcd(fld.p, *(c for _, c in self.terms)) != 1:
+            raise SplitModulus(f"a polynomial vanishes modulo some factors of {fld}")
+        return False
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)

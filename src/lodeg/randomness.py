@@ -14,6 +14,12 @@ Counts obtained from random data are only reported once they agree across
 every (seed, prime) pair demanded by an :class:`AgreementPolicy`; a
 disagreement after the configured retries raises :class:`Instability`
 carrying everything observed.
+
+The grid runs one computation per seed for all of the policy's primes at
+once, modulo their product (see "Several primes at once" in ``groebner``).
+When that computation splits (``SplitModulus``: some prime would take
+another branch), the trial falls back to the same computation one prime at
+a time, so every observation is still that of one (seed, prime) pair.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .poly import InputError
+from .poly import InputError, SplitModulus
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -110,16 +116,19 @@ DEFAULT_POLICY = AgreementPolicy()
 
 
 def agreed_value(
-    computation: Callable[[int, int], int],
+    computation: Callable[[int, tuple[int, ...]], dict[int, int]],
     seed: int,
     policy: AgreementPolicy = DEFAULT_POLICY,
     context: str = "randomized count",
 ) -> int:
-    """Run ``computation(seed, prime)`` over the policy grid until agreement.
+    """Run ``computation(seed, primes)``, which returns ``{prime: value}``,
+    over the policy grid until agreement.
 
-    Every attempt uses fresh derived seeds; values must match exactly.  The
-    callable may raise ``NotZeroDimensional`` or ``DegenerateSlice`` for an
-    unlucky draw -- those are treated as a failed trial and retried.
+    Each seed gets one call with all of the policy's primes; if it raises
+    ``SplitModulus``, one call per distinct prime, in order.  Every attempt
+    uses fresh derived seeds; values must match exactly.  The callable may
+    raise ``NotZeroDimensional`` or ``DegenerateSlice`` for an unlucky draw
+    -- those are treated as a failed trial and retried.
     """
     from .conormal import DegenerateSlice
     from .groebner import NotZeroDimensional
@@ -130,13 +139,17 @@ def agreed_value(
         degenerate = False
         for s_index in range(policy.seeds_per_trial):
             child = derive_seed(seed, attempt * policy.seeds_per_trial + s_index)
-            for prime in policy.primes:
+            try:
                 try:
-                    observations[(child, prime)] = computation(child, prime)
-                except (NotZeroDimensional, DegenerateSlice):
-                    degenerate = True
-                    break
-            if degenerate:
+                    found = computation(child, policy.primes)
+                    observations.update(((child, p), found[p]) for p in policy.primes)
+                except SplitModulus:
+                    # One prime at a time; a degenerate draw at a later
+                    # prime keeps the observations before it.
+                    for prime in dict.fromkeys(policy.primes):
+                        observations[(child, prime)] = computation(child, (prime,))[prime]
+            except (NotZeroDimensional, DegenerateSlice):
+                degenerate = True
                 break
         if not degenerate:
             values = set(observations.values())

@@ -95,6 +95,38 @@ class TestReports:
         assert report["config"]["primes"] == [2147483629]
         assert primes == [2147483629]
 
+    def test_dimension_uses_the_requested_prime(self, monkeypatch, capsys):
+        from lodeg import conormal
+
+        real = conormal.krull_dimension
+        fields = []
+
+        def spied(source, budget_secs=None):
+            fields.append(source.ring.field_)
+            return real(source, budget_secs=budget_secs)
+
+        monkeypatch.setattr(conormal, "krull_dimension", spied)
+        code, report = run_json(
+            capsys, "lodeg", data_path("sphere.json"), "--prime", "2147483629"
+        )
+        assert code == EXIT_OK
+        assert report["results"]["lo_degree"] == 2
+        assert fields
+        assert all(fld.p % 2147483647 for fld in fields)
+
+    def test_dimension_disagreement_is_instability(self, tmp_path, capsys):
+        split = tmp_path / "split.json"
+        split.write_text(
+            json.dumps({"variables": ["x", "y"], "polynomials": ["2147483647*x", "y"]})
+        )
+        code, out, err = run_cli(capsys, "lodeg", str(split))
+        assert code == EXIT_INSTABILITY
+        assert out == ""
+        assert err == (
+            "instability: dimension of the vanishing locus: no agreement across trials: "
+            "(seed=0, prime=2147483629) -> 0, (seed=0, prime=2147483647) -> 1\n"
+        )
+
     def test_correspondence_worked_example(self, capsys):
         code, report = run_json(
             capsys,

@@ -54,6 +54,21 @@ class TestVarietySpec:
         assert ideal.ring.field_.p == DEFAULT_PRIMES[0]
         assert len(ideal.generators) == 1
 
+    def test_dimension_at_the_given_primes(self):
+        # x vanishes modulo the first default prime only: the basis modulo
+        # both primes splits, and the per-prime dimensions disagree.
+        gens = [f"{DEFAULT_PRIMES[0]}*x", "y"]
+        assert VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[:1]).dimension == 1
+        assert VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[1:]).dimension == 0
+        with pytest.raises(Instability, match="dimension of the vanishing locus"):
+            VarietySpec.define(("x", "y"), gens)
+
+    def test_dimension_after_a_split_when_primes_agree(self):
+        # The leading coefficient of x^2*y splits the run; both primes give
+        # the points y = +-1, x^2 = 2 / (c*y + 1).
+        gens = [f"{DEFAULT_PRIMES[0]}*x^2*y + x^2 - 2", "y^2 - 1"]
+        assert VarietySpec.define(("x", "y"), gens).dimension == 0
+
 
 def _q(*values):
     return tuple(Fraction(v) for v in values)

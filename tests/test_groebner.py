@@ -33,11 +33,14 @@ from lodeg.poly import (
     Polynomial,
     PrimeField,
     QQ,
+    ResidueRing,
+    SplitModulus,
     block_order,
     mono_divides,
     mono_lcm,
+    residue_ring,
 )
-from lodeg.randomness import Instability
+from lodeg.randomness import COEFF_BOUND, DEFAULT_PRIMES, Instability
 
 P1 = 2147483647
 
@@ -530,11 +533,11 @@ class TestZeroDimensional:
     def test_count_distinct_points_of_curve_pair(self):
         r = fring("x", "y")
         ideal = Ideal.of(r, [r.parse("x^2 + y^2 - 1"), r.parse("y - x^2")])
-        assert count_points(ideal, seed=12345) == 4
+        assert count_points(ideal, seed=12345)[P1] == 4
 
     def test_count_empty_system(self):
         r = fring("x")
-        assert count_points(Ideal.of(r, [r.parse("x"), r.parse("x - 1")]), seed=1) == 0
+        assert count_points(Ideal.of(r, [r.parse("x"), r.parse("x - 1")]), seed=1)[P1] == 0
 
     def test_count_requires_prime_field(self):
         r = qring("x")
@@ -545,7 +548,7 @@ class TestZeroDimensional:
         # (x-1)^3 (x-2) has two distinct roots
         r = fring("x")
         f = r.parse("(x - 1)^3 * (x - 2)")
-        assert count_points(Ideal.of(r, [f]), seed=9) == 2
+        assert count_points(Ideal.of(r, [f]), seed=9)[P1] == 2
 
     def test_count_matches_product_of_linear_factors(self):
         r = fring("x")
@@ -554,7 +557,7 @@ class TestZeroDimensional:
         f = r.one()
         for a in roots:
             f = f * (x - a)
-        assert count_points(Ideal.of(r, [f]), seed=77) == len(set(roots))
+        assert count_points(Ideal.of(r, [f]), seed=77)[P1] == len(set(roots))
 
     def test_count_rejects_primes_beyond_int64_products(self):
         r = PolyRing(("x",), PrimeField(4294967291), GREVLEX)
@@ -566,6 +569,73 @@ class TestZeroDimensional:
         # stand-in ring is impossible (primes must exceed 2^30), so assert
         # the exception type exists and derives from RuntimeError
         assert issubclass(CharacteristicHazard, RuntimeError)
+
+
+THREE_PRIMES = (P1, 2147483629, 1073741827)
+
+
+class TestSeveralPrimes:
+    """One basis modulo a product of primes, split per prime, against each
+    prime's own basis (see "Several primes at once")."""
+
+    @staticmethod
+    def integer_generators(rng, ring, count, degree, terms):
+        # Integer data below every prime: the same system modulo each.
+        monos = [
+            m for m in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(m) <= degree
+        ]
+        return [
+            ring.from_terms((m, rng.randrange(1, COEFF_BOUND)) for m in rng.sample(monos, terms))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, THREE_PRIMES], ids=["two", "three"])
+    def test_split_basis_is_each_primes_basis(self, primes):
+        rng = random.Random(f"split:{len(primes)}")
+        checked = 0
+        for n in range(2, 6):
+            for order in _orders(n):
+                ring = PolyRing(tuple(f"x{i}" for i in range(n)), residue_ring(primes), order)
+                # Square, then with one generator fewer and one more.
+                for count in (n, n - 1, n + 1):
+                    gens = self.integer_generators(rng, ring, count, 2, 3)
+                    gb = buchberger(Ideal.of(ring, gens))
+                    for p in primes:
+                        ring_p = ring.with_field(PrimeField(p))
+                        own = buchberger(Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens]))
+                        assert groebner._split_basis(gb, p) == own
+                    checked += 1
+        assert checked == 3 * sum(n + 1 for n in range(2, 6))
+
+    def test_tail_terms_vanishing_at_one_prime_are_dropped(self):
+        # A tail coefficient zero modulo P1 only needs no inversion.
+        ring = PolyRing(("x", "y"), residue_ring(DEFAULT_PRIMES), GREVLEX)
+        gens = [ring.parse(f"x - {P1}*y"), ring.parse("y^2 - 1")]
+        gb = buchberger(Ideal.of(ring, gens))
+        for p in DEFAULT_PRIMES:
+            ring_p = ring.with_field(PrimeField(p))
+            own = buchberger(Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens]))
+            assert groebner._split_basis(gb, p) == own
+        assert [str(g) for g in groebner._split_basis(gb, P1).basis] == ["y^2 + 2147483646", "x"]
+
+    def diverging_ideal(self, fld):
+        # The leading coefficient P1 of x^2*y vanishes modulo P1 only.
+        ring = PolyRing(("x", "y"), fld, GREVLEX)
+        return Ideal.of(ring, [ring.parse(f"{P1}*x^2*y + x^2 - 2"), ring.parse("y^2 - 1")])
+
+    def test_a_non_unit_leading_coefficient_splits(self):
+        with pytest.raises(SplitModulus):
+            buchberger(self.diverging_ideal(residue_ring(DEFAULT_PRIMES)))
+
+    def test_count_points_counts_every_prime(self):
+        ring = PolyRing(("x", "y"), residue_ring(THREE_PRIMES), GREVLEX)
+        ideal = Ideal.of(ring, [ring.parse("x^2 + y^2 - 1"), ring.parse("y - x^2")])
+        counts = count_points(ideal, seed=12345)
+        assert counts == {p: 4 for p in THREE_PRIMES}
+        for p in THREE_PRIMES:
+            ring_p = ring.with_field(PrimeField(p))
+            alone = Ideal.of(ring_p, [g.to_ring(ring_p) for g in ideal.generators])
+            assert count_points(alone, seed=12345) == {p: 4}
 
 
 class TestGroebnerBasisType:

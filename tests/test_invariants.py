@@ -108,6 +108,21 @@ class TestSectional:
         assert sectional_lo_degrees(twisted_cubic).values == (2, 3)
 
 
+    def test_slices_honour_the_budget(self, sphere, monkeypatch):
+        from lodeg import conormal
+
+        real = conormal.krull_dimension
+        budgets = []
+
+        def recorded(source, budget_secs=None):
+            budgets.append(budget_secs)
+            return real(source, budget_secs=budget_secs)
+
+        monkeypatch.setattr(conormal, "krull_dimension", recorded)
+        sectional_lo_degrees(sphere, seed=3, budget_secs=7.0)
+        assert budgets and set(budgets) == {7.0}
+
+
 class TestVarietyDegree:
     def test_sphere(self, sphere):
         assert variety_degree(sphere) == 2

@@ -12,10 +12,13 @@ from lodeg.poly import (
     PolyRing,
     PrimeField,
     QQ,
+    ResidueRing,
+    SplitModulus,
     block_order,
     fresh_name,
     fresh_names,
     parse_polynomial,
+    residue_ring,
 )
 
 
@@ -187,6 +190,53 @@ class TestFields:
         assert QQ.invert(Fraction(3, 7)) == Fraction(7, 3)
         with pytest.raises(ZeroDivisionError):
             QQ.invert(Fraction(0))
+
+
+class TestResidueRing:
+    """Several primes at once: the integers modulo their product."""
+
+    Q = 2147483629
+
+    def test_built_from_the_distinct_primes_in_order(self):
+        fld = residue_ring((P, self.Q, P))
+        assert isinstance(fld, ResidueRing)
+        assert fld.primes == (P, self.Q)
+        assert fld.p == P * self.Q
+        assert str(fld) == f"Z/({P}*{self.Q})"
+        assert residue_ring((P, P)) == PrimeField(P)
+
+    def test_every_prime_is_validated(self):
+        with pytest.raises(CoefficientError):
+            residue_ring((P, 7))
+        with pytest.raises(ValueError):
+            ResidueRing(P * self.Q + 2, (P, self.Q))
+
+    def test_non_units_split(self):
+        fld = residue_ring((P, self.Q))
+        assert fld.invert(3) * 3 % fld.p == 1
+        with pytest.raises(SplitModulus):
+            fld.invert(P)
+        with pytest.raises(ZeroDivisionError):
+            fld.invert(0)
+        assert fld.coerce(Fraction(1, 2)) * 2 % fld.p == 1
+        with pytest.raises(SplitModulus):
+            fld.coerce(Fraction(1, self.Q))
+
+    def test_split_is_caught_by_no_existing_handler(self):
+        from lodeg.conormal import DegenerateSlice, InvalidVariety
+
+        for base in (ValueError, ZeroDivisionError, DegenerateSlice, InvalidVariety):
+            assert not issubclass(SplitModulus, base)
+
+    def test_vanishes(self):
+        ring = PolyRing(("x", "y"), residue_ring((P, self.Q)), GREVLEX)
+        assert ring.zero().vanishes()
+        assert not ring.parse("3*x + 5").vanishes()
+        # Zero modulo P only: P alone would branch the other way.
+        with pytest.raises(SplitModulus):
+            (ring.parse("x + 2*y") * P).vanishes()
+        field_ring = PolyRing(("x", "y"), PrimeField(P), GREVLEX)
+        assert not field_ring.parse("x + 2*y").vanishes()
 
 
 class TestFreshNames:

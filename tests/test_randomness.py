@@ -1,6 +1,7 @@
 import pytest
 
-from lodeg.groebner import NotZeroDimensional
+from lodeg.groebner import Ideal, NotZeroDimensional, count_points
+from lodeg.poly import GREVLEX, PolyRing, residue_ring
 from lodeg.randomness import (
     COEFF_BOUND,
     DEFAULT_PRIMES,
@@ -46,7 +47,7 @@ def test_derive_seed_decorrelates():
 
 class TestAgreement:
     def test_constant_computation(self):
-        assert agreed_value(lambda s, p: 7, seed=1) == 7
+        assert agreed_value(lambda s, primes: dict.fromkeys(primes, 7), seed=1) == 7
 
     def test_policy_rejects_degenerate_settings(self):
         with pytest.raises(ValueError):
@@ -55,8 +56,8 @@ class TestAgreement:
             AgreementPolicy(primes=())
 
     def test_disagreement_raises_with_observations(self):
-        def flaky(seed, prime):
-            return prime % 1000
+        def flaky(seed, primes):
+            return {prime: prime % 1000 for prime in primes}
 
         with pytest.raises(Instability) as exc:
             agreed_value(flaky, seed=1, context="flaky count")
@@ -67,15 +68,15 @@ class TestAgreement:
         policy = AgreementPolicy(seeds_per_trial=1, primes=(DEFAULT_PRIMES[0],))
         bad_child = derive_seed(5, 0)
 
-        def sometimes_degenerate(seed, prime):
+        def sometimes_degenerate(seed, primes):
             if seed == bad_child:
                 raise NotZeroDimensional("unlucky slice")
-            return 11
+            return dict.fromkeys(primes, 11)
 
         assert agreed_value(sometimes_degenerate, seed=5, policy=policy) == 11
 
     def test_persistent_degeneracy_becomes_instability(self):
-        def always_degenerate(seed, prime):
+        def always_degenerate(seed, primes):
             raise NotZeroDimensional("never finite")
 
         with pytest.raises(Instability):
@@ -84,12 +85,60 @@ class TestAgreement:
     def test_all_pairs_consulted(self):
         calls = []
 
-        def tracker(seed, prime):
-            calls.append((seed, prime))
-            return 1
+        def tracker(seed, primes):
+            calls.extend((seed, prime) for prime in primes)
+            return dict.fromkeys(primes, 1)
 
         policy = AgreementPolicy(seeds_per_trial=2, primes=DEFAULT_PRIMES)
         agreed_value(tracker, seed=8, policy=policy)
         assert len(calls) == 4
         assert {p for _, p in calls} == set(DEFAULT_PRIMES)
         assert len({s for s, _ in calls}) == 2
+
+
+class TestSplitFallback:
+    """A trial whose computation modulo the product of the primes splits is
+    rerun one prime at a time, and observes what one-prime policies do."""
+
+    def recorded(self, leading):
+        # ``leading`` has the coefficient P of the first default prime, which
+        # is zero modulo P only: the run modulo the product must split.
+        P = DEFAULT_PRIMES[0]
+        calls, seen = [], {}
+
+        def count(child, primes):
+            calls.append(primes)
+            ring = PolyRing(("x", "y"), residue_ring(primes), GREVLEX)
+            ideal = Ideal.of(ring, [ring.parse(f"{P}*{leading} + x^2 - 2"), ring.parse("y^2 - 1")])
+            found = count_points(ideal, seed=child)
+            seen.update(((child, p), v) for p, v in found.items())
+            return found
+
+        return count, calls, seen
+
+    def one_prime_observations(self, leading, policy):
+        merged = {}
+        for prime in DEFAULT_PRIMES:
+            count, _, seen = self.recorded(leading)
+            solo = AgreementPolicy(policy.seeds_per_trial, (prime,), policy.max_retries)
+            agreed_value(count, seed=4, policy=solo)
+            merged.update(seen)
+        return merged
+
+    def test_fallback_agrees_with_one_prime_policies(self):
+        # Four points modulo either prime: x^2 = 2 / (P*y + 1) and y = +-1.
+        policy = AgreementPolicy(seeds_per_trial=2, primes=DEFAULT_PRIMES, max_retries=0)
+        count, calls, seen = self.recorded("x^2*y")
+        assert agreed_value(count, seed=4, policy=policy) == 4
+        assert calls == [DEFAULT_PRIMES, (DEFAULT_PRIMES[0],), (DEFAULT_PRIMES[1],)] * 2
+        assert seen == self.one_prime_observations("x^2*y", policy)
+
+    def test_fallback_disagreement_reports_one_prime_observations(self):
+        # P*x^3 + x^2 - 2 has two roots modulo P and three modulo the other.
+        policy = AgreementPolicy(seeds_per_trial=2, primes=DEFAULT_PRIMES, max_retries=0)
+        count, _, _ = self.recorded("x^3")
+        with pytest.raises(Instability) as exc:
+            agreed_value(count, seed=4, policy=policy)
+        observations = self.one_prime_observations("x^3", policy)
+        assert exc.value.observations == observations
+        assert sorted(set(observations.values())) == [4, 6]

@@ -31,6 +31,16 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["sphere.bidegrees.text"] = ["bidegrees", "tests/data/sphere.json", "--format", "text"]
     cases["quadric_cone.verify.text"] = ["verify", "tests/data/quadric_cone.json", "--format", "text"]
+    # Prime lists: three factors from the smallest to the largest accepted
+    # prime, one prime repeated, and one prime other than the defaults.
+    cases["sphere.bidegrees.three_primes"] = [
+        "bidegrees", "tests/data/sphere.json",
+        "--prime", "1073741827", "--prime", "2147483629", "--prime", "3037000493",
+    ]
+    cases["quadric_cone.lodeg.repeated_prime"] = [
+        "lodeg", "tests/data/quadric_cone.json", "--prime", "2147483647", "--prime", "2147483647",
+    ]
+    cases["sphere.polar.one_prime"] = ["polar", "tests/data/sphere.json", "--prime", "2147483629"]
     return cases
 
 
