@@ -12,8 +12,9 @@ the library call.  Per-stage times come from the benchmark's opt-in tracer
 Exit codes (the ``FAILURES`` table): 0 success, 2 the recounts never
 agreed (including an unlucky random saturation, or a characteristic
 hazard), 3 bad input (a usage error, any ``poly.InputError``, including
-inputs whose degrees exceed what the Groebner engine represents, or data
-that degenerates a slice), 4 budget exhausted, 5 a verified identity
+inputs whose degrees exceed what the Groebner engine represents or whose
+generators have a Jacobian of too low a rank, or data that degenerates a
+slice), 4 budget exhausted, 5 a verified identity
 failed, 6 internal error.  Every failure prints one line to stderr and no
 traceback; ``--help`` exits 0.
 """

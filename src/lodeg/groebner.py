@@ -148,10 +148,20 @@ Without a split, every reducer mod ``p_i`` is the reducer of the run mod
 ``p_i``: same leading monomial, monic.  Every criterion and selection looks
 only at leading monomials and signatures, which agree.  So the run mod
 ``p_i`` is a valid run of the same algorithm, perhaps with its inputs in
-another order, and the reduced basis, being unique, is the basis mod
-``p_i``: :func:`count_points` takes it term by term, dropping the terms that
-vanish there.  Then the cheap per-prime steps (quotient basis, matrix,
-Krylov) run once per prime, below ``MAX_MATRIX_PRIME``.
+another order, and the reduced basis, being unique, read mod ``p_i`` is the
+basis mod ``p_i``.  It is monic, and its leading monomials are the same mod
+every prime, so :func:`count_points` runs its tail once over ``Z/N`` too:
+
+- :func:`quotient_basis` reads only leading monomials, so one call gives
+  each prime's quotient basis.
+- A normal form by monic reducers inverts nothing (``_basis_reducers``
+  inverts only leading coefficients equal to 1), and its one zero test is
+  harmless (below), so every normal form of :func:`multiplication_matrix`,
+  read mod ``p_i``, is the normal form mod ``p_i``.  No ``SplitModulus``
+  can arise in the tail.
+
+Only the matrix mod ``p_i`` of a random form and its Krylov polynomials
+are built once per prime, below ``MAX_MATRIX_PRIME``.
 
 Every zero test crossed mod ``N`` is followed by an inversion of the same
 value, is harmless, or raises ``SplitModulus`` itself:
@@ -163,7 +173,10 @@ value, is harmless, or raises ``SplitModulus`` itself:
   that is zero mod ``p_i`` only splits.  That covers an input generator
   that vanishes mod ``p_i`` only: it reduces to such a remainder or to zero.
   The width guard checks such a term too, though mod ``p_i`` it is absent:
-  a limit on degrees that the counts stay far below.
+  a limit on degrees that the counts stay far below.  The normal forms of
+  :func:`multiplication_matrix` cross the same test; they end in a
+  remainder, never a reducer, so nothing is inverted and a coefficient
+  zero mod ``p_i`` only stays in the table as a zero mod ``p_i``.
 - ``conormal.restrict_base`` drops a vanishing equation, and
   ``conormal._rank_minors`` a vanishing minor, through
   ``Polynomial.vanishes``, which raises for one that vanishes mod some
@@ -217,8 +230,8 @@ from .poly import (
 
 DEFAULT_BUDGET_SECS = 120.0
 
-# Largest characteristic the point counter accepts: the matrix and Krylov
-# steps multiply two residues in int64 arrays, so (p - 1)**2 < 2**63.
+# Largest characteristic the point counter accepts: the Krylov steps
+# multiply two residues in int64 arrays, so (p - 1)**2 < 2**63.
 MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
 
 # Width of one digit of a packed monomial, and the bound every checked
@@ -1111,35 +1124,35 @@ def _matvec_mod(mat: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return prod.sum(axis=1) % p
 
 
-def multiplication_matrix(
-    gb: GroebnerBasis,
-    qb: QuotientBasis,
-    coefficients: Sequence[int],
-) -> np.ndarray:
-    """Matrix of multiplication by sum(c_i * x_i) on the quotient algebra."""
+def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> np.ndarray:
+    """Multiplication by each variable on the quotient algebra.
+
+    Returns an object array of shape ``(nvars, dim, dim)``: ``tables[i]``
+    has in column ``j`` the normal form of ``m_j * x_i``, ``m_j`` the
+    ``j``-th standard monomial, as Python-int coefficients reduced modulo
+    the field's modulus (which may exceed 64 bits over a
+    :class:`~lodeg.poly.ResidueRing`).  Multiplication by ``sum(c_i * x_i)``
+    is ``sum(c_i * tables[i])``.
+    """
     ring = gb.ring
-    fld = ring.field_
-    if not isinstance(fld, PrimeField):
+    if not isinstance(ring.field_, PrimeField):
         raise TypeError("multiplication matrices are built over prime fields only")
-    p = fld.p
     n = ring.nvars
     pk = _Packing(ring)
     index = {pk.pack(m): i for i, m in enumerate(qb.monomials)}
     dim = len(index)
-    mat = np.zeros((dim, dim), dtype=np.int64)
+    tables = np.zeros((n, dim, dim), dtype=object)
     normalize, _ = _field_ops(ring)
     reducers = _basis_reducers(gb, pk)
     variables = [pk.pack(tuple(int(j == i) for j in range(n))) for i in range(n)]
     nf_cache: dict[int, dict] = {}
     for col, m in enumerate(index):
         for i, x in enumerate(variables):
-            ci = coefficients[i] % p
-            if ci == 0:
-                continue
+            table = tables[i]
             sm = m + x
             row = index.get(sm)
             if row is not None:
-                mat[row, col] = (mat[row, col] + ci) % p
+                table[row, col] = 1
                 continue
             nf = nf_cache.get(sm)
             if nf is None:
@@ -1148,9 +1161,9 @@ def multiplication_matrix(
                 nf = _reduce_full({sm: 1}, reducers, pk, normalize)
                 nf_cache[sm] = nf
             for mm, cc in nf.items():
-                row = index[mm]
-                mat[row, col] = (mat[row, col] + ci * cc) % p
-    return mat
+                table[index[mm], col] = cc
+    return tables
+
 
 def count_points(
     ideal: Ideal,
@@ -1161,14 +1174,16 @@ def count_points(
     algebraic closure of GF(p), for each prime ``p`` of the ideal's field:
     ``{p: count}``.
 
-    One Buchberger basis is computed over the field, a
-    :class:`~lodeg.poly.ResidueRing` of several primes included, and split
-    modulo each prime (see "Several primes at once").  Then, per prime, the
-    count is the number of distinct eigenvalues of a seeded random linear
-    form acting on the quotient algebra: the squarefree part of its minimal
-    polynomial (the lcm of two Krylov-vector minimal polynomials) has one
-    root per solution once the form separates the points.  Each prime draws
-    its form and vectors from a fresh ``SeedStream(seed)``.
+    One Buchberger basis, one quotient basis and one set of normal forms
+    (:func:`multiplication_matrix`) are computed over the field, a
+    :class:`~lodeg.poly.ResidueRing` of several primes included; read
+    modulo each prime they are that prime's own (see "Several primes at
+    once").  Then, per prime, the count is the number of distinct
+    eigenvalues of a seeded random linear form acting on the quotient
+    algebra: the squarefree part of its minimal polynomial (the lcm of two
+    Krylov-vector minimal polynomials) has one root per solution once the
+    form separates the points.  Each prime draws its form and vectors from
+    a fresh ``SeedStream(seed)``.
     """
     fld = ideal.ring.field_
     if not isinstance(fld, PrimeField):
@@ -1181,41 +1196,29 @@ def count_points(
                 "would overflow 64-bit integers"
             )
     gb = buchberger(ideal, budget_secs=budget_secs)
-    return {p: _count_basis(_split_basis(gb, p), seed) for p in primes}
-
-
-def _split_basis(gb: GroebnerBasis, p: int) -> GroebnerBasis:
-    """The basis modulo the prime ``p`` of its field, dropping the terms
-    that vanish there; the reduced basis over GF(p) when ``gb`` is a reduced
-    basis over a :class:`~lodeg.poly.ResidueRing` computed without a
-    split."""
-    if not isinstance(gb.ring.field_, ResidueRing):
-        return gb
-    ring = gb.ring.with_field(PrimeField(p))
-    return GroebnerBasis(
-        ring,
-        tuple(Polynomial(ring, tuple((m, c % p) for m, c in g.terms if c % p)) for g in gb.basis),
-    )
-
-
-def _count_basis(gb: GroebnerBasis, seed: int) -> int:
-    """The point count of :func:`count_points` from a basis over GF(p)."""
-    from .randomness import SeedStream
-
-    p = gb.ring.field_.p
     if gb.is_unit():
-        return 0
+        return {p: 0 for p in primes}
     qb = quotient_basis(gb)
     dim = len(qb)
-    if dim == 0:
-        return 0
-    if dim >= p:
-        raise CharacteristicHazard(
-            f"quotient dimension {dim} is not far below characteristic {p}"
-        )
+    for p in primes:
+        if dim >= p:
+            raise CharacteristicHazard(
+                f"quotient dimension {dim} is not far below characteristic {p}"
+            )
+    tables = multiplication_matrix(gb, qb)
+    return {p: _count_modulo(tables, p, seed) for p in primes}
+
+
+def _count_modulo(tables: np.ndarray, p: int, seed: int) -> int:
+    """The point count of :func:`count_points` at the prime ``p`` from the
+    tables of :func:`multiplication_matrix`."""
+    from .randomness import SeedStream
+
+    nvars, dim, _ = tables.shape
     stream = SeedStream(seed)
-    coeffs = [stream.nonzero_residue(p) for _ in range(gb.ring.nvars)]
-    mat = multiplication_matrix(gb, qb, coeffs)
+    coeffs = np.array([stream.nonzero_residue(p) for _ in range(nvars)], dtype=object)
+    # Exact Python-int sums, reduced once: every entry is then below p.
+    mat = (np.tensordot(coeffs, tables, axes=1) % p).astype(np.int64)
     v1 = np.array([stream.residue(p) for _ in range(dim)], dtype=np.int64)
     v2 = np.array([stream.residue(p) for _ in range(dim)], dtype=np.int64)
     if not v1.any():

@@ -50,6 +50,11 @@ class NotACone(InputError):
     """Raised when a cone-point invariant is asked of a non-homogeneous input."""
 
 
+class DegenerateJacobian(InputError):
+    """The generators do not cut out the variety with a Jacobian of full
+    rank along it, so the multiplier systems count nothing."""
+
+
 @dataclass(frozen=True)
 class DegreeVector:
     """Integer invariants indexed by slice codimension 0..d.
@@ -107,7 +112,13 @@ def _counting_vector(kind: str, values: Sequence[int], d: int, n: int) -> Degree
     if any(v < 0 for v in vec.values):
         raise RuntimeError(f"{kind} counts came out negative: {vec.values}")
     if vec.values[-1] < 1:
-        raise RuntimeError(f"{kind} top count must be at least 1: {vec.values}")
+        # The top entry counts the points of a generic section of
+        # codimension d, which is deg X >= 1; it is 0 when the Jacobian of
+        # the generators has rank below the codimension along X.
+        raise DegenerateJacobian(
+            f"{kind} top count is {vec.values[-1]}, not deg X >= 1: the generators "
+            "must cut X out with a Jacobian of full rank along it (for example, not x^2)"
+        )
     return vec
 
 

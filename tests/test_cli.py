@@ -423,6 +423,20 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert "duplicate variable names" in err
 
+    @pytest.mark.parametrize("command", ["bidegrees", "sectional", "polar", "chern_mather"])
+    def test_degenerate_jacobian_is_an_input_error(self, tmp_path, capsys, command):
+        # x^2 cuts out the line x = 0 with a zero Jacobian there, so the
+        # top count, deg X, comes out 0.
+        bad = tmp_path / "double_line.json"
+        bad.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^2"]}))
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("input error: ")
+        assert "Jacobian of full rank" in err
+        assert err.count("\n") == 1
+
     def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("an internal check failed")

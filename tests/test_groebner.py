@@ -526,7 +526,7 @@ class TestZeroDimensional:
         r = fring("x")
         gb = buchberger(Ideal.of(r, [r.parse("x^2 - 2")]))
         qb = quotient_basis(gb)
-        mat = multiplication_matrix(gb, qb, [1])
+        (mat,) = multiplication_matrix(gb, qb)
         # basis (1, x): multiplying by x sends 1 -> x and x -> 2
         assert mat.tolist() == [[0, 2], [1, 0]]
 
@@ -572,6 +572,18 @@ class TestZeroDimensional:
 
 
 THREE_PRIMES = (P1, 2147483629, 1073741827)
+# The largest accepted prime: with it the product of three exceeds 2**63.
+WIDE_PRIMES = (P1, 2147483629, 3037000493)
+
+
+def split_basis(gb, p):
+    """The basis modulo the prime ``p`` of its field, dropping the terms
+    that vanish there: the oracle for a basis over a ResidueRing."""
+    ring = gb.ring.with_field(PrimeField(p))
+    return GroebnerBasis(
+        ring,
+        tuple(Polynomial(ring, tuple((m, c % p) for m, c in g.terms if c % p)) for g in gb.basis),
+    )
 
 
 class TestSeveralPrimes:
@@ -603,7 +615,7 @@ class TestSeveralPrimes:
                     for p in primes:
                         ring_p = ring.with_field(PrimeField(p))
                         own = buchberger(Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens]))
-                        assert groebner._split_basis(gb, p) == own
+                        assert split_basis(gb, p) == own
                     checked += 1
         assert checked == 3 * sum(n + 1 for n in range(2, 6))
 
@@ -615,8 +627,92 @@ class TestSeveralPrimes:
         for p in DEFAULT_PRIMES:
             ring_p = ring.with_field(PrimeField(p))
             own = buchberger(Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens]))
-            assert groebner._split_basis(gb, p) == own
-        assert [str(g) for g in groebner._split_basis(gb, P1).basis] == ["y^2 + 2147483646", "x"]
+            assert split_basis(gb, p) == own
+        assert [str(g) for g in split_basis(gb, P1).basis] == ["y^2 + 2147483646", "x"]
+
+    @staticmethod
+    def zero_dimensional_generators(rng, ring):
+        # x_i^2 plus an affine form: no common zero at infinity, so the
+        # quotient has dimension 2^n under every order.
+        n = ring.nvars
+        gens = []
+        for i in range(n):
+            terms = {tuple(2 * (j == i) for j in range(n)): rng.randrange(1, COEFF_BOUND)}
+            for j in rng.sample(range(n + 1), 3):
+                terms[tuple(int(k == j) for k in range(n))] = rng.randrange(1, COEFF_BOUND)
+            gens.append(ring.from_terms(terms.items()))
+        return gens
+
+    @staticmethod
+    def assert_shared_tail(ring, gens, seed):
+        """The ring's quotient basis, tables and counts, read modulo each
+        prime, are that prime's own."""
+        gb = buchberger(Ideal.of(ring, gens))
+        qb = quotient_basis(gb)
+        tables = multiplication_matrix(gb, qb)
+        counts = count_points(Ideal.of(ring, gens), seed=seed)
+        assert list(counts) == list(ring.field_.primes)
+        for p in ring.field_.primes:
+            own = split_basis(gb, p)
+            own_qb = quotient_basis(own)
+            assert own_qb.monomials == qb.monomials
+            assert np.array_equal(tables % p, multiplication_matrix(own, own_qb))
+            ring_p = ring.with_field(PrimeField(p))
+            alone = Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens])
+            assert count_points(alone, seed=seed) == {p: counts[p]}
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    def test_shared_tail_is_each_primes_tail(self, primes):
+        rng = random.Random(f"tail:{len(primes)}")
+        checked = 0
+        for n in range(2, 6):
+            for order in _orders(n):
+                ring = PolyRing(tuple(f"x{i}" for i in range(n)), residue_ring(primes), order)
+                self.assert_shared_tail(ring, self.zero_dimensional_generators(rng, ring), checked)
+                checked += 1
+        assert checked == sum(n + 1 for n in range(2, 6))
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    def test_shared_tail_with_a_term_vanishing_at_one_prime(self, primes):
+        ring = PolyRing(("x", "y"), residue_ring(primes), GREVLEX)
+        gens = [ring.parse(f"x - {P1}*y"), ring.parse("y^2 - 1")]
+        self.assert_shared_tail(ring, gens, seed=3)
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Calls of the named ``groebner`` functions, counted from now on."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(groebner, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(groebner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    def test_one_tail_per_trial(self, primes, monkeypatch):
+        calls = self.count_calls(monkeypatch, "quotient_basis", "multiplication_matrix")
+        ring = PolyRing(("x", "y"), residue_ring(primes), GREVLEX)
+        ideal = Ideal.of(ring, [ring.parse("x^2 + y^2 - 1"), ring.parse("y - x^2")])
+        assert count_points(ideal, seed=12345) == {p: 4 for p in primes}
+        assert calls == {"quotient_basis": 1, "multiplication_matrix": 1}
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    def test_count_unit_ideal_is_zero_at_every_prime(self, primes):
+        ring = PolyRing(("x", "y"), residue_ring(primes), GREVLEX)
+        ideal = Ideal.of(ring, [ring.parse("x*y - 1"), ring.parse("x")])
+        assert count_points(ideal, seed=1) == {p: 0 for p in primes}
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    def test_count_positive_dimensional_raises_once(self, primes, monkeypatch):
+        calls = self.count_calls(monkeypatch, "quotient_basis")
+        ring = PolyRing(("x", "y"), residue_ring(primes), GREVLEX)
+        with pytest.raises(NotZeroDimensional):
+            count_points(Ideal.of(ring, [ring.parse("y - x^2")]), seed=1)
+        assert calls == {"quotient_basis": 1}
 
     def diverging_ideal(self, fld):
         # The leading coefficient P1 of x^2*y vanishes modulo P1 only.
