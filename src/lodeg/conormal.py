@@ -31,6 +31,7 @@ from typing import Optional, Sequence, Union
 
 from .groebner import (
     DEFAULT_BUDGET_SECS,
+    GroebnerBasis,
     Ideal,
     buchberger,
     eliminate,
@@ -544,12 +545,12 @@ def affine_conormal_ideal(
             u_k = elim_ring.gen(m + n + k)
             eqs.append(u_k - reorder(system.covector[k]))
         eliminated = eliminate(Ideal.of(elim_ring, eqs), m, budget_secs=budget_secs)
-        carried = Ideal.of(big, [g.to_ring(big) for g in eliminated.generators])
-        sat = Ideal.of(big, buchberger(carried, budget_secs=budget_secs).basis)
+        sat = Ideal.of(big, [g.to_ring(big) for g in eliminated.generators])
     else:
         raise ValueError(f"unknown conormal method {method!r}")
 
-    dim = krull_dimension(Ideal.of(big, sat.generators), budget_secs=budget_secs)
+    # Both branches leave the reduced basis of the conormal ideal.
+    dim = krull_dimension(GroebnerBasis(big, sat.generators))
     if dim != n:
         raise DimensionMismatch(
             f"conormal locus has dimension {dim}, expected {n}"
@@ -600,7 +601,7 @@ def projective_conormal_ideal(
             "(generators not bihomogeneous)",
             {(seed, fld.p): mixed},
         )
-    dim = krull_dimension(Ideal.of(big, sat.generators), budget_secs=budget_secs)
+    dim = krull_dimension(GroebnerBasis(big, sat.generators))  # the reduced basis
     if dim != n + 1:
         raise DimensionMismatch(
             f"projective conormal cone has dimension {dim}, expected {n + 1}"

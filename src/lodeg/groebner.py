@@ -3,11 +3,11 @@
 :func:`buchberger` computes reduced Groebner bases with one of two loops,
 chosen from the input (see "Two loops").  Everything downstream -- Krull
 dimension, elimination, saturation, quotient bases, and point counting via
-the squarefree part of a minimal polynomial -- is built on top of it.
+the squarefree part of a characteristic polynomial -- is built on top of it.
 
 Packed monomials
 ----------------
-Inside :func:`buchberger`, :func:`normal_form` and
+Inside :func:`buchberger`, :func:`normal_form`, :func:`quotient_basis` and
 :func:`multiplication_matrix` every monomial is one Python ``int`` of
 ``2n`` digits, ``PACK_DIGIT_BITS`` bits each, for ``n`` variables.
 Exponent tuples come back only where a :class:`Polynomial` is built.
@@ -160,8 +160,9 @@ every prime, so :func:`count_points` runs its tail once over ``Z/N`` too:
   read mod ``p_i``, is the normal form mod ``p_i``.  No ``SplitModulus``
   can arise in the tail.
 
-Only the matrix mod ``p_i`` of a random form and its Krylov polynomials
-are built once per prime, below ``MAX_MATRIX_PRIME``.
+Only the matrix mod ``p_i`` of a random form and its characteristic
+polynomial, by reduction to Hessenberg form in Python ints, are built once
+per prime, below ``MAX_MATRIX_PRIME``.
 
 Every zero test crossed mod ``N`` is followed by an inversion of the same
 value, is harmless, or raises ``SplitModulus`` itself:
@@ -210,8 +211,6 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .poly import (
     BlockOrder,
     Grevlex,
@@ -225,13 +224,13 @@ from .poly import (
     SplitModulus,
     block_order,
     fresh_name,
-    mono_divides,
 )
 
 DEFAULT_BUDGET_SECS = 120.0
 
-# Largest characteristic the point counter accepts: the Krylov steps
-# multiply two residues in int64 arrays, so (p - 1)**2 < 2**63.
+# Largest characteristic the point counter accepts, the documented range of
+# --prime.  Its arithmetic is in Python ints, so this is no longer an int64
+# limit: it stays floor(sqrt(2**63 - 1)) + 1 until lifting it is tested.
 MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
 
 # Width of one digit of a packed monomial, and the bound every checked
@@ -872,7 +871,11 @@ def krull_dimension(
 def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Ideal:
     """Intersect with the subring spanned by all but the first ``k`` variables.
 
-    The returned ideal lives in the smaller ring; it may be the zero ideal.
+    The returned ideal lives in the smaller ring, in the ring's order, and
+    its generators are its reduced Groebner basis; it may be the zero ideal.
+    The second block of ``block_order(k)`` is grevlex, so on a grevlex ring
+    the kept basis elements already are that basis; any other order
+    recomputes it.
     """
     n = ideal.ring.nvars
     if not 1 <= k < n:
@@ -888,7 +891,9 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Idea
         if any(any(m[:k]) for m, _ in g.terms):
             raise RuntimeError(f"eliminated variables left in {g}")
         kept.append(small.from_dict({m[k:]: c for m, c in g.terms}))
-    return Ideal.of(small, kept)
+    if isinstance(small.order, Grevlex):
+        return Ideal.of(small, kept)
+    return Ideal.of(small, buchberger(Ideal.of(small, kept), budget_secs=budget_secs).basis)
 
 
 def saturate(ideal: Ideal, g: Polynomial, budget_secs: Optional[float] = None) -> Ideal:
@@ -912,9 +917,7 @@ def saturate(ideal: Ideal, g: Polynomial, budget_secs: Optional[float] = None) -
     gens = [lift(p) for p in ideal.generators]
     gens.append(t * lift(g) - big.one())
     eliminated = eliminate(Ideal.of(big, gens), 1, budget_secs=budget_secs)
-    back = Ideal.of(ring, [q.to_ring(ring) for q in eliminated.generators])
-    gb = buchberger(back, budget_secs=budget_secs)
-    return Ideal.of(ring, gb.basis)
+    return Ideal.of(ring, [q.to_ring(ring) for q in eliminated.generators])
 
 
 def saturate_by_ideal(
@@ -979,23 +982,27 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
             raise NotZeroDimensional(
                 f"no pure power of {ring.variables[i]!r} among leading terms"
             )
-    seen: set[Mono] = set()
-    frontier = [(0,) * n]
-    out: list[Mono] = []
+    pk = _Packing(ring)
+    guard, over = pk.guard, pk.over
+    packed = [pk.pack(lm) for lm in lms]
+    variables = [pk.from_exponents(1 << shift) for shift in pk.shifts]
+    seen: set[int] = set()
+    frontier = [0]  # the packed monomial 1
+    out: list[int] = []
     while frontier:
         m = frontier.pop()
         if m in seen:
             continue
         seen.add(m)
-        if any(mono_divides(lm, m) for lm in lms):
+        guarded = m | guard
+        if any((guarded - lm) & guard == guard for lm in packed):
             continue
+        if m & over:
+            raise DegreeLimitExceeded()
         out.append(m)
-        for i in range(n):
-            child = list(m)
-            child[i] += 1
-            frontier.append(tuple(child))
-    out.sort(key=ring.order.key)
-    return QuotientBasis(ring, tuple(out))
+        frontier.extend(m + x for x in variables)
+    out.sort()  # packed ints compare as the monomial order
+    return QuotientBasis(ring, tuple(map(pk.unpack, out)))
 
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -1033,18 +1040,6 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _poly_monic(a, p)
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(out)
-
-
 def _poly_divexact(a: list[int], b: list[int], p: int) -> list[int]:
     out = [0] * (len(a) - len(b) + 1)
     a = a[:]
@@ -1077,62 +1072,57 @@ def _squarefree_degree(f: list[int], p: int) -> int:
     return len(sqfree) - 1
 
 
-def _poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a:
-        return _poly_monic(b[:], p)
-    if not b:
-        return _poly_monic(a[:], p)
-    g = _poly_gcd(a, b, p)
-    return _poly_monic(_poly_divexact(_poly_mul(a, b, p), g, p), p)
+def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial ``det(x*I - mat)`` mod ``p``, lowest
+    coefficient first: reduce ``mat`` to upper Hessenberg form by
+    similarities, then expand the leading blocks' determinants (Cohen,
+    GTM 138, Algorithm 2.2.9)."""
+    n = len(mat)
+    h = [[c % p for c in row] for row in mat]
+    for j in range(n - 2):
+        # Zero column j below the subdiagonal, pivoting on row j + 1.
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        top = h[j + 1]
+        for i in range(j + 2, n):
+            u = h[i][j] * inv % p
+            if not u:
+                continue
+            h[i] = [(a - u * b) % p for a, b in zip(h[i], top)]
+            for row in h:
+                row[j + 1] = (row[j + 1] + u * row[i]) % p
+    # chars[m] is the characteristic polynomial of the leading m x m block.
+    chars = [[1]]
+    for m in range(n):
+        nxt = [0] + chars[m]
+        for k, c in enumerate(chars[m]):
+            nxt[k] -= h[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = t * h[i][m]
+            for k, c in enumerate(chars[i]):
+                nxt[k] -= f * c
+        chars.append([c % p for c in nxt])
+    return chars[n]
 
 
-def _krylov_minimal_polynomial(mat: np.ndarray, v0: np.ndarray, p: int) -> list[int]:
-    """Minimal polynomial of ``mat`` relative to the start vector ``v0``."""
-    dim = mat.shape[0]
-    pivots: list[tuple[int, np.ndarray, list[int]]] = []
-    w = v0.copy()
-    combo = [1]
-    for step in range(dim + 1):
-        red = w.copy()
-        cred = combo[:]
-        for pos, row, rowcombo in pivots:
-            factor = int(red[pos])
-            if factor:
-                red = (red - factor * row) % p
-                for i, c in enumerate(rowcombo):
-                    if i < len(cred):
-                        cred[i] = (cred[i] - factor * c) % p
-                    else:
-                        cred.append((-factor * c) % p)
-        nz = np.nonzero(red)[0]
-        if nz.size == 0:
-            return _poly_monic(_poly_trim(cred), p)
-        pos = int(nz[0])
-        inv = pow(int(red[pos]), -1, p)
-        red = (red * inv) % p
-        cred = [c * inv % p for c in cred]
-        pivots.append((pos, red, cred))
-        w = _matvec_mod(mat, w, p)
-        combo = [0] + combo
-    raise RuntimeError("Krylov iteration exceeded the quotient dimension")
-
-
-def _matvec_mod(mat: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    # Residues times residues fit in int64 for p <= MAX_MATRIX_PRIME; each
-    # row sum then adds dim reduced products.
-    prod = (mat * v[np.newaxis, :]) % p
-    return prod.sum(axis=1) % p
-
-
-def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> np.ndarray:
+def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[list[int]]]:
     """Multiplication by each variable on the quotient algebra.
 
-    Returns an object array of shape ``(nvars, dim, dim)``: ``tables[i]``
-    has in column ``j`` the normal form of ``m_j * x_i``, ``m_j`` the
-    ``j``-th standard monomial, as Python-int coefficients reduced modulo
-    the field's modulus (which may exceed 64 bits over a
-    :class:`~lodeg.poly.ResidueRing`).  Multiplication by ``sum(c_i * x_i)``
-    is ``sum(c_i * tables[i])``.
+    Returns nested lists ``tables[i][row][col]``: ``tables[i]`` has in
+    column ``j`` the normal form of ``m_j * x_i``, ``m_j`` the ``j``-th
+    standard monomial, as Python ints reduced modulo the field's modulus
+    (which may exceed 64 bits over a :class:`~lodeg.poly.ResidueRing`).
+    Multiplication by ``sum(c_i * x_i)`` is ``sum(c_i * tables[i])``.
     """
     ring = gb.ring
     if not isinstance(ring.field_, PrimeField):
@@ -1141,18 +1131,17 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> np.ndarray:
     pk = _Packing(ring)
     index = {pk.pack(m): i for i, m in enumerate(qb.monomials)}
     dim = len(index)
-    tables = np.zeros((n, dim, dim), dtype=object)
+    tables = [[[0] * dim for _ in range(dim)] for _ in range(n)]
     normalize, _ = _field_ops(ring)
     reducers = _basis_reducers(gb, pk)
-    variables = [pk.pack(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    variables = [pk.from_exponents(1 << shift) for shift in pk.shifts]
     nf_cache: dict[int, dict] = {}
     for col, m in enumerate(index):
-        for i, x in enumerate(variables):
-            table = tables[i]
+        for table, x in zip(tables, variables):
             sm = m + x
             row = index.get(sm)
             if row is not None:
-                table[row, col] = 1
+                table[row][col] = 1
                 continue
             nf = nf_cache.get(sm)
             if nf is None:
@@ -1161,7 +1150,7 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> np.ndarray:
                 nf = _reduce_full({sm: 1}, reducers, pk, normalize)
                 nf_cache[sm] = nf
             for mm, cc in nf.items():
-                table[index[mm], col] = cc
+                table[index[mm]][col] = cc
     return tables
 
 
@@ -1180,10 +1169,10 @@ def count_points(
     modulo each prime they are that prime's own (see "Several primes at
     once").  Then, per prime, the count is the number of distinct
     eigenvalues of a seeded random linear form acting on the quotient
-    algebra: the squarefree part of its minimal polynomial (the lcm of two
-    Krylov-vector minimal polynomials) has one root per solution once the
-    form separates the points.  Each prime draws its form and vectors from
-    a fresh ``SeedStream(seed)``.
+    algebra (Cox, Little, O'Shea, GTM 185, ch. 2): the squarefree part of
+    its characteristic polynomial has one root per solution once the form
+    separates the points.  Each prime draws its form from a fresh
+    ``SeedStream(seed)``.
     """
     fld = ideal.ring.field_
     if not isinstance(fld, PrimeField):
@@ -1209,23 +1198,15 @@ def count_points(
     return {p: _count_modulo(tables, p, seed) for p in primes}
 
 
-def _count_modulo(tables: np.ndarray, p: int, seed: int) -> int:
+def _count_modulo(tables: list[list[list[int]]], p: int, seed: int) -> int:
     """The point count of :func:`count_points` at the prime ``p`` from the
     tables of :func:`multiplication_matrix`."""
     from .randomness import SeedStream
 
-    nvars, dim, _ = tables.shape
     stream = SeedStream(seed)
-    coeffs = np.array([stream.nonzero_residue(p) for _ in range(nvars)], dtype=object)
-    # Exact Python-int sums, reduced once: every entry is then below p.
-    mat = (np.tensordot(coeffs, tables, axes=1) % p).astype(np.int64)
-    v1 = np.array([stream.residue(p) for _ in range(dim)], dtype=np.int64)
-    v2 = np.array([stream.residue(p) for _ in range(dim)], dtype=np.int64)
-    if not v1.any():
-        v1[0] = 1
-    if not v2.any():
-        v2[-1] = 1
-    m1 = _krylov_minimal_polynomial(mat, v1, p)
-    m2 = _krylov_minimal_polynomial(mat, v2, p)
-    minimal = _poly_lcm(m1, m2, p)
-    return _squarefree_degree(minimal, p)
+    coeffs = [stream.nonzero_residue(p) for _ in tables]
+    mat = [
+        [sum(c * e for c, e in zip(coeffs, entries)) % p for entries in zip(*rows)]
+        for rows in zip(*tables)
+    ]
+    return _squarefree_degree(_charpoly_mod(mat, p), p)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -494,6 +497,14 @@ class TestParser:
             main(["bidegrees", "--help"])
         assert exit_.value.code == 0
         assert "--budget-secs" in capsys.readouterr().out
+
+    def test_import_leaves_numpy_out(self):
+        # The package has no runtime dependency: a fresh interpreter that
+        # imports it and its CLI has not imported numpy.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = f"import sys; sys.path.insert(0, {src!r}); import lodeg, lodeg.cli; print('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

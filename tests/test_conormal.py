@@ -17,7 +17,7 @@ from lodeg.conormal import (
     slice_variety,
     solve_forms,
 )
-from lodeg.groebner import Ideal, buchberger, krull_dimension, normal_form
+from lodeg.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension, normal_form
 from lodeg.poly import GREVLEX, QQ, PolyRing
 from lodeg.randomness import DEFAULT_PRIMES, Instability, SeedStream
 
@@ -238,6 +238,25 @@ class TestConormalIdeals:
         for g in cono.generators:
             bidegrees = {(sum(m[:4]), sum(m[4:])) for m, _ in g.terms}
             assert len(bidegrees) == 1
+
+    @pytest.mark.parametrize("build", ["minors", "multiplier", "projective"])
+    def test_dimension_reads_the_reduced_basis(self, sphere, build, monkeypatch):
+        # The conormal ideal (a saturation, or an elimination) is handed to
+        # krull_dimension as its own reduced basis, with no Buchberger run.
+        handed = []
+
+        def spy(source, budget_secs=None):
+            handed.append(source)
+            return krull_dimension(source, budget_secs=budget_secs)
+
+        monkeypatch.setattr(conormal, "krull_dimension", spy)
+        if build == "projective":
+            cono = projective_conormal_ideal(sphere)
+        else:
+            cono = affine_conormal_ideal(sphere, method=build)
+        (gb,) = handed
+        assert isinstance(gb, GroebnerBasis)
+        assert gb == buchberger(Ideal.of(cono.ring, list(cono.generators)))
 
     def test_projective_rejects_mixed_saturation(self, sphere, monkeypatch):
         # x1 - 1 mixes point-side degrees 1 and 0: only an unlucky random

@@ -2,7 +2,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from lodeg import groebner
@@ -24,6 +23,7 @@ from lodeg.groebner import (
     saturate,
     saturate_by_ideal,
     _Packing,
+    _squarefree_degree,
 )
 from lodeg.poly import (
     GREVLEX,
@@ -508,6 +508,45 @@ class TestEliminateAndSaturate:
         out = saturate(ideal, r.parse("y"))
         assert [str(g) for g in out.generators] == ["x^2 + 1"]
 
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_eliminate_and_saturate_return_the_reduced_basis(self, order):
+        # Seeded ideals with integer data, projected and saturated by a
+        # seeded polynomial: the generators returned are their own reduced
+        # basis.
+        rng = random.Random(f"saturate:{order.name}")
+        checked = 0
+        for n in (2, 3):
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
+            monos = [m for m in itertools.product(range(3), repeat=n) if sum(m) <= 2]
+            for _ in range(4):
+                gens = [
+                    ring.from_terms((m, rng.randrange(1, COEFF_BOUND)) for m in rng.sample(monos, 3))
+                    for _ in range(n - 1)
+                ]
+                g = ring.from_terms((m, rng.randrange(1, COEFF_BOUND)) for m in rng.sample(monos, 2))
+                for out in (eliminate(Ideal.of(ring, gens), 1), saturate(Ideal.of(ring, gens), g)):
+                    assert out.generators == buchberger(out).basis
+                checked += 1
+        assert checked == 8
+
+    @pytest.mark.parametrize("order, calls", [(GREVLEX, 1), (LEX, 2)], ids=["grevlex", "lex"])
+    def test_saturate_recomputes_only_off_grevlex(self, order, calls, monkeypatch):
+        # block_order's second block is grevlex: only there are the
+        # eliminated generators already the ring's reduced basis, which
+        # eliminate otherwise recomputes.
+        real = groebner.buchberger
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        r = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+        out = saturate(Ideal.of(r, [r.parse("x*y"), r.parse("x*z")]), r.parse("y"))
+        assert [str(g) for g in out.generators] == ["x"]
+        assert len(seen) == calls
+
 
 class TestZeroDimensional:
     def test_quotient_basis_of_two_circles(self):
@@ -515,6 +554,25 @@ class TestZeroDimensional:
         gb = buchberger(Ideal.of(r, [r.parse("x^2 + y^2 - 1"), r.parse("y - x^2")]))
         qb = quotient_basis(gb)
         assert len(qb) == 4
+
+    @pytest.mark.parametrize(
+        "order",
+        [GREVLEX, LEX, block_order(1), block_order(2)],
+        ids=["grevlex", "lex", "block1", "block2"],
+    )
+    def test_quotient_basis_is_the_sorted_staircase(self, order):
+        # Every monomial no leading monomial divides, found by brute force
+        # in the box below the pure powers, in increasing monomial order.
+        r = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+        gens = ["x^2 + y*z - 3", "y^2 - x*z + 2*x", "z^3 - x*y + y - 1"]
+        gb = buchberger(Ideal.of(r, [r.parse(g) for g in gens]))
+        lms = gb.leading_monomials()
+        top = max(max(lm) for lm in lms)
+        staircase = [
+            m for m in itertools.product(range(top), repeat=3)
+            if not any(mono_divides(lm, m) for lm in lms)
+        ]
+        assert quotient_basis(gb).monomials == tuple(sorted(staircase, key=order.key))
 
     def test_quotient_basis_rejects_curves(self):
         r = fring("x", "y")
@@ -528,7 +586,7 @@ class TestZeroDimensional:
         qb = quotient_basis(gb)
         (mat,) = multiplication_matrix(gb, qb)
         # basis (1, x): multiplying by x sends 1 -> x and x -> 2
-        assert mat.tolist() == [[0, 2], [1, 0]]
+        assert mat == [[0, 2], [1, 0]]
 
     def test_count_distinct_points_of_curve_pair(self):
         r = fring("x", "y")
@@ -569,6 +627,147 @@ class TestZeroDimensional:
         # stand-in ring is impossible (primes must exceed 2^30), so assert
         # the exception type exists and derives from RuntimeError
         assert issubclass(CharacteristicHazard, RuntimeError)
+
+
+def det_mod(mat, p):
+    """Determinant mod ``p`` by Gaussian elimination."""
+    a = [[c % p for c in row] for row in mat]
+    n = len(a)
+    det = 1
+    for j in range(n):
+        piv = next((i for i in range(j, n) if a[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            a[j], a[piv] = a[piv], a[j]
+            det = -det
+        det = det * a[j][j] % p
+        inv = pow(a[j][j], -1, p)
+        for i in range(j + 1, n):
+            f = a[i][j] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[j])]
+    return det % p
+
+
+def charpoly_oracle(mat, p):
+    """det(x*I - mat) mod ``p`` at x = 0..dim, interpolated (Lagrange);
+    lowest coefficient first."""
+    n = len(mat)
+    points = range(n + 1)
+    values = [
+        det_mod([[(x if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)], p)
+        for x in points
+    ]
+    out = [0] * (n + 1)
+    for k, (xk, yk) in enumerate(zip(points, values)):
+        basis, denom = [1], 1
+        for xj in points:
+            if xj != xk:
+                basis = [((basis[i - 1] if i else 0) - xj * (basis[i] if i < len(basis) else 0)) % p
+                         for i in range(len(basis) + 1)]
+                denom = denom * (xk - xj) % p
+        scale = yk * pow(denom, -1, p) % p
+        out = [(o + scale * b) % p for o, b in zip(out, basis)]
+    return out
+
+
+def conjugate(mat, rng, p):
+    """A random similar matrix: row operations with their inverse column
+    operations, and swaps."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            continue
+        if rng.random() < 0.3:
+            a[i], a[j] = a[j], a[i]
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            continue
+        u = rng.randrange(1, p)
+        a[i] = [(x + u * y) % p for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] = (row[j] - u * row[i]) % p
+    return a
+
+
+def jordan(blocks, p):
+    """Block diagonal of Jordan blocks ``(eigenvalue, size)``."""
+    n = sum(size for _, size in blocks)
+    a = [[0] * n for _ in range(n)]
+    start = 0
+    for value, size in blocks:
+        for k in range(start, start + size):
+            a[k][k] = value % p
+            if k + 1 < start + size:
+                a[k][k + 1] = 1
+        start += size
+    return a
+
+
+class TestCharacteristicPolynomial:
+    """``_charpoly_mod`` (Hessenberg reduction) against det(x*I - M)."""
+
+    @pytest.mark.parametrize("p", [13, 101, P1])
+    def test_random_matrices_of_every_dimension(self, p):
+        rng = random.Random(f"charpoly:{p}")
+        for n in range(1, 13):
+            for _ in range(3):
+                # Sparse at the small primes: zero pivots and row swaps.
+                mat = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+                assert groebner._charpoly_mod(mat, p) == charpoly_oracle(mat, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_identity_and_nilpotent(self, n):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        expected = charpoly_oracle(identity, P1)
+        assert groebner._charpoly_mod(identity, P1) == expected
+        assert _squarefree_degree(expected, P1) == 1
+        for nilpotent in (
+            [[int(j > i) for j in range(n)] for i in range(n)],
+            [[int(j < i) for j in range(n)] for i in range(n)],
+            [[int(j == i - 1) for j in range(n)] for i in range(n)],
+        ):
+            assert groebner._charpoly_mod(nilpotent, P1) == [0] * n + [1]
+
+    def test_zero_subdiagonal_needs_no_pivot(self):
+        # Column 0 is zero below the diagonal, and so is column 2.
+        mat = [
+            [3, 1, 4, 1, 5],
+            [0, 9, 2, 6, 5],
+            [0, 3, 5, 8, 9],
+            [0, 7, 0, 9, 3],
+            [0, 2, 0, 8, 4],
+        ]
+        assert groebner._charpoly_mod(mat, P1) == charpoly_oracle(mat, P1)
+
+    def test_row_swap_when_the_subdiagonal_entry_is_zero(self):
+        # Entry (1, 0) is zero, (3, 0) is not: the pivot comes from row 3.
+        mat = [
+            [2, 7, 1, 8],
+            [0, 2, 8, 1],
+            [0, 8, 2, 8],
+            [4, 5, 9, 0],
+        ]
+        assert groebner._charpoly_mod(mat, P1) == charpoly_oracle(mat, P1)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(5, 1)],
+            [(5, 3)],
+            [(5, 2), (5, 2), (7, 1)],
+            [(1, 1), (1, 1), (1, 1), (2, 4), (3, 2)],
+            [(0, 4), (P1 - 1, 3), (11, 5)],
+        ],
+    )
+    def test_repeated_eigenvalues_and_jordan_blocks(self, blocks):
+        rng = random.Random(repr(blocks))
+        mat = conjugate(jordan(blocks, P1), rng, P1)
+        charpoly = groebner._charpoly_mod(mat, P1)
+        assert charpoly == charpoly_oracle(mat, P1)
+        assert _squarefree_degree(charpoly, P1) == len({value for value, _ in blocks})
 
 
 THREE_PRIMES = (P1, 2147483629, 1073741827)
@@ -656,7 +855,8 @@ class TestSeveralPrimes:
             own = split_basis(gb, p)
             own_qb = quotient_basis(own)
             assert own_qb.monomials == qb.monomials
-            assert np.array_equal(tables % p, multiplication_matrix(own, own_qb))
+            modulo_p = [[[c % p for c in row] for row in table] for table in tables]
+            assert modulo_p == multiplication_matrix(own, own_qb)
             ring_p = ring.with_field(PrimeField(p))
             alone = Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens])
             assert count_points(alone, seed=seed) == {p: counts[p]}
