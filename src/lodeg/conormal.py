@@ -10,9 +10,13 @@ directly, which keeps the variable count low.
 
 Slicing, of the variety or of the base of a multiplier system, is one
 affine change of coordinates: :func:`solve_forms` solves all the affine
-forms at once, each for its nonzero coefficient of largest index, which
-gives every variable an affine image in the variables left; then each
-polynomial is substituted once (:meth:`Polynomial.substitute`).
+forms at once, in plain coefficients, each for its nonzero coefficient of
+largest index, which gives every variable an affine image in the variables
+left; then each polynomial is substituted once
+(:func:`~lodeg.poly.substitute_packed`).  A multiplier system is built
+once per (spec, modulus) and kept on the spec, and every polynomial of it,
+of its restrictions and of the forms cut with them is one dict keyed by
+packed monomials, sorted once into a :class:`Polynomial`.
 
 The builders take the coefficient ring as a *modulus*: a prime, a
 :class:`PrimeField`, or the internal :class:`~lodeg.poly.ResidueRing` of
@@ -51,7 +55,10 @@ from .poly import (
     SplitModulus,
     fresh_name,
     fresh_names,
+    packing,
+    _modulus,
     residue_ring,
+    substitute_packed,
 )
 from .randomness import DEFAULT_PRIMES, Instability, SeedStream, derive_seed
 
@@ -187,56 +194,62 @@ def solve_forms(
     image there of every variable of ``ring`` (an affine form), and the
     forms as solved.
     """
+    small, images, solved = _solve(ring, forms, width)
+    return small, [small.from_packed(d) for d in images], solved
+
+
+def _solve(
+    ring: PolyRing, forms: Sequence[FormT], width: Optional[int]
+) -> tuple[PolyRing, list[dict], list[tuple[tuple[CoefT, ...], CoefT]]]:
+    """:func:`solve_forms` in plain coefficients (ints mod p over a prime
+    field), with each image a dict keyed by packed monomials."""
     fld = ring.field_
+    p = _modulus(fld)
     zero = fld.zero
+    norm = (lambda c: c % p) if p else (lambda c: c)
     names = list(ring.variables)
     n = len(names)
     source = left = n if width is None else width
     # rows[i] is the image of variable i: coefficients on ``names``, then
     # the constant.
-    rows = [[fld.one if j == i else zero for j in range(n + 1)] for i in range(n)]
+    rows = [[zero] * i + [fld.one] + [zero] * (n - i) for i in range(n)]
     solved = []
     for raw_coeffs, raw_const in forms:
         coeffs = [fld.coerce(c) for c in raw_coeffs]
         const = fld.coerce(raw_const)
-        if len(coeffs) == source:
+        if len(coeffs) != left:
+            if len(coeffs) != source:
+                raise ValueError("affine form has the wrong number of coefficients")
             pushed = _combine(fld, coeffs, rows)
-            coeffs, const = pushed[:left], fld.coerce(const - pushed[-1])
-        elif len(coeffs) != left:
-            raise ValueError("affine form has the wrong number of coefficients")
-        pivot = next((i for i in range(left - 1, -1, -1) if coeffs[i] != zero), None)
+            coeffs, const = pushed[:left], norm(const - pushed[-1])
+        pivot = next((i for i in range(left - 1, -1, -1) if coeffs[i]), None)
         if pivot is None:
             raise DegenerateSlice("affine form with no variable to solve for")
         inv = fld.invert(coeffs[pivot])
         # The pivot's image in the other variables; its own entry is zero.
-        image = [fld.coerce(-c * inv) if i != pivot else zero for i, c in enumerate(coeffs)]
-        image += [zero] * (len(names) - left) + [fld.coerce(const * inv)]
+        image = [norm(-c * inv) if i != pivot else zero for i, c in enumerate(coeffs)]
+        image += [zero] * (len(names) - left) + [norm(const * inv)]
         for row in rows:
             a = row[pivot]
-            if a != zero:
-                row[:] = [fld.coerce(x + a * y) for x, y in zip(row, image)]
+            if a:
+                row[:] = [norm(x + a * y) for x, y in zip(row, image)]
             del row[pivot]
         del names[pivot]
         solved.append((tuple(coeffs), const))
         left -= 1
     small = PolyRing(tuple(names), fld, ring.order)
-    units = _affine_monomials(small.nvars)
-    return small, [small.from_dict(dict(zip(units, row))) for row in rows], solved
+    keys = packing(small).variables + (0,)
+    return small, [{k: c for k, c in zip(keys, row) if c} for row in rows], solved
 
 
 def push_form(images: Sequence[Polynomial], coeffs: Sequence[CoefT]) -> tuple[list[CoefT], CoefT]:
     """The affine form ``sum_i coeffs[i] * images[i]``: its coefficients on
     the variables of the images' ring and its constant."""
     ring = images[0].ring
-    units = _affine_monomials(ring.nvars)
+    units = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars + 1)]
     rows = [[q.coefficient(m) for m in units] for q in images]
     pushed = _combine(ring.field_, [ring.field_.coerce(c) for c in coeffs], rows)
     return pushed[:-1], pushed[-1]
-
-
-def _affine_monomials(n: int) -> list[tuple[int, ...]]:
-    """The monomials of the n variables, then that of the constant."""
-    return [tuple(int(i == j) for j in range(n)) for i in range(n + 1)]
 
 
 def _combine(fld: FieldT, coeffs: Sequence[CoefT], rows: Sequence[Sequence[CoefT]]) -> list[CoefT]:
@@ -346,10 +359,12 @@ class MultiplierSystem:
 
 
 def multiplier_system(spec: VarietySpec, modulus: Modulus) -> MultiplierSystem:
-    """Multiplier presentation of the conormal directions of ``spec``."""
-    base = spec.ring.with_field(_field(modulus))
-    gens = [g.to_ring(base) for g in spec.generators]
-    return _assemble_multiplier_system(base, gens, spec.codimension)
+    """Multiplier presentation of the conormal directions of ``spec``,
+    built once per (spec, modulus) and kept on the spec."""
+    fld = _field(modulus)
+    return _kept_system(spec, ("affine", fld), lambda: _assemble_multiplier_system(
+        [g.to_ring(spec.ring.with_field(fld)) for g in spec.generators], spec.codimension
+    ))
 
 
 def projective_multiplier_system(
@@ -357,14 +372,25 @@ def projective_multiplier_system(
     modulus: Modulus,
     budget_secs: Optional[float] = None,
 ) -> MultiplierSystem:
-    """Multiplier presentation over the projective closure.
+    """Multiplier presentation over the projective closure, built once per
+    (spec, modulus) and kept on the spec; ``budget_secs`` bounds the
+    Groebner basis of the first build.
 
     A grevlex basis is homogenized generator-by-generator; for a graded
     order this yields the ideal of the closure with no spurious components
     at the hyperplane at infinity.
     """
-    hom = _homogenized_basis(spec, modulus, budget_secs)
-    return _assemble_multiplier_system(hom[0].ring, hom, spec.codimension)
+    return _kept_system(spec, ("projective", _field(modulus)), lambda: _assemble_multiplier_system(
+        _homogenized_basis(spec, modulus, budget_secs), spec.codimension
+    ))
+
+
+def _kept_system(spec: VarietySpec, key: tuple, build) -> MultiplierSystem:
+    """``build()``, run once per ``key`` and kept on the spec."""
+    kept = spec.__dict__.setdefault("_systems", {})
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
 
 
 def _homogenized_basis(
@@ -386,38 +412,40 @@ def _lift(poly: Polynomial, big: PolyRing) -> Polynomial:
     return big.from_dict({m + pad: c for m, c in poly.terms})
 
 
-def _assemble_multiplier_system(
-    base: PolyRing, gens: list[Polynomial], codim: int
-) -> MultiplierSystem:
-    nb = base.nvars
-    m = len(gens)
-    lam_names = fresh_names("lam", m, base.variables)
-    big = PolyRing(base.variables + tuple(lam_names), base.field_, base.order)
-
-    lifted = [_lift(g, big) for g in gens]
-    grads = [[_lift(g.partial(k), big) for k in range(nb)] for g in gens]
-    lams = [big.gen(nb + j) for j in range(m)]
+def _assemble_multiplier_system(gens: list[Polynomial], codim: int) -> MultiplierSystem:
+    """The equations ``gens`` and the covector ``sum_j lam_j * grad(g_j)``
+    in the ring of ``gens`` with one multiplier per generator appended, each
+    polynomial one dict keyed by packed monomials; packing checks the width
+    guard."""
+    base = gens[0].ring
+    nb, m = base.nvars, len(gens)
+    lams = fresh_names("lam", m, base.variables)
+    big = PolyRing(base.variables + tuple(lams), base.field_, base.order)
+    pack = packing(big).pack
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    equations = [big.from_packed({pack(e + (0,) * m): c for e, c in g.terms}) for g in gens]
     covector = []
-    for k in range(nb):
-        acc = big.zero()
-        for j in range(m):
-            acc = acc + lams[j] * grads[j][k]
-        covector.append(acc)
-    return MultiplierSystem(big, nb, tuple(lifted), tuple(covector), m - codim)
+    for k in range(nb):  # the multiplier keeps every generator's terms apart
+        covector.append(big.from_packed({
+            pack(e[:k] + (e[k] - 1,) + e[k + 1:] + lam): c * e[k]
+            for g, lam in zip(gens, units)
+            for e, c in g.terms
+            if e[k]
+        }))
+    return MultiplierSystem(big, nb, tuple(equations), tuple(covector), m - codim)
 
 
 def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> MultiplierSystem:
     """Solve affine forms on the base variables (see :func:`solve_forms`)
-    and substitute the solution everywhere, multipliers included."""
-    ring, images, _ = solve_forms(system.ring, forms, width=system.base_count)
-    equations = (g.substitute(ring, images) for g in system.equations)
-    return MultiplierSystem(
-        ring,
-        system.base_count - len(forms),
-        tuple(g for g in equations if not g.vanishes()),
-        tuple(g.substitute(ring, images) for g in system.covector),
-        system.excess,
-    )
+    and substitute the solution everywhere, multipliers included: one
+    :func:`~lodeg.poly.substitute_packed` over the whole system."""
+    ring, images, _ = _solve(system.ring, forms, system.base_count)
+    count = len(system.equations)
+    packed = substitute_packed(system.equations + system.covector, ring, images, [1] * len(images))
+    polys = [ring.from_packed(d) for d in packed]
+    equations = tuple(g for g in polys[:count] if not g.vanishes())
+    base_count = system.base_count - len(forms)
+    return MultiplierSystem(ring, base_count, equations, tuple(polys[count:]), system.excess)
 
 
 def multiplier_slack_forms(
@@ -425,16 +453,18 @@ def multiplier_slack_forms(
 ) -> list[Polynomial]:
     """Random affine forms in the multiplier variables that cut the excess
     multiplier directions down to points."""
-    out: list[Polynomial] = []
-    fld = system.ring.field_
-    nb = system.base_count
-    m = system.multiplier_count
-    for _ in range(system.excess):
-        acc = system.ring.zero() - fld.coerce(stream.integer())
-        for j in range(m):
-            acc = acc + system.ring.gen(nb + j) * fld.coerce(stream.integer())
-        out.append(acc)
-    return out
+    nb, m = system.base_count, system.multiplier_count
+    return [_drawn_form(system.ring, nb, m, stream) for _ in range(system.excess)]
+
+
+def _drawn_form(
+    ring: PolyRing, first: int, count: int, stream: SeedStream, const: Optional[int] = None
+) -> Polynomial:
+    """``sum_k c_k * x_{first + k} - const`` over ``count`` variables, each
+    ``c_k`` drawn from ``stream`` after ``const`` when that is not given."""
+    form = {0: -(stream.integer() if const is None else const)}
+    form.update((x, stream.integer()) for x in packing(ring).variables[first:first + count])
+    return ring.from_packed(form)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ the squarefree part of a characteristic polynomial -- is built on top of it.
 Packed monomials
 ----------------
 Inside :func:`buchberger`, :func:`normal_form`, :func:`quotient_basis` and
-:func:`multiplication_matrix` every monomial is one Python ``int`` of
-``2n`` digits, ``PACK_DIGIT_BITS`` bits each, for ``n`` variables.
-Exponent tuples come back only where a :class:`Polynomial` is built.
+:func:`multiplication_matrix`, and where ``conormal`` assembles and slices
+the Lagrange systems (``poly.substitute_packed``), every monomial is one
+Python ``int`` of ``2n`` digits, ``PACK_DIGIT_BITS`` bits each, for ``n``
+variables; ``poly.packing`` keeps one layout per ring.  Exponent tuples
+come back only where a :class:`Polynomial` is built.
 
 - The low ``n`` digits are the exponents, variable ``i`` in digit ``i``.
 - The high ``n`` digits are the order's weight rows, most significant
@@ -57,6 +59,8 @@ digits are at most the sum of two checked digits, below
 ``2 * PACK_LIMIT``, the guard bit.  Each digit is at most the degree of a
 variable block, so the limit reads: total degree below ``PACK_LIMIT`` under
 grevlex, each block's degree under a block order, each exponent under lex.
+A substitution checks each source term instead: an image of total degree
+below ``PACK_LIMIT`` keeps every digit below it.
 
 Reduction
 ---------
@@ -64,7 +68,10 @@ A normal form keeps its working set as a coefficient dict plus a heap of
 negated packed monomials, so terms pop in strictly decreasing order.  A
 basis element becomes a reducer (leading monomial, tail scaled by minus
 the inverse leading coefficient) once, when it joins the basis.  An S-pair
-carries its packed lcm from when it is queued.
+carries its packed lcm from when it is queued.  The reducers of the
+finished basis travel inside its :class:`GroebnerBasis`, so
+:func:`normal_form`, :func:`quotient_basis` and
+:func:`multiplication_matrix` reduce with them and repack nothing.
 
 Two loops
 ---------
@@ -101,7 +108,9 @@ signature, keeping the one whose signature side was added last.  A pair is
 dropped when its signature ``u`` is
 
 - divisible by a leading monomial of ``G`` (F5, when the pair is formed):
-  ``g*e_i - f_i*(...)`` is a syzygy with signature ``lm(g)*e_i``;
+  ``g*e_i - f_i*(...)`` is a syzygy with signature ``lm(g)*e_i``.  A pair
+  of a new element ``f`` with ``g`` in ``G`` is not even formed when
+  ``gcd(lm(f), lm(g))`` divides ``sig(f)``: then ``lm(g)`` divides ``u``;
 - divisible by the signature of a pair that reduced to zero (syzygy);
 - divisible by the signature of an element added after its signature
   side (add-order rewriting).
@@ -154,8 +163,8 @@ every prime, so :func:`count_points` runs its tail once over ``Z/N`` too:
 
 - :func:`quotient_basis` reads only leading monomials, so one call gives
   each prime's quotient basis.
-- A normal form by monic reducers inverts nothing (``_basis_reducers``
-  inverts only leading coefficients equal to 1), and its one zero test is
+- A normal form by monic reducers inverts nothing (the basis's reducers
+  inverted only leading coefficients equal to 1), and its one zero test is
   harmless (below), so every normal form of :func:`multiplication_matrix`,
   read mod ``p_i``, is the normal form mod ``p_i``.  No ``SplitModulus``
   can arise in the tail.
@@ -167,9 +176,9 @@ per prime, below ``MAX_MATRIX_PRIME``.
 Every zero test crossed mod ``N`` is followed by an inversion of the same
 value, is harmless, or raises ``SplitModulus`` itself:
 
-- ``_reduce_full`` and ``_reduce_regular``, ``if not c``: a term that is
-  zero mod ``p_i`` only is either reduced (mod ``p_i`` the step adds
-  nothing) or kept in the remainder.  Every nonzero remainder (``if r``)
+- ``_reduce_full``, ``if not c``: a term that is zero mod ``p_i`` only is
+  either reduced (mod ``p_i`` the step adds nothing) or kept in the
+  remainder.  Every nonzero remainder (``if r``)
   becomes a reducer, whose leading coefficient is inverted, so a remainder
   that is zero mod ``p_i`` only splits.  That covers an input generator
   that vanishes mod ``p_i`` only: it reduces to such a remainder or to zero.
@@ -186,9 +195,10 @@ value, is harmless, or raises ``SplitModulus`` itself:
 - The loop selection ``len(polys) == ring.nvars`` counts the generators
   that are nonzero mod ``N``.  Both loops end in the same reduced basis,
   so the choice changes the path, never the result.
-- ``conormal.solve_forms`` picks the pivot of each form by ``!= zero`` and
-  inverts it at once.  Its row updates test ``a != zero`` and add a
-  multiple of ``a``, which is nothing mod ``p_i`` when ``a`` vanishes there.
+- ``conormal.solve_forms`` picks the pivot of each form by a nonzero test
+  and inverts it at once.  Its row updates test ``if a`` and add a
+  multiple of ``a``, which is nothing mod ``p_i`` when ``a`` vanishes there;
+  ``invariants._dual_form`` skips a covector entry the same way.
 - :func:`saturate_by_ideal` redraws a combination that vanishes, through
   ``Polynomial.vanishes``.
 - Checks that fail mod ``N`` (two saturations that differ, a saturation
@@ -206,24 +216,25 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .poly import (
-    BlockOrder,
+    PACK_DIGIT_BITS,
+    DegreeLimitExceeded,
     Grevlex,
-    InputError,
-    Lex,
     Mono,
     PolyRing,
     Polynomial,
     PrimeField,
     ResidueRing,
     SplitModulus,
+    _Packing,
     block_order,
     fresh_name,
+    packing,
 )
 
 DEFAULT_BUDGET_SECS = 120.0
@@ -232,12 +243,6 @@ DEFAULT_BUDGET_SECS = 120.0
 # --prime.  Its arithmetic is in Python ints, so this is no longer an int64
 # limit: it stays floor(sqrt(2**63 - 1)) + 1 until lifting it is tested.
 MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
-
-# Width of one digit of a packed monomial, and the bound every checked
-# digit stays below (see "Width guard" above).
-PACK_DIGIT_BITS = 16
-PACK_LIMIT = 1 << (PACK_DIGIT_BITS - 2)
-
 
 class BudgetExceeded(RuntimeError):
     """A Groebner computation ran past its wall-clock budget."""
@@ -254,18 +259,6 @@ class NotZeroDimensional(RuntimeError):
 
 class CharacteristicHazard(RuntimeError):
     """The quotient dimension is too close to the field characteristic."""
-
-
-class DegreeLimitExceeded(InputError):
-    """A monomial outgrew packed exponents: an input-size limit (see the
-    module docstring)."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            f"a monomial reached degree {PACK_LIMIT}; Groebner computations "
-            f"need degrees below {PACK_LIMIT} (under a block order, each block's "
-            "degree; under lex, each exponent)"
-        )
 
 
 @dataclass(frozen=True)
@@ -290,10 +283,21 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis, sorted by decreasing leading monomial."""
+    """A reduced, monic Groebner basis, sorted by decreasing leading monomial,
+    and its packed reducers (see "Reduction"), prepared on first use unless
+    :func:`buchberger` handed its own over."""
 
     ring: PolyRing
     basis: tuple[Polynomial, ...]
+    _reducers: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def reducers(self) -> tuple:
+        if self._reducers is None:
+            pk = packing(self.ring)
+            normalize, invert = _field_ops(self.ring)
+            prepared = tuple(_reducer(pk.pack_terms(g.terms), normalize, invert) for g in self.basis)
+            object.__setattr__(self, "_reducers", prepared)
+        return self._reducers
 
     def is_unit(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
@@ -314,12 +318,11 @@ class QuotientBasis:
 
 
 class _Deadline:
-    __slots__ = ("limit", "t0", "budget", "context")
+    __slots__ = ("limit", "budget", "context")
 
     def __init__(self, budget_secs: Optional[float], context: str) -> None:
         self.budget = budget_secs if budget_secs is not None else DEFAULT_BUDGET_SECS
-        self.t0 = time.monotonic()
-        self.limit = self.t0 + self.budget
+        self.limit = time.monotonic() + self.budget
         self.context = context
 
     def check(self) -> None:
@@ -341,89 +344,6 @@ def _field_ops(ring: PolyRing):
     return (lambda c: c), (lambda c: 1 / c)
 
 
-def _repeat(digit: int, count: int) -> int:
-    """``digit`` in each of the low ``count`` digits."""
-    return sum(digit << (PACK_DIGIT_BITS * i) for i in range(count))
-
-
-class _Packing:
-    """Packed monomials of one ring (layout in the module docstring).
-
-    Holds only the ring's masks; one instance serves one computation."""
-
-    __slots__ = ("spans", "blocks", "exp_bits", "low", "low_guard", "guard", "over", "shifts")
-
-    def __init__(self, ring: PolyRing) -> None:
-        n = ring.nvars
-        order = ring.order
-        if isinstance(order, Lex):
-            sizes = [1] * n
-        elif isinstance(order, BlockOrder):
-            k = min(order.k, n)
-            sizes = [s for s in (k, n - k) if s]
-        elif isinstance(order, Grevlex):
-            sizes = [n]
-        else:
-            raise TypeError(f"no packed layout for the order {order!r}")
-        w = PACK_DIGIT_BITS
-        digit = (1 << w) - 1
-        self.spans: list[tuple[int, int]] = []
-        # Per block: shift to its first exponent, mask and all-ones of its
-        # width, and its width in bits.
-        self.blocks: list[tuple[int, int, int, int]] = []
-        start = 0
-        for s in sizes:
-            self.spans.append((start, start + s))
-            self.blocks.append((start * w, _repeat(digit, s), _repeat(1, s), s * w))
-            start += s
-        self.exp_bits = n * w
-        self.low = _repeat(digit, n)
-        self.low_guard = _repeat(1 << (w - 1), n)
-        self.guard = _repeat(1 << (w - 1), 2 * n)
-        self.over = _repeat(3 << (w - 2), 2 * n)
-        self.shifts = tuple(w * i for i in range(n))
-
-    def from_exponents(self, e: int) -> int:
-        """Packed monomial of the exponent digits ``e``; its weight rows
-        must stay below one digit."""
-        rows = 0
-        for shift, mask, ones, width in self.blocks:
-            rows = (rows << width) | (((e >> shift) & mask) * ones & mask)
-        return (rows << self.exp_bits) | e
-
-    def pack(self, m: Mono) -> int:
-        if max(sum(m[a:b]) for a, b in self.spans) >= PACK_LIMIT:
-            raise DegreeLimitExceeded()
-        e = 0
-        for x in reversed(m):
-            e = (e << PACK_DIGIT_BITS) | x
-        return self.from_exponents(e)
-
-    def unpack(self, p: int) -> Mono:
-        digit = (1 << PACK_DIGIT_BITS) - 1
-        return tuple((p >> s) & digit for s in self.shifts)
-
-    def pack_terms(self, terms: Iterable[tuple[Mono, object]]) -> dict:
-        pack = self.pack
-        return {pack(m): c for m, c in terms}
-
-    def polynomial(self, ring: PolyRing, d: dict) -> Polynomial:
-        """The polynomial of a packed dict whose keys decrease."""
-        unpack = self.unpack
-        return Polynomial(ring, tuple((unpack(m), c) for m, c in d.items()))
-
-    def divides(self, a: int, b: int) -> bool:
-        guard = self.guard
-        return ((b | guard) - a) & guard == guard
-
-    def lcm(self, a: int, b: int) -> int:
-        low, low_guard = self.low, self.low_guard
-        ea, eb = a & low, b & low
-        ge = ((ea | low_guard) - eb) & low_guard  # guard bit where ea >= eb
-        take_a = ge - (ge >> (PACK_DIGIT_BITS - 1))  # those digits' value bits
-        return self.from_exponents(eb ^ ((ea ^ eb) & take_a))
-
-
 def _reducer(d: dict, normalize, invert) -> tuple[int, tuple]:
     """Prepared reducer ``(lm, tail)`` of a nonzero packed dict whose first
     key is its leading monomial.
@@ -436,20 +356,17 @@ def _reducer(d: dict, normalize, invert) -> tuple[int, tuple]:
     return lm, tuple((m, normalize(-c * inv)) for m, c in items)
 
 
-def _basis_reducers(gb: GroebnerBasis, pk: _Packing) -> list:
-    normalize, invert = _field_ops(gb.ring)
-    return [_reducer(pk.pack_terms(g.terms), normalize, invert) for g in gb.basis]
-
-
 def _reduce_full(
     target: dict,
     reducers: Sequence[tuple[int, tuple]],
     pk: _Packing,
     normalize,
     deadline: Optional[_Deadline] = None,
+    sig: int = 0,
+    own: Sequence[tuple[int, tuple, int]] = (),
 ) -> dict:
     """Full normal form of the packed dict ``target`` modulo prepared
-    ``reducers``.
+    ``reducers``; with a signature ``sig``, the regular normal form.
 
     The first reducer (in list order) whose leading monomial divides a term
     reduces it; the scan is one guard-bit subtraction per reducer.  The
@@ -465,6 +382,10 @@ def _reduce_full(
     Every popped term with a nonzero coefficient passes the width guard
     before it is used, so a step's new terms ``(m - lm) + t`` keep their
     digits below the guard bit (see the module docstring).
+
+    There ``reducers`` (the earlier inputs' basis) always reduce, and an
+    element ``(lm, tail, s)`` of ``own`` reduces ``m`` only if ``(m - lm) +
+    s < sig``, keeping the signature.
     """
     guard, over = pk.guard, pk.over
     work = dict(target)
@@ -487,8 +408,12 @@ def _reduce_full(
             if (guarded - lm) & guard == guard:
                 break
         else:
-            out[m] = c
-            continue
+            for lm, tail, s in own:
+                if (guarded - lm) & guard == guard and m - lm + s < sig:
+                    break
+            else:
+                out[m] = c
+                continue
         shift = m - lm
         for tm, tc in tail:
             mm = shift + tm
@@ -625,61 +550,6 @@ def _pair_basis(
     return _reduced_basis([store[g] for g in G], pk, normalize, one, deadline)
 
 
-def _reduce_regular(
-    target: dict,
-    sig: int,
-    earlier: Sequence[tuple[int, tuple]],
-    own: Sequence[tuple[int, tuple, int]],
-    pk: _Packing,
-    normalize,
-    deadline: _Deadline,
-) -> dict:
-    """Full regular normal form of ``target``, whose signature is ``sig``.
-
-    Like :func:`_reduce_full`, but a term ``m`` is reduced by an element
-    ``(lm, tail, s)`` of the current index only when its multiple keeps the
-    signature below ``sig``: ``(m - lm) + s < sig``.  Reducers ``earlier``
-    (the basis of the previous inputs) have lower signatures and always
-    reduce."""
-    guard, over = pk.guard, pk.over
-    work = dict(target)
-    heap = [-m for m in work]
-    heapify(heap)
-    out: dict = {}
-    steps = 0
-    while heap:
-        steps += 1
-        if not steps & 63:
-            deadline.check()
-        m = -heappop(heap)
-        c = normalize(work.pop(m))
-        if not c:
-            continue
-        if m & over:
-            raise DegreeLimitExceeded()
-        guarded = m | guard
-        for lm, tail in earlier:
-            if (guarded - lm) & guard == guard:
-                break
-        else:
-            for lm, tail, s in own:
-                if (guarded - lm) & guard == guard and m - lm + s < sig:
-                    break
-            else:
-                out[m] = c
-                continue
-        shift = m - lm
-        for tm, tc in tail:
-            mm = shift + tm
-            old = work.get(mm)
-            if old is None:
-                work[mm] = c * tc
-                heappush(heap, -mm)
-            else:
-                work[mm] = old + c * tc
-    return out
-
-
 def _signature_basis(
     polys: list[dict], pk: _Packing, normalize, invert, one, deadline: _Deadline
 ) -> list[dict]:
@@ -714,38 +584,59 @@ def _signature_index(
     guard, over = pk.guard, pk.over
     earlier_lms = [lm for lm, _ in earlier]
     own: list[tuple[int, tuple, int]] = []  # (lm, tail, signature), in add order
+    sigs: list[int] = []  # their signatures
     syzygies: list[int] = []
     pending: dict[int, tuple[int, tuple, int]] = {}  # signature -> (side, other, lcm)
     queue: list[int] = []
 
     # Divisibility of a signature u by a checked monomial is the guard-bit
-    # test of _Packing.divides, inlined.
+    # test of _Packing.divides, and the lcm that of _Packing.lcm, inlined.
+    low, low_guard, from_exponents = pk.low, pk.low_guard, pk.from_exponents
+    top = PACK_DIGIT_BITS - 1
+
     def rewritable(u: int, side: int) -> bool:
         guarded = u | guard
-        return any((guarded - z) & guard == guard for z in syzygies) or any(
-            (guarded - s) & guard == guard for _, _, s in own[side + 1:]
-        )
+        for z in syzygies + sigs[side + 1:]:
+            if (guarded - z) & guard == guard:
+                return True
+        return False
 
     def queue_pair(u: int, side: int, other: tuple, lcm: int) -> None:
-        guarded = u | guard
-        if any((guarded - lm) & guard == guard for lm in earlier_lms) or rewritable(u, side):
-            return
         held = pending.get(u)
+        if held is not None and held[0] >= side:
+            return
+        guarded = u | guard
+        for lm in earlier_lms:
+            if (guarded - lm) & guard == guard:
+                return
+        if rewritable(u, side):
+            return
         if held is None:
             heappush(queue, u)
-        elif held[0] >= side:
-            return
         pending[u] = (side, other, lcm)
 
     def add(sig: int, d: dict) -> None:
         h = len(own)
         lm, tail = _reducer(d, normalize, invert)  # remainders come out decreasing
         own.append((lm, tail, sig))
+        sigs.append(sig)
+        e = lm & low
+        sig_guarded = sig | guard
         for other in earlier:
-            lcm = pk.lcm(lm, other[0])
+            lm_g = other[0]
+            e_g = lm_g & low
+            ge = ((e | low_guard) - e_g) & low_guard
+            lcm = from_exponents(e_g ^ ((e ^ e_g) & (ge - (ge >> top))))
+            # gcd(lm, lm_g) = lm + lm_g - lcm dividing sig means lm_g
+            # divides the signature: F5 would drop the pair.
+            if (sig_guarded - (lm + lm_g - lcm)) & guard == guard:
+                continue
             queue_pair(lcm - lm + sig, h, other, lcm)
-        for b, (lm_b, tail_b, sig_b) in enumerate(own[:h]):
-            lcm = pk.lcm(lm, lm_b)
+        for b in range(h):
+            lm_b, tail_b, sig_b = own[b]
+            e_b = lm_b & low
+            ge = ((e | low_guard) - e_b) & low_guard
+            lcm = from_exponents(e_b ^ ((e ^ e_b) & (ge - (ge >> top))))
             u, u_b = lcm - lm + sig, lcm - lm_b + sig_b
             if u > u_b:
                 queue_pair(u, h, (lm_b, tail_b), lcm)
@@ -762,7 +653,7 @@ def _signature_index(
             raise DegreeLimitExceeded()
         deadline.check()
         lm, tail, _ = own[side]
-        r = _reduce_regular(_spoly((lm, tail), other, lcm), u, earlier, own, pk, normalize, deadline)
+        r = _reduce_full(_spoly((lm, tail), other, lcm), earlier, pk, normalize, deadline, u, own)
         if r:
             add(u, r)
         else:
@@ -786,7 +677,7 @@ def buchberger(
     """
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     deadline = _Deadline(budget_secs, "buchberger")
-    pk = _Packing(ring)
+    pk = packing(ring)
     normalize, invert = _field_ops(ring)
     one = ring.field_.one
 
@@ -802,15 +693,15 @@ def buchberger(
     for d in polys:
         if _reduce_full(d, final, pk, normalize):
             raise RuntimeError("input generator does not reduce to zero against its basis")
-    return GroebnerBasis(ring, tuple(pk.polynomial(ring, d) for d in reduced))
+    return GroebnerBasis(ring, tuple(map(ring.from_packed, reduced)), tuple(final))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the basis."""
-    pk = _Packing(gb.ring)
+    pk = packing(gb.ring)
     normalize, _ = _field_ops(gb.ring)
     target = pk.pack_terms(p.to_ring(gb.ring).terms)
-    return pk.polynomial(gb.ring, _reduce_full(target, _basis_reducers(gb, pk), pk, normalize))
+    return gb.ring.from_packed(_reduce_full(target, gb.reducers(), pk, normalize))
 
 
 # ---------------------------------------------------------------------------
@@ -973,19 +864,17 @@ def saturate_by_ideal(
 def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
     """Monomials outside the leading-term ideal; requires a finite quotient."""
     ring = gb.ring
-    n = ring.nvars
     if gb.is_unit():
         return QuotientBasis(ring, ())
     lms = gb.leading_monomials()
-    for i in range(n):
+    for i in range(ring.nvars):
         if not any(all(e == 0 for j, e in enumerate(lm) if j != i) and lm[i] > 0 for lm in lms):
             raise NotZeroDimensional(
                 f"no pure power of {ring.variables[i]!r} among leading terms"
             )
-    pk = _Packing(ring)
+    pk = packing(ring)
     guard, over = pk.guard, pk.over
-    packed = [pk.pack(lm) for lm in lms]
-    variables = [pk.from_exponents(1 << shift) for shift in pk.shifts]
+    packed = [lm for lm, _ in gb.reducers()]
     seen: set[int] = set()
     frontier = [0]  # the packed monomial 1
     out: list[int] = []
@@ -1000,7 +889,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
         if m & over:
             raise DegreeLimitExceeded()
         out.append(m)
-        frontier.extend(m + x for x in variables)
+        frontier.extend(m + x for x in pk.variables)
     out.sort()  # packed ints compare as the monomial order
     return QuotientBasis(ring, tuple(map(pk.unpack, out)))
 
@@ -1040,36 +929,21 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _poly_monic(a, p)
 
 
-def _poly_divexact(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) - len(b) + 1)
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    while _poly_trim(a) and len(a) - 1 >= db:
-        factor = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-    return _poly_trim(out)
-
-
 def _poly_deriv(f: list[int], p: int) -> list[int]:
     return _poly_trim([c * i % p for i, c in enumerate(f)][1:])
 
 
 def _squarefree_degree(f: list[int], p: int) -> int:
-    """Number of distinct roots of ``f`` in an algebraic closure."""
-    f = _poly_monic(_poly_trim(f[:]), p)
+    """Number of distinct roots of ``f`` in an algebraic closure: the
+    degree of ``f`` over ``gcd(f, f')``."""
+    f = _poly_trim(f[:])
     if len(f) <= 1:
         return 0
     df = _poly_deriv(f, p)
     if not df:
         # Only possible for constants at these degrees (deg f < p).
         return 0
-    g = _poly_gcd(f, df, p)
-    sqfree = _poly_divexact(f, g, p)
-    return len(sqfree) - 1
+    return len(f) - len(_poly_gcd(f, df, p))
 
 
 def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
@@ -1128,16 +1002,15 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[lis
     if not isinstance(ring.field_, PrimeField):
         raise TypeError("multiplication matrices are built over prime fields only")
     n = ring.nvars
-    pk = _Packing(ring)
+    pk = packing(ring)
     index = {pk.pack(m): i for i, m in enumerate(qb.monomials)}
     dim = len(index)
     tables = [[[0] * dim for _ in range(dim)] for _ in range(n)]
     normalize, _ = _field_ops(ring)
-    reducers = _basis_reducers(gb, pk)
-    variables = [pk.from_exponents(1 << shift) for shift in pk.shifts]
+    reducers = gb.reducers()
     nf_cache: dict[int, dict] = {}
     for col, m in enumerate(index):
-        for table, x in zip(tables, variables):
+        for table, x in zip(tables, pk.variables):
             sm = m + x
             row = index.get(sm)
             if row is not None:

@@ -25,6 +25,7 @@ from .conormal import (
     FormT,
     MultiplierSystem,
     VarietySpec,
+    _drawn_form,
     affine_conormal_ideal,
     multiplier_slack_forms,
     multiplier_system,
@@ -35,7 +36,7 @@ from .conormal import (
     slice_variety,
 )
 from .groebner import Ideal, count_points, krull_dimension
-from .poly import CoefT, InputError, PolyRing, Polynomial, residue_ring
+from .poly import CoefT, InputError, PolyRing, Polynomial, packing, residue_ring
 from .randomness import (
     DEFAULT_POLICY,
     DEFAULT_PRIMES,
@@ -128,12 +129,19 @@ def _counting_vector(kind: str, values: Sequence[int], d: int, n: int) -> Degree
 
 
 def _dual_form(system: MultiplierSystem, coeffs: Sequence[CoefT], const: CoefT) -> Polynomial:
-    """The equation <coeffs, dual coordinates> = const on a multiplier system."""
+    """The equation <coeffs, dual coordinates> = const on a multiplier
+    system, accumulated in one dict keyed by packed monomials."""
     fld = system.ring.field_
-    acc = system.ring.zero() - system.ring.constant(fld.coerce(const))
-    for k, c in enumerate(coeffs):
-        acc = acc + system.covector[k] * fld.coerce(c)
-    return acc
+    pack = packing(system.ring).pack
+    acc = {0: -fld.coerce(const)}
+    for q, c in zip(system.covector, coeffs):
+        c = fld.coerce(c)
+        if not c:
+            continue
+        for m, a in q.terms:
+            k = pack(m)
+            acc[k] = acc.get(k, 0) + a * c
+    return system.ring.from_packed(acc)
 
 
 def _count_system(
@@ -143,8 +151,7 @@ def _count_system(
     count_seed: int,
     budget_secs: Optional[float],
 ) -> dict[int, int]:
-    eqs = list(system.equations) + list(extra)
-    eqs.extend(multiplier_slack_forms(system, stream))
+    eqs = [*system.equations, *extra, *multiplier_slack_forms(system, stream)]
     return count_points(Ideal.of(system.ring, eqs), seed=count_seed, budget_secs=budget_secs)
 
 
@@ -155,11 +162,8 @@ def _draw_base_forms(stream: SeedStream, width: int, count: int, const: Optional
     forms); ``None`` draws it from the stream.
     """
     forms: list[FormT] = []
-    for _ in range(count):
-        coeffs = stream.coefficients(width)
-        rhs = stream.integer() if const is None else const
-        forms.append((coeffs, rhs))
-        width -= 1
+    for k in range(count):
+        forms.append((stream.coefficients(width - k), stream.integer() if const is None else const))
     return forms
 
 
@@ -188,10 +192,7 @@ def lo_degree(
         system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         u = list(covector) if covector is not None else stream.coefficients(n)
-        pins = [
-            system.covector[k] - system.ring.constant(system.ring.field_.coerce(u[k]))
-            for k in range(n)
-        ]
+        pins = [_dual_form(system, [int(j == k) for j in range(n)], u[k]) for k in range(n)]
         return _count_system(system, pins, stream, derive_seed(child, 5), budget_secs)
 
     return agreed_value(computation, seed, policy, "critical point count")
@@ -251,16 +252,12 @@ def _bidegree_computation(
             spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
         )
         stream = SeedStream(child)
-        eqs = list(cono.generators)
-        ring = cono.ring
-        fld = ring.field_
-        for start, count in ((0, i), (n, n - i)):
-            for _ in range(count):
-                acc = ring.zero() - fld.coerce(stream.integer())
-                for k in range(n):
-                    acc = acc + ring.gen(start + k) * fld.coerce(stream.integer())
-                eqs.append(acc)
-        return count_points(Ideal.of(ring, eqs), seed=derive_seed(child, 3), budget_secs=budget_secs)
+        ideal = Ideal.of(cono.ring, list(cono.generators) + [
+            _drawn_form(cono.ring, start, n, stream)
+            for start, count in ((0, i), (n, n - i))
+            for _ in range(count)
+        ])
+        return count_points(ideal, seed=derive_seed(child, 3), budget_secs=budget_secs)
 
     if method == "multiplier":
         return by_multiplier
@@ -363,18 +360,14 @@ def _polar_computation(
             spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
         )
         stream = SeedStream(child)
-        ring = cono.ring
-        fld = ring.field_
         nb = cono.base_count
-        eqs = list(cono.generators)
-        for start, chart_count, plane_count in ((0, 1, i), (nb, 1, n - 1 - i)):
-            for idx in range(chart_count + plane_count):
-                rhs = 1 if idx < chart_count else 0
-                acc = ring.zero() - fld.coerce(rhs)
-                for k in range(nb):
-                    acc = acc + ring.gen(start + k) * fld.coerce(stream.integer())
-                eqs.append(acc)
-        return count_points(Ideal.of(ring, eqs), seed=derive_seed(child, 3), budget_secs=budget_secs)
+        # Per factor one chart form (= 1), then hyperplanes through its origin.
+        ideal = Ideal.of(cono.ring, list(cono.generators) + [
+            _drawn_form(cono.ring, start, nb, stream, int(idx == 0))
+            for start, planes in ((0, i), (nb, n - 1 - i))
+            for idx in range(1 + planes)
+        ])
+        return count_points(ideal, seed=derive_seed(child, 3), budget_secs=budget_secs)
 
     if method == "multiplier":
         return by_multiplier

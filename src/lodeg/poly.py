@@ -8,7 +8,11 @@ equal.  Coefficients are ``Fraction`` values over the rationals and plain
 
 Internally, a :class:`ResidueRing` stands for several prime fields at once:
 the integers modulo the product of distinct primes (see "Several primes at
-once" in ``groebner``).
+once" in ``groebner``), and a monomial may be packed into one ``int``
+(:func:`packing`; layout in "Packed monomials" in ``groebner``).  Packed
+ints compare as the monomial order and multiply by addition, so
+substitution (:func:`substitute_packed`) accumulates one dict per
+polynomial and sorts it once (:meth:`PolyRing.from_packed`).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Mono = tuple[int, ...]
 
@@ -171,8 +176,10 @@ class ResidueRing(PrimeField):
             raise ValueError(f"{self.p} is not a product of distinct primes {self.primes}")
 
     def coerce(self, value: Union[int, Fraction]) -> int:
-        if isinstance(value, Fraction) and math.gcd(value.denominator, self.p) != 1:
-            raise SplitModulus(f"denominator {value.denominator} is not a unit modulo {self}")
+        # An int is tested first: it is the common case, and cheaper to test.
+        if not isinstance(value, int) and isinstance(value, Fraction):
+            if math.gcd(value.denominator, self.p) != 1:
+                raise SplitModulus(f"denominator {value.denominator} is not a unit modulo {self}")
         return super().coerce(value)
 
     def invert(self, value: int) -> int:
@@ -259,17 +266,154 @@ def block_order(k: int) -> BlockOrder:
 
 
 # ---------------------------------------------------------------------------
-# Monomial helpers
+# Packed monomials
 # ---------------------------------------------------------------------------
 
+# Width of one digit of a packed monomial (that of struct's "H"), and the
+# bound every checked digit stays below (see "Width guard" in ``groebner``).
+PACK_DIGIT_BITS = 16
+PACK_LIMIT = 1 << (PACK_DIGIT_BITS - 2)
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True when ``a`` divides ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+
+class DegreeLimitExceeded(InputError):
+    """A monomial outgrew packed exponents: an input-size limit (see
+    "Width guard" in ``groebner``)."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"a monomial reached degree {PACK_LIMIT}; Groebner computations "
+            f"need degrees below {PACK_LIMIT} (under a block order, each block's "
+            "degree; under lex, each exponent)"
+        )
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _repeat(digit: int, count: int) -> int:
+    """``digit`` in each of the low ``count`` digits."""
+    return sum(digit << (PACK_DIGIT_BITS * i) for i in range(count))
+
+
+class _Packing:
+    """Packed monomials of one ring (layout in the ``groebner`` docstring);
+    :func:`packing` keeps one per ring."""
+
+    def __init__(self, ring: "PolyRing") -> None:
+        n = ring.nvars
+        order = ring.order
+        if isinstance(order, Lex):
+            sizes = [1] * n
+        elif isinstance(order, BlockOrder):
+            k = min(order.k, n)
+            sizes = [s for s in (k, n - k) if s]
+        elif isinstance(order, Grevlex):
+            sizes = [n]
+        else:
+            raise TypeError(f"no packed layout for the order {order!r}")
+        w = PACK_DIGIT_BITS
+        digit = (1 << w) - 1
+        self.spans: list[tuple[int, int]] = []
+        # Per block: shift to its first exponent, mask and all-ones of its
+        # width, and its width in bits.
+        self.blocks: list[tuple[int, int, int, int]] = []
+        start = 0
+        for s in sizes:
+            self.spans.append((start, start + s))
+            self.blocks.append((start * w, _repeat(digit, s), _repeat(1, s), s * w))
+            start += s
+        self.exp_bits = n * w
+        self.low = _repeat(digit, n)
+        self.low_guard = _repeat(1 << (w - 1), n)
+        self.guard = _repeat(1 << (w - 1), 2 * n)
+        self.over = _repeat(3 << (w - 2), 2 * n)
+        self.shifts = tuple(w * i for i in range(n))
+        self.variables = tuple(self.from_exponents(1 << s) for s in self.shifts)
+        self.digits = struct.Struct(f"<{n}H")
+
+    def from_exponents(self, e: int) -> int:
+        """Packed monomial of the exponent digits ``e``; its weight rows
+        must stay below one digit."""
+        rows = 0
+        for shift, mask, ones, width in self.blocks:
+            rows = (rows << width) | (((e >> shift) & mask) * ones & mask)
+        return (rows << self.exp_bits) | e
+
+    def pack(self, m: Mono) -> int:
+        if sum(m) >= PACK_LIMIT and max(sum(m[a:b]) for a, b in self.spans) >= PACK_LIMIT:
+            raise DegreeLimitExceeded()
+        return self.from_exponents(int.from_bytes(self.digits.pack(*m), "little"))
+
+    def unpack(self, p: int) -> Mono:
+        return self.digits.unpack((p & self.low).to_bytes(self.digits.size, "little"))
+
+    def pack_terms(self, terms: Iterable[tuple[Mono, object]]) -> dict:
+        return {self.pack(m): c for m, c in terms}
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        low, low_guard = self.low, self.low_guard
+        ea, eb = a & low, b & low
+        ge = ((ea | low_guard) - eb) & low_guard  # guard bit where ea >= eb
+        take_a = ge - (ge >> (PACK_DIGIT_BITS - 1))  # those digits' value bits
+        return self.from_exponents(eb ^ ((ea ^ eb) & take_a))
+
+
+@functools.lru_cache(maxsize=128)
+def packing(ring: "PolyRing") -> _Packing:
+    """The packed layout of ``ring``, built once per ring."""
+    return _Packing(ring)
+
+
+def _add_packed_products(acc: dict, a: dict, b: dict) -> None:
+    """``acc += a * b`` for dicts keyed by packed monomials, unreduced."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = acc.get(k, 0) + ca * cb
+
+
+def substitute_packed(
+    polys: Iterable["Polynomial"],
+    target: "PolyRing",
+    images: Sequence[dict],
+    degrees: Sequence[int],
+) -> list[dict]:
+    """``g(images)`` for each ``g`` of ``polys``, as an unreduced dict keyed
+    by packed monomials of ``target`` (:meth:`PolyRing.from_packed` finishes
+    it).  ``images[i]`` is such a dict, of total degree at most
+    ``degrees[i]``; its powers are kept for all of ``polys``.  A term whose
+    image could reach degree ``PACK_LIMIT`` raises
+    :class:`DegreeLimitExceeded` before it is expanded (see "Width guard" in
+    ``groebner``)."""
+    fld = target.field_
+    p = _modulus(fld)
+    powers = {(i, 1): q for i, q in enumerate(images)}
+
+    def power(i: int, e: int) -> dict:
+        if (i, e) not in powers:
+            square: dict = {}
+            _add_packed_products(square, power(i, e // 2), power(i, e - e // 2))
+            powers[i, e] = _reduced(square, p)
+        return powers[i, e]
+
+    one = {0: fld.one}
+    out = []
+    for g in polys:
+        acc: dict = {}
+        # Below this bound no term can reach the limit.
+        check = g.total_degree() * max(degrees, default=0) >= PACK_LIMIT
+        for m, c in g.terms:
+            factors = [(i, e) for i, e in enumerate(m) if e]
+            if check and sum(e * degrees[i] for i, e in factors) >= PACK_LIMIT:
+                raise DegreeLimitExceeded()
+            product = {0: c}
+            for i, e in factors[:-1]:
+                step: dict = {}
+                _add_packed_products(step, product, power(i, e))
+                product = step
+            _add_packed_products(acc, product, power(*factors[-1]) if factors else one)
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +460,30 @@ class PolyRing:
         return Polynomial(self, (((0,) * self.nvars, cc),))
 
     def gen(self, i: int) -> "Polynomial":
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, ((tuple(e), self.field_.one),))
+        return Polynomial(self, ((tuple(int(j == i) for j in range(self.nvars)), self.field_.one),))
 
     def from_dict(self, d: Mapping[Mono, CoefT]) -> "Polynomial":
-        zero = self.field_.zero
-        items = [(m, c) for m, c in d.items() if c != zero]
-        items.sort(key=lambda mc: self.order.key(mc[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+        items = sorted(((m, c) for m, c in d.items() if c), key=lambda mc: self.order.key(mc[0]))
+        return Polynomial(self, tuple(reversed(items)))
 
     def from_terms(self, pairs: Iterable[tuple[Mono, Union[int, Fraction]]]) -> "Polynomial":
         acc: dict[Mono, CoefT] = {}
-        fld = self.field_
         for m, c in pairs:
             if len(m) != self.nvars:
                 raise ValueError(f"monomial {m} has wrong arity for {self.variables}")
-            cc = fld.coerce(c)
-            prev = acc.get(m)
-            if prev is None:
-                acc[m] = cc
-            else:
-                s = prev + cc
-                if isinstance(fld, PrimeField):
-                    s %= fld.p
-                acc[m] = s
-        return self.from_dict(acc)
+            acc[m] = acc.get(m, 0) + self.field_.coerce(c)
+        return self.from_dict(_reduced(acc, _modulus(self.field_)))
+
+    def from_packed(self, d: Mapping[int, CoefT]) -> "Polynomial":
+        """The polynomial of a dict keyed by packed monomials of this ring
+        (:func:`packing`): coefficients reduced, zeros dropped, and the
+        terms ordered by one sort of the packed ints."""
+        terms = sorted(d.items(), reverse=True)
+        if isinstance(self.field_, PrimeField):
+            p = self.field_.p
+            terms = [(m, c % p) for m, c in terms]
+        unpack = packing(self).unpack
+        return Polynomial(self, tuple([(unpack(m), c) for m, c in terms if c]))
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_polynomial(text, self)
@@ -385,15 +527,10 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
+        return max((sum(m) for m, _ in self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(m) for m, _ in self.terms}
-        return len(degs) == 1
+        return len({sum(m) for m, _ in self.terms}) <= 1
 
     def leading_monomial(self) -> Mono:
         if not self.terms:
@@ -409,10 +546,7 @@ class Polynomial:
         return self.coefficient((0,) * self.ring.nvars)
 
     def coefficient(self, m: Mono) -> CoefT:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return self.ring.field_.zero
+        return next((c for mm, c in self.terms if mm == m), self.ring.field_.zero)
 
     def as_dict(self) -> dict[Mono, CoefT]:
         return dict(self.terms)
@@ -428,25 +562,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         ring = self._binary_ring(other)
-        fld = ring.field_
-        acc = dict(self.terms)
-        if isinstance(fld, PrimeField):
-            p = fld.p
-            for m, c in other.terms:
-                acc[m] = (acc.get(m, 0) + c) % p
-        else:
-            for m, c in other.terms:
-                acc[m] = acc.get(m, fld.zero) + c
-        return ring.from_dict(acc)
+        return ring.from_dict(_dict_sum(dict(self.terms), dict(other.terms), _modulus(ring.field_)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        fld = self.ring.field_
-        if isinstance(fld, PrimeField):
-            p = fld.p
-            return Polynomial(self.ring, tuple((m, (-c) % p) for m, c in self.terms))
-        return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
+        p = _modulus(self.ring.field_)
+        return Polynomial(self.ring, tuple((m, -c % p if p else -c) for m, c in self.terms))
 
     def __sub__(self, other: Union["Polynomial", int, Fraction]) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -458,53 +580,25 @@ class Polynomial:
 
     def __mul__(self, other: Union["Polynomial", int, Fraction]) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            cc = self.ring.field_.coerce(other)
-            if cc == self.ring.field_.zero:
-                return self.ring.zero()
-            fld = self.ring.field_
-            if isinstance(fld, PrimeField):
-                p = fld.p
-                return Polynomial(self.ring, tuple((m, c * cc % p) for m, c in self.terms))
-            return Polynomial(self.ring, tuple((m, c * cc) for m, c in self.terms))
+            other = self.ring.constant(other)
         ring = self._binary_ring(other)
-        acc: dict[Mono, CoefT] = {}
-        _add_products(acc, self.terms, other.terms, ring.field_)
-        return ring.from_dict(acc)
+        return ring.from_dict(_dict_product(dict(self.terms), dict(other.terms), _modulus(ring.field_)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined here")
-        if exponent * max(self.total_degree(), 0) > MAX_EXPONENT:
-            raise OverflowError("exponent overflow in polynomial power")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return self.ring.one() if result is None else result
+        one = dict(self.ring.one().terms)
+        p = _modulus(self.ring.field_)
+        return self.ring.from_dict(_dict_power(dict(self.terms), exponent, one, p))
 
     # -- calculus and evaluation ----------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to variable ``i``."""
-        fld = self.ring.field_
-        acc: dict[Mono, CoefT] = {}
-        for m, c in self.terms:
-            e = m[i]
-            if e == 0:
-                continue
-            dm = list(m)
-            dm[i] = e - 1
-            cc = c * e
-            if isinstance(fld, PrimeField):
-                cc %= fld.p
-            acc[tuple(dm)] = cc
-        return self.ring.from_dict(acc)
+        acc = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in self.terms if m[i]}
+        return self.ring.from_dict(_reduced(acc, _modulus(self.ring.field_)))
 
     def homogenize(self, name: str) -> "Polynomial":
         """Homogenize with a fresh variable prepended as the new first one."""
@@ -516,37 +610,21 @@ class Polynomial:
         deg = self.total_degree()
         if deg > MAX_EXPONENT:
             raise OverflowError("exponent overflow in homogenization")
-        pairs = [((deg - sum(m),) + m, c) for m, c in self.terms]
-        return new_ring.from_dict(dict(pairs))
+        return new_ring.from_dict({(deg - sum(m),) + m: c for m, c in self.terms})
 
     def substitute(self, target: PolyRing, images: Sequence["Polynomial"]) -> "Polynomial":
         """The polynomial of ``target`` that replaces variable ``i`` by
         ``images[i]``; the images set the target ring, which may drop
-        variables or add new ones."""
-        fld = self.ring.field_
+        variables or add new ones (see :func:`substitute_packed`)."""
         if (
             len(images) != self.ring.nvars
-            or target.field_ != fld
+            or target.field_ != self.ring.field_
             or any(q.ring != target for q in images)
         ):
             raise ValueError("substitution needs one image per variable, all in the target ring")
-        acc: dict[Mono, CoefT] = {}
-        powers: dict[tuple[int, int], tuple] = {}
-        one = (((0,) * target.nvars, fld.one),)
-        for m, c in self.terms:
-            factors = []
-            for i, e in enumerate(m):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = (images[i] ** e).terms
-                    factors.append(powers[i, e])
-            product = (((0,) * target.nvars, c),)
-            for factor in factors[:-1]:
-                step: dict[Mono, CoefT] = {}
-                _add_products(step, product, factor, fld)
-                product = step.items()
-            _add_products(acc, product, factors[-1] if factors else one, fld)
-        return target.from_dict(acc)
+        packed = [packing(target).pack_terms(q.terms) for q in images]
+        degrees = [q.total_degree() for q in images]
+        return target.from_packed(substitute_packed([self], target, packed, degrees)[0])
 
     def to_ring(self, target: PolyRing) -> "Polynomial":
         """Recoerce into a ring with the same variable names (field or order may differ)."""
@@ -579,20 +657,50 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _add_products(acc: dict, a: Iterable, b: Sequence, fld: FieldT) -> None:
-    """``acc += a * b`` for polynomials given as (monomial, coefficient) pairs."""
-    if isinstance(fld, PrimeField):
-        p = fld.p
-        for ma, ca in a:
-            for mb, cb in b:
-                m = tuple(x + y for x, y in zip(ma, mb))
-                acc[m] = (acc.get(m, 0) + ca * cb) % p
-    else:
-        zero = fld.zero
-        for ma, ca in a:
-            for mb, cb in b:
-                m = tuple(x + y for x, y in zip(ma, mb))
-                acc[m] = acc.get(m, zero) + ca * cb
+def _modulus(fld: FieldT) -> Optional[int]:
+    """The modulus coefficients are reduced by; ``None`` over the rationals."""
+    return fld.p if isinstance(fld, PrimeField) else None
+
+
+# Polynomials as dicts from exponent tuples to coefficients, reduced mod
+# ``p`` (``None`` over the rationals, where exact ints stay ints).
+
+
+def _reduced(d: dict, p: Optional[int]) -> dict:
+    """``d`` with coefficients reduced and zeros dropped."""
+    if p:
+        d = {m: c % p for m, c in d.items()}
+    return {m: c for m, c in d.items() if c}
+
+
+def _dict_sum(a: dict, b: dict, p: Optional[int], sign: int = 1) -> dict:
+    acc = dict(a)
+    for m, c in b.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return _reduced(acc, p)
+
+
+def _dict_product(a: dict, b: dict, p: Optional[int]) -> dict:
+    acc: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            acc[m] = acc.get(m, 0) + ca * cb
+    return _reduced(acc, p)
+
+
+def _dict_power(a: dict, e: int, one: dict, p: Optional[int]) -> dict:
+    """``a**e`` by repeated squaring; ``one`` is the dict of 1."""
+    if e * max((sum(m) for m in a), default=0) > MAX_EXPONENT:
+        raise OverflowError("exponent overflow in polynomial power")
+    result = one
+    while e:
+        if e & 1:
+            result = _dict_product(result, a, p)
+        e >>= 1
+        if e:
+            a = _dict_product(a, a, p)
+    return result
 
 
 def _format_term(coeff: CoefT, m: Mono, names: tuple[str, ...]) -> str:
@@ -632,11 +740,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent whose values are dicts as for :func:`_dict_sum`; a
+    ``Fraction`` only comes from an ``a/b`` literal, coerced where it stands
+    over a prime field.  One polynomial is built at the end."""
+
     def __init__(self, tokens: list[tuple[str, str, int]], ring: PolyRing, length: int) -> None:
         self.tokens = tokens
         self.ring = ring
         self.pos = 0
         self.length = length
+        self.p = _modulus(ring.field_)
+        self.one = {(0,) * ring.nvars: 1}
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -654,64 +768,57 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok[2])
 
     def parse(self) -> Polynomial:
-        poly = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return poly
+        fld = self.ring.field_
+        return self.ring.from_dict({m: fld.coerce(c) for m, c in value.items()})
 
-    def expr(self) -> Polynomial:
-        result = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return result
-            self.advance()
-            rhs = self.term()
-            result = result + rhs if tok[1] == "+" else result - rhs
-
-    def term(self) -> Polynomial:
-        negate = False
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "-":
-                self.advance()
-                negate = not negate
-            else:
-                break
-        result = self.power()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                break
-            self.advance()
-            result = result * self.power()
-        return -result if negate else result
-
-    def power(self) -> Polynomial:
-        base = self.atom()
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the operators ``ops``."""
         tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "-":
-                raise ParseError("negative exponents are not allowed", nxt[2])
-            etok = self.advance()
-            if etok[0] != "int":
-                raise ParseError("exponent must be a non-negative integer", etok[2])
-            exponent = int(etok[1])
-            if exponent > MAX_EXPONENT:
-                raise ParseError("exponent too large", etok[2])
-            return base ** exponent
-        return base
+        return tok is not None and tok[0] == "op" and tok[1] in ops
 
-    def atom(self) -> Polynomial:
+    def expr(self) -> dict:
+        result = self.term()
+        while self.at("+-"):
+            sign = 1 if self.advance()[1] == "+" else -1
+            result = _dict_sum(result, self.term(), self.p, sign)
+        return result
+
+    def term(self) -> dict:
+        negate = False
+        while self.at("-"):
+            self.advance()
+            negate = not negate
+        result = self.power()
+        while self.at("*"):
+            self.advance()
+            result = _dict_product(result, self.power(), self.p)
+        return _dict_sum({}, result, self.p, -1) if negate else result
+
+    def power(self) -> dict:
+        base = self.atom()
+        if not self.at("^"):
+            return base
+        self.advance()
+        if self.at("-"):
+            raise ParseError("negative exponents are not allowed", self.peek()[2])
+        etok = self.advance()
+        if etok[0] != "int":
+            raise ParseError("exponent must be a non-negative integer", etok[2])
+        exponent = int(etok[1])
+        if exponent > MAX_EXPONENT:
+            raise ParseError("exponent too large", etok[2])
+        return _dict_power(base, exponent, self.one, self.p)
+
+    def atom(self) -> dict:
         tok = self.advance()
         kind, value, where = tok
         if kind == "int":
-            numerator = int(value)
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
+            literal: CoefT = int(value)
+            if self.at("/"):
                 self.advance()
                 dtok = self.advance()
                 if dtok[0] != "int":
@@ -719,20 +826,22 @@ class _Parser:
                 denominator = int(dtok[1])
                 if denominator == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return self.ring.constant(Fraction(numerator, denominator))
-            return self.ring.constant(numerator)
+                literal = Fraction(literal, denominator)
+                if self.p:
+                    literal = self.ring.field_.coerce(literal)
+            return _reduced({m: literal for m in self.one}, self.p)
         if kind == "name":
             try:
                 index = self.ring.variables.index(value)
             except ValueError:
                 raise ParseError(f"unknown identifier {value!r}", where) from None
-            return self.ring.gen(index)
+            return {tuple(int(i == index) for i in range(self.ring.nvars)): 1}
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
         if kind == "op" and value == "-":
-            return -self.atom()
+            return _dict_sum({}, self.atom(), self.p, -1)
         raise ParseError(f"unexpected token {value!r}", where)
 
 
@@ -751,15 +860,10 @@ def parse_polynomial(text: str, variables: Sequence[str], field_: FieldT = QQ) -
 def fresh_names(prefix: str, count: int, taken: Iterable[str]) -> list[str]:
     """Generate ``count`` names ``prefix0..`` avoiding collisions with ``taken``."""
     avoid = set(taken)
-    names: list[str] = []
     suffix = ""
-    while True:
-        candidate = [f"{prefix}{suffix}{i}" for i in range(count)]
-        if not (set(candidate) & avoid):
-            names = candidate
-            break
+    while avoid.intersection(f"{prefix}{suffix}{i}" for i in range(count)):
         suffix += "_"
-    return names
+    return [f"{prefix}{suffix}{i}" for i in range(count)]
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from lodeg.cli import (
     build_parser,
     main,
 )
+from lodeg.poly import PACK_LIMIT
 
 from conftest import data_path
 
@@ -399,6 +401,22 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert out == ""
         assert "Traceback" not in err
+        assert err.startswith("input error: a monomial reached degree 16384")
+        assert err.count("\n") == 1
+
+    def test_degree_beyond_packed_monomials_in_restrict_base(self, monkeypatch, capsys):
+        # A restricted system whose source term has degree 16384 stops in
+        # restrict_base, before any Groebner basis, with the same exit 3.
+        real = invariants.restrict_base
+
+        def too_wide(system, forms):
+            wide = system.ring.gen(0) ** PACK_LIMIT
+            return real(dataclasses.replace(system, equations=(wide,)), forms)
+
+        monkeypatch.setattr(invariants, "restrict_base", too_wide)
+        code, out, err = run_cli(capsys, "bidegrees", data_path("sphere.json"))
+        assert code == EXIT_INPUT
+        assert out == ""
         assert err.startswith("input error: a monomial reached degree 16384")
         assert err.count("\n") == 1
 

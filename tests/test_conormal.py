@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,18 @@ from lodeg.conormal import (
     solve_forms,
 )
 from lodeg.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension, normal_form
-from lodeg.poly import GREVLEX, QQ, PolyRing
+from lodeg.poly import (
+    GREVLEX,
+    LEX,
+    PACK_LIMIT,
+    QQ,
+    DegreeLimitExceeded,
+    PolyRing,
+    PrimeField,
+    SplitModulus,
+    block_order,
+    residue_ring,
+)
 from lodeg.randomness import DEFAULT_PRIMES, Instability, SeedStream
 
 
@@ -203,6 +216,87 @@ class TestMultiplierSystem:
         system = multiplier_system(sphere, DEFAULT_PRIMES[0])
         with pytest.raises(ValueError):
             restrict_base(system, [((1, 1), 0)])
+
+
+class TestRestrictBase:
+    """Restriction substitutes every polynomial of a system in one pass over
+    packed monomials; these systems are built by hand."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(2)], ids=["grevlex", "lex", "block"])
+    @pytest.mark.parametrize(
+        "primes",
+        [(), DEFAULT_PRIMES, DEFAULT_PRIMES + (1073741827,)],
+        ids=["QQ", "two_primes", "three_primes"],
+    )
+    def test_restriction_is_the_sum_of_products(self, primes, order):
+        # Each restricted polynomial against g(images) built with Polynomial
+        # arithmetic, term by term, from the images of solve_forms.
+        rng = random.Random(f"restrict:{primes}:{order}")
+        fld = residue_ring(primes) if primes else QQ
+        ring = PolyRing(("x0", "x1", "x2", "x3", "lam0", "lam1"), fld, order)
+
+        def random_poly(degree, terms):
+            monos = [m for m in itertools.product(range(degree + 1), repeat=6) if sum(m) <= degree]
+            return ring.from_terms(
+                (m, Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) if not primes else rng.randrange(fld.p))
+                for m in rng.sample(monos, terms)
+            )
+
+        for _ in range(8):
+            system = MultiplierSystem(
+                ring, 4,
+                tuple(random_poly(3, 6) for _ in range(2)),
+                tuple(random_poly(2, 4) for _ in range(4)),
+                0,
+            )
+            count = rng.randrange(4)
+            forms = [([rng.randrange(1, 50) for _ in range(4 - k)], rng.randrange(-9, 10)) for k in range(count)]
+            small, images, _ = solve_forms(ring, forms, width=4)
+
+            def expected(g):
+                total = small.zero()
+                for m, c in g.terms:
+                    term = small.constant(c)
+                    for q, e in zip(images, m):
+                        term = term * q ** e
+                    total = total + term
+                return total
+
+            restricted = restrict_base(system, forms)
+            assert restricted.ring == small
+            assert restricted.base_count == 4 - count
+            assert restricted.equations == tuple(
+                g for g in map(expected, system.equations) if not g.is_zero()
+            )
+            assert restricted.covector == tuple(map(expected, system.covector))
+
+    @staticmethod
+    def _system(fld, equation):
+        ring = PolyRing(("x0", "x1", "lam0"), fld, GREVLEX)
+        lam = ring.gen(2)
+        return MultiplierSystem(ring, 2, (ring.parse(equation), lam - 1), (lam, lam), 0)
+
+    def test_vanishing_equations(self):
+        # x1 = x0 kills x0 - x1 modulo every prime: the equation is dropped.
+        # P*x0 is left of x0 - x1 + P*x0, zero modulo P only: over both
+        # primes that splits, and each prime alone takes its own branch.
+        P, Q = DEFAULT_PRIMES
+        same = [((1, -1), 0)]
+        restricted = restrict_base(self._system(residue_ring(DEFAULT_PRIMES), "x0 - x1"), same)
+        assert restricted.equations == (restricted.ring.parse("lam0 - 1"),)
+        split = f"x0 - x1 + {P}*x0"
+        with pytest.raises(SplitModulus):
+            restrict_base(self._system(residue_ring(DEFAULT_PRIMES), split), same)
+        assert len(restrict_base(self._system(PrimeField(P), split), same).equations) == 1
+        assert len(restrict_base(self._system(PrimeField(Q), split), same).equations) == 2
+
+    def test_width_guard(self):
+        # Affine images never raise a degree, so the source term decides.
+        fld = PrimeField(DEFAULT_PRIMES[0])
+        with pytest.raises(DegreeLimitExceeded):
+            restrict_base(self._system(fld, f"x0^{PACK_LIMIT} - x1"), [((1, 1), 0)])
+        restricted = restrict_base(self._system(fld, f"x0^{PACK_LIMIT - 1} - x1"), [((1, 1), 0)])
+        assert restricted.equations[0].total_degree() == PACK_LIMIT - 1
 
 
 class TestConormalIdeals:

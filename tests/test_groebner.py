@@ -6,7 +6,6 @@ import pytest
 
 from lodeg import groebner
 from lodeg.groebner import (
-    PACK_LIMIT,
     BudgetExceeded,
     CharacteristicHazard,
     DegreeLimitExceeded,
@@ -22,13 +21,13 @@ from lodeg.groebner import (
     quotient_basis,
     saturate,
     saturate_by_ideal,
-    _Packing,
     _squarefree_degree,
 )
 from lodeg.poly import (
     GREVLEX,
     LEX,
     MAX_EXPONENT,
+    PACK_LIMIT,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -36,13 +35,20 @@ from lodeg.poly import (
     ResidueRing,
     SplitModulus,
     block_order,
-    mono_divides,
-    mono_lcm,
     residue_ring,
+    _Packing,
 )
 from lodeg.randomness import COEFF_BOUND, DEFAULT_PRIMES, Instability
 
 P1 = 2147483647
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def qring(*names):

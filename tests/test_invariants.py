@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from lodeg import invariants
-from lodeg.conormal import DegenerateSlice, VarietySpec
+from lodeg import conormal, invariants
+from lodeg.conormal import (
+    DegenerateSlice,
+    VarietySpec,
+    multiplier_system,
+    projective_multiplier_system,
+    slice_variety,
+)
 from lodeg.invariants import (
     DegreeVector,
     NotACone,
@@ -22,7 +28,8 @@ from lodeg.invariants import (
     verify_polar_relation,
     verify_sectional_bidegrees,
 )
-from lodeg.randomness import SeedStream, derive_seed
+from lodeg.poly import PrimeField, ResidueRing, SplitModulus, residue_ring
+from lodeg.randomness import DEFAULT_PRIMES, SeedStream, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +44,64 @@ def twisted_cubic():
         ("x", "y", "z"),
         ["y - x^2", "z - x*y", "x*z - y^2"],
     )
+
+
+def _sphere():
+    # A fresh spec: the shared conftest fixtures keep the systems already built.
+    return VarietySpec.define(("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 100"])
+
+
+class TestKeptSystems:
+    """A multiplier system is assembled once per (spec, modulus) and kept on
+    the spec, so every grid evaluation of a command shares it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        fields = []
+        real = conormal._assemble_multiplier_system
+
+        def spy(gens, codim):
+            fields.append(gens[0].ring.field_)
+            return real(gens, codim)
+
+        monkeypatch.setattr(conormal, "_assemble_multiplier_system", spy)
+        return fields
+
+    def test_one_system_per_bidegrees_call(self, built):
+        # Three slice counts and the critical point count, two seeds each.
+        assert bidegrees(_sphere()).values == (2, 2, 2)
+        assert built == [residue_ring(DEFAULT_PRIMES)]
+
+    def test_one_system_per_polar_call(self, built):
+        assert polar_degrees(_sphere()).values == (2, 2, 2)
+        assert built == [residue_ring(DEFAULT_PRIMES)]
+
+    def test_per_prime_systems_after_a_split(self, built, monkeypatch):
+        real = invariants.count_points
+
+        def splitting(ideal, seed, budget_secs=None):
+            if isinstance(ideal.ring.field_, ResidueRing):
+                raise SplitModulus("every trial splits")
+            return real(ideal, seed=seed, budget_secs=budget_secs)
+
+        monkeypatch.setattr(invariants, "count_points", splitting)
+        assert lo_degree(_sphere()) == 2
+        assert built == [residue_ring(DEFAULT_PRIMES)] + [PrimeField(p) for p in DEFAULT_PRIMES]
+
+    def test_a_sliced_spec_keeps_its_own(self, built):
+        spec = _sphere()
+        fld = residue_ring(DEFAULT_PRIMES)
+        system = multiplier_system(spec, fld)
+        assert multiplier_system(spec, fld) is system
+        assert projective_multiplier_system(spec, fld) is not system
+        sliced = slice_variety(spec, 1, seed=5).spec
+        assert multiplier_system(sliced, fld) is not system
+        assert multiplier_system(sliced, fld).base_count == 2
+        assert built == [fld] * 3
+        # sectional counts on the spec and each of its d sections.
+        built.clear()
+        assert sectional_lo_degrees(_sphere()).values == (2, 2, 2)
+        assert built == [fld] * 3
 
 
 class TestDegreeVector:

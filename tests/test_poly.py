@@ -151,6 +151,68 @@ class TestArithmetic:
             assert g.substitute(target, images) == expected
 
 
+class TestParserOracle:
+    """The parser against the same expression built with ``Polynomial``
+    arithmetic."""
+
+    Q = 2147483629
+
+    @pytest.mark.parametrize(
+        "field_", [QQ, PrimeField(P), residue_ring((P, Q))], ids=["QQ", "GFp", "two_primes"]
+    )
+    def test_random_expression_trees(self, field_):
+        rng = random.Random(f"parse:{field_}")
+        ring = PolyRing(("x", "y", "z"), field_, GREVLEX)
+
+        def tree(depth):
+            """A random expression as (text, polynomial)."""
+            kind = rng.choice(["leaf", "leaf", "+", "-", "*", "^", "neg"]) if depth else "leaf"
+            if kind == "leaf":
+                pick = rng.randrange(3)
+                if pick == 0:
+                    i = rng.randrange(3)
+                    return ring.variables[i], ring.gen(i)
+                if pick == 1:
+                    k = rng.randrange(0, 40)
+                    return str(k), ring.constant(k)
+                a, b = rng.randrange(0, 40), rng.randrange(1, 9)
+                return f"{a}/{b}", ring.constant(Fraction(a, b))
+            if kind == "neg":
+                text, value = tree(depth - 1)
+                return f"-({text})", -value
+            if kind == "^":
+                text, value = tree(depth - 1)
+                e = rng.randrange(0, 4)
+                return f"({text})^{e}", value ** e
+            (lt, lv), (rt, rv) = tree(depth - 1), tree(depth - 1)
+            value = {"+": lv + rv, "-": lv - rv, "*": lv * rv}[kind]
+            return f"({lt}) {kind} ({rt})", value
+
+        for _ in range(80):
+            text, value = tree(4)
+            assert ring.parse(text) == value, text
+            assert ring.parse(text.replace(" ", "")) == value, text
+
+    def test_precedence_without_parentheses(self, ring):
+        x, y, z = (ring.gen(i) for i in range(3))
+        assert ring.parse("-x^2*y + 3*z - 1/2*x*y^3") == -(x ** 2) * y + 3 * z - Fraction(1, 2) * x * y ** 3
+        assert ring.parse("x - -y*z") == x + y * z
+        assert ring.parse("2*-x + (x+y)^2") == ring.parse("-2*x + x^2 + 2*x*y + y^2")
+
+    def test_errors_are_kept(self):
+        with pytest.raises(OverflowError):
+            PolyRing(("x", "y"), QQ, GREVLEX).parse("(x*y^2)^536870912")
+        with pytest.raises(ParseError, match="exponent too large"):
+            PolyRing(("x",), QQ, GREVLEX).parse("x^2147483648")
+        with pytest.raises(CoefficientError):
+            PolyRing(("x",), PrimeField(P), GREVLEX).parse(f"x + 1/{P}")
+        with pytest.raises(SplitModulus):
+            PolyRing(("x",), residue_ring((P, self.Q)), GREVLEX).parse(f"x + 1/{self.Q}")
+        with pytest.raises(ParseError) as exc:
+            PolyRing(("x",), QQ, GREVLEX).parse("x * (x + 2")
+        assert exc.value.position == 10
+
+
 class TestOrders:
     def test_grevlex_ties_break_by_last_variable(self, ring):
         f = ring.parse("x*z + y^2")
