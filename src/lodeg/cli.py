@@ -11,11 +11,12 @@ the library call.  Per-stage times come from the benchmark's opt-in tracer
 
 Exit codes (the ``FAILURES`` table): 0 success, 2 the recounts never
 agreed (including an unlucky random saturation, or a characteristic
-hazard), 3 bad input (a usage error, any ``poly.InputError``, including
-inputs whose degrees exceed what the Groebner engine represents or whose
-generators have a Jacobian of too low a rank, or data that degenerates a
-slice), 4 budget exhausted, 5 a verified identity
-failed, 6 internal error.  Every failure prints one line to stderr and no
+hazard), 3 bad input (a usage error or a flag value out of range, such as a
+``--budget-secs`` that is not a positive number of seconds; any
+``poly.InputError``, including inputs whose degrees exceed what packed
+monomials represent or whose generators have a Jacobian of too low a rank;
+or data that degenerates a slice), 4 budget exhausted, 5 a verified
+identity failed, 6 internal error.  Every failure prints one line to stderr and no
 traceback; ``--help`` exits 0.
 """
 
@@ -25,6 +26,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -270,6 +272,12 @@ COMMANDS: dict[str, Command] = {
 
 
 def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    # NaN would never run out, and infinity neither; both print as invalid
+    # JSON in the report.
+    if args.budget_secs is not None and not 0 < args.budget_secs < math.inf:
+        raise InputError(
+            f"--budget-secs must be a positive number of seconds, got {args.budget_secs}"
+        )
     policy = _policy_from_args(args)
     spec, meta, warnings = _load_variety(args.input, policy.primes)
     command = COMMANDS[args.command]

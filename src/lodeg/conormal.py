@@ -12,11 +12,12 @@ Slicing, of the variety or of the base of a multiplier system, is one
 affine change of coordinates: :func:`solve_forms` solves all the affine
 forms at once, in plain coefficients, each for its nonzero coefficient of
 largest index, which gives every variable an affine image in the variables
-left; then each polynomial is substituted once
-(:func:`~lodeg.poly.substitute_packed`).  A multiplier system is built
-once per (spec, modulus) and kept on the spec, and every polynomial of it,
-of its restrictions and of the forms cut with them is one dict keyed by
-packed monomials, sorted once into a :class:`Polynomial`.
+left; then one :func:`~lodeg.poly.substitute` applies it to every
+polynomial.  A multiplier system is built once per (spec, modulus) and
+kept on the spec.  Its restrictions and the dual forms cut with them
+accumulate on the packed monomials of the system's polynomials, one dict
+per result; exponent tuples appear only where a polynomial moves into a
+ring of other variables (the lifts into the multiplier and dual rings).
 
 The builders take the coefficient ring as a *modulus*: a prime, a
 :class:`PrimeField`, or the internal :class:`~lodeg.poly.ResidueRing` of
@@ -29,7 +30,6 @@ primes would branch apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -55,10 +55,9 @@ from .poly import (
     SplitModulus,
     fresh_name,
     fresh_names,
-    packing,
     _modulus,
     residue_ring,
-    substitute_packed,
+    substitute,
 )
 from .randomness import DEFAULT_PRIMES, Instability, SeedStream, derive_seed
 
@@ -192,17 +191,9 @@ def solve_forms(
     on the source variables instead, and is first rewritten through the
     forms solved before it.  Returns the ring of the variables left, the
     image there of every variable of ``ring`` (an affine form), and the
-    forms as solved.
+    forms as solved.  The forms are solved in plain coefficients (ints mod
+    p over a prime field).
     """
-    small, images, solved = _solve(ring, forms, width)
-    return small, [small.from_packed(d) for d in images], solved
-
-
-def _solve(
-    ring: PolyRing, forms: Sequence[FormT], width: Optional[int]
-) -> tuple[PolyRing, list[dict], list[tuple[tuple[CoefT, ...], CoefT]]]:
-    """:func:`solve_forms` in plain coefficients (ints mod p over a prime
-    field), with each image a dict keyed by packed monomials."""
     fld = ring.field_
     p = _modulus(fld)
     zero = fld.zero
@@ -238,8 +229,8 @@ def _solve(
         solved.append((tuple(coeffs), const))
         left -= 1
     small = PolyRing(tuple(names), fld, ring.order)
-    keys = packing(small).variables + (0,)
-    return small, [{k: c for k, c in zip(keys, row) if c} for row in rows], solved
+    keys = small.packing.variables + (0,)
+    return small, [small.from_dict(dict(zip(keys, row))) for row in rows], solved
 
 
 def push_form(images: Sequence[Polynomial], coeffs: Sequence[CoefT]) -> tuple[list[CoefT], CoefT]:
@@ -260,6 +251,19 @@ def _combine(fld: FieldT, coeffs: Sequence[CoefT], rows: Sequence[Sequence[CoefT
 # ---------------------------------------------------------------------------
 # Slicing a variety by generic affine sections
 # ---------------------------------------------------------------------------
+
+
+def _draw_base_forms(stream: SeedStream, width: int, count: int, const: Optional[int]) -> list[FormT]:
+    """Seeded affine forms on the first variables at shrinking widths:
+    form ``k`` draws ``width - k`` coefficients, then its constant.
+
+    ``const`` fixes every right-hand side (used for chart and hyperplane
+    forms); ``None`` draws it from the stream.
+    """
+    forms: list[FormT] = []
+    for k in range(count):
+        forms.append((stream.coefficients(width - k), stream.integer() if const is None else const))
+    return forms
 
 
 @dataclass(frozen=True)
@@ -297,13 +301,7 @@ def slice_variety(
         if explicit:
             chosen = [(tuple(c for c in cs), k) for cs, k in forms]
         else:
-            chosen = []
-            stream = SeedStream(derive_seed(seed, attempt))
-            width = spec.n
-            for _ in range(count):
-                coeffs = [Fraction(c) for c in stream.coefficients(width)]
-                chosen.append((tuple(coeffs), Fraction(stream.integer())))
-                width -= 1
+            chosen = _draw_base_forms(SeedStream(derive_seed(seed, attempt)), spec.n, count, None)
         try:
             return _apply_slices(spec, chosen, budget_secs)
         except (DegenerateSlice, InvalidVariety) as err:
@@ -319,8 +317,7 @@ def _apply_slices(
     spec: VarietySpec, forms: Sequence[FormT], budget_secs: Optional[float]
 ) -> SlicedVariety:
     ring, images, solved = solve_forms(spec.ring, forms)
-    cut = (g.substitute(ring, images) for g in spec.generators)
-    survivors = tuple(g for g in cut if not g.is_zero())
+    survivors = tuple(g for g in substitute(spec.generators, ring, images) if not g.is_zero())
     if not survivors or any(g.is_constant() for g in survivors):
         raise DegenerateSlice("sections made the system inconsistent or empty")
     new_spec = VarietySpec(ring, survivors, spec.assumed_irreducible, spec.primes)
@@ -409,40 +406,31 @@ def _homogenized_basis(
 def _lift(poly: Polynomial, big: PolyRing) -> Polynomial:
     """``poly`` in ``big``, whose extra variables follow the poly's own."""
     pad = (0,) * (big.nvars - poly.ring.nvars)
-    return big.from_dict({m + pad: c for m, c in poly.terms})
+    return big.from_terms((m + pad, c) for m, c in poly.as_dict().items())
 
 
 def _assemble_multiplier_system(gens: list[Polynomial], codim: int) -> MultiplierSystem:
     """The equations ``gens`` and the covector ``sum_j lam_j * grad(g_j)``
-    in the ring of ``gens`` with one multiplier per generator appended, each
-    polynomial one dict keyed by packed monomials; packing checks the width
-    guard."""
+    in the ring of ``gens`` with one multiplier per generator appended."""
     base = gens[0].ring
     nb, m = base.nvars, len(gens)
     lams = fresh_names("lam", m, base.variables)
     big = PolyRing(base.variables + tuple(lams), base.field_, base.order)
-    pack = packing(big).pack
-    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-    equations = [big.from_packed({pack(e + (0,) * m): c for e, c in g.terms}) for g in gens]
-    covector = []
-    for k in range(nb):  # the multiplier keeps every generator's terms apart
-        covector.append(big.from_packed({
-            pack(e[:k] + (e[k] - 1,) + e[k + 1:] + lam): c * e[k]
-            for g, lam in zip(gens, units)
-            for e, c in g.terms
-            if e[k]
-        }))
+    equations = [_lift(g, big) for g in gens]
+    covector = [
+        sum((big.gen(nb + j) * _lift(g.partial(k), big) for j, g in enumerate(gens)), big.zero())
+        for k in range(nb)
+    ]
     return MultiplierSystem(big, nb, tuple(equations), tuple(covector), m - codim)
 
 
 def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> MultiplierSystem:
     """Solve affine forms on the base variables (see :func:`solve_forms`)
     and substitute the solution everywhere, multipliers included: one
-    :func:`~lodeg.poly.substitute_packed` over the whole system."""
-    ring, images, _ = _solve(system.ring, forms, system.base_count)
+    :func:`~lodeg.poly.substitute` over the whole system."""
+    ring, images, _ = solve_forms(system.ring, forms, system.base_count)
     count = len(system.equations)
-    packed = substitute_packed(system.equations + system.covector, ring, images, [1] * len(images))
-    polys = [ring.from_packed(d) for d in packed]
+    polys = substitute(system.equations + system.covector, ring, images)
     equations = tuple(g for g in polys[:count] if not g.vanishes())
     base_count = system.base_count - len(forms)
     return MultiplierSystem(ring, base_count, equations, tuple(polys[count:]), system.excess)
@@ -463,8 +451,8 @@ def _drawn_form(
     """``sum_k c_k * x_{first + k} - const`` over ``count`` variables, each
     ``c_k`` drawn from ``stream`` after ``const`` when that is not given."""
     form = {0: -(stream.integer() if const is None else const)}
-    form.update((x, stream.integer()) for x in packing(ring).variables[first:first + count])
-    return ring.from_packed(form)
+    form.update((x, stream.integer()) for x in ring.packing.variables[first:first + count])
+    return ring.from_dict(form)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +554,8 @@ def affine_conormal_ideal(
         )
 
         def reorder(poly: Polynomial) -> Polynomial:
-            return elim_ring.from_dict(
-                {m_[n:] + m_[:n] + (0,) * n: cc for m_, cc in poly.terms}
+            return elim_ring.from_terms(
+                (m_[n:] + m_[:n] + (0,) * n, cc) for m_, cc in poly.as_dict().items()
             )
 
         eqs = [reorder(g) for g in system.equations]
@@ -640,5 +628,5 @@ def projective_conormal_ideal(
 
 
 def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:
-    degrees = {(sum(m[:split]), sum(m[split:])) for m, _ in poly.terms}
+    degrees = {(sum(m[:split]), sum(m[split:])) for m in poly.as_dict()}
     return len(degrees) <= 1

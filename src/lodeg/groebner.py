@@ -7,12 +7,13 @@ the squarefree part of a characteristic polynomial -- is built on top of it.
 
 Packed monomials
 ----------------
-Inside :func:`buchberger`, :func:`normal_form`, :func:`quotient_basis` and
-:func:`multiplication_matrix`, and where ``conormal`` assembles and slices
-the Lagrange systems (``poly.substitute_packed``), every monomial is one
+Every monomial, in a :class:`Polynomial` and in the engine alike, is one
 Python ``int`` of ``2n`` digits, ``PACK_DIGIT_BITS`` bits each, for ``n``
-variables; ``poly.packing`` keeps one layout per ring.  Exponent tuples
-come back only where a :class:`Polynomial` is built.
+variables, in the layout of the ring's variable count and order
+(``PolyRing.packing``).  This layout is the only definition of the
+monomial orders.  The engine takes a polynomial's terms as they are and
+builds its results from them; exponent tuples come back only at ring
+changes, parsing, printing and the tuple-valued queries (see ``poly``).
 
 - The low ``n`` digits are the exponents, variable ``i`` in digit ``i``.
 - The high ``n`` digits are the order's weight rows, most significant
@@ -48,19 +49,19 @@ overflows:
   ``lcm == a + b``.
 
 Width guard.  Digits never wrap.  The top two bits of every digit are
-headroom: every term a reduction pops with a nonzero coefficient, every
-packed input monomial and the lcm of every S-pair before it is reduced
-must keep all digits below ``PACK_LIMIT = 2**(PACK_DIGIT_BITS - 2)`` (one
-mask test), or :class:`DegreeLimitExceeded` is raised.  That bound
-suffices: every other monomial a computation forms (signatures aside, see
-"Signature width") is ``m - lm + t`` (``lm`` dividing ``m``), an
-lcm of two checked monomials, or a product of two checked monomials, whose
-digits are at most the sum of two checked digits, below
-``2 * PACK_LIMIT``, the guard bit.  Each digit is at most the degree of a
-variable block, so the limit reads: total degree below ``PACK_LIMIT`` under
-grevlex, each block's degree under a block order, each exponent under lex.
-A substitution checks each source term instead: an image of total degree
-below ``PACK_LIMIT`` keeps every digit below it.
+headroom: every monomial of a :class:`Polynomial` (checked where it is
+built, see ``poly``), every term a reduction pops with a nonzero
+coefficient and the lcm of every S-pair before it is reduced must keep all
+digits below ``PACK_LIMIT = 2**(PACK_DIGIT_BITS - 2)`` (one mask test), or
+:class:`DegreeLimitExceeded` is raised.  That bound suffices: every other
+monomial a computation forms (signatures aside, see "Signature width") is
+``m - lm + t`` (``lm`` dividing ``m``), an lcm of two checked monomials, or
+a product of two checked monomials, whose digits are at most the sum of
+two checked digits, below ``2 * PACK_LIMIT``, the guard bit.  Each digit
+is at most the degree of a variable block, so the limit reads: total
+degree below ``PACK_LIMIT`` under grevlex, each block's degree under a
+block order, each exponent under lex.  So an input beyond it is refused
+when it is parsed.
 
 Reduction
 ---------
@@ -71,7 +72,7 @@ the inverse leading coefficient) once, when it joins the basis.  An S-pair
 carries its packed lcm from when it is queued.  The reducers of the
 finished basis travel inside its :class:`GroebnerBasis`, so
 :func:`normal_form`, :func:`quotient_basis` and
-:func:`multiplication_matrix` reduce with them and repack nothing.
+:func:`multiplication_matrix` reduce with them.
 
 Two loops
 ---------
@@ -234,7 +235,6 @@ from .poly import (
     _Packing,
     block_order,
     fresh_name,
-    packing,
 )
 
 DEFAULT_BUDGET_SECS = 120.0
@@ -293,9 +293,8 @@ class GroebnerBasis:
 
     def reducers(self) -> tuple:
         if self._reducers is None:
-            pk = packing(self.ring)
             normalize, invert = _field_ops(self.ring)
-            prepared = tuple(_reducer(pk.pack_terms(g.terms), normalize, invert) for g in self.basis)
+            prepared = tuple(_reducer(dict(g.terms), normalize, invert) for g in self.basis)
             object.__setattr__(self, "_reducers", prepared)
         return self._reducers
 
@@ -308,10 +307,11 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class QuotientBasis:
-    """Standard monomials of a zero-dimensional quotient algebra."""
+    """Standard monomials of a zero-dimensional quotient algebra, packed in
+    the ring's layout, by increasing order."""
 
     ring: PolyRing
-    monomials: tuple[Mono, ...]
+    monomials: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -677,12 +677,12 @@ def buchberger(
     """
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     deadline = _Deadline(budget_secs, "buchberger")
-    pk = packing(ring)
+    pk = ring.packing
     normalize, invert = _field_ops(ring)
     one = ring.field_.one
 
     # Generators share the ideal's ring, so only the order may differ.
-    polys = [pk.pack_terms(g.terms) for g in ideal.generators if not g.is_zero()]
+    polys = [dict(g.to_ring(ring).terms) for g in ideal.generators if not g.is_zero()]
     if not polys:
         return GroebnerBasis(ring, ())
     loop = _signature_basis if len(polys) == ring.nvars else _pair_basis
@@ -693,15 +693,14 @@ def buchberger(
     for d in polys:
         if _reduce_full(d, final, pk, normalize):
             raise RuntimeError("input generator does not reduce to zero against its basis")
-    return GroebnerBasis(ring, tuple(map(ring.from_packed, reduced)), tuple(final))
+    return GroebnerBasis(ring, tuple(map(ring.from_dict, reduced)), tuple(final))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the basis."""
-    pk = packing(gb.ring)
     normalize, _ = _field_ops(gb.ring)
-    target = pk.pack_terms(p.to_ring(gb.ring).terms)
-    return gb.ring.from_packed(_reduce_full(target, gb.reducers(), pk, normalize))
+    target = dict(p.to_ring(gb.ring).terms)
+    return gb.ring.from_dict(_reduce_full(target, gb.reducers(), gb.ring.packing, normalize))
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +778,10 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Idea
             continue
         # Under a block order a leading monomial free of the eliminated
         # block forces the whole polynomial to be free of it.
-        if any(any(m[:k]) for m, _ in g.terms):
+        terms = g.as_dict()
+        if any(any(m[:k]) for m in terms):
             raise RuntimeError(f"eliminated variables left in {g}")
-        kept.append(small.from_dict({m[k:]: c for m, c in g.terms}))
+        kept.append(small.from_terms((m[k:], c) for m, c in terms.items()))
     if isinstance(small.order, Grevlex):
         return Ideal.of(small, kept)
     return Ideal.of(small, buchberger(Ideal.of(small, kept), budget_secs=budget_secs).basis)
@@ -802,7 +802,7 @@ def saturate(ideal: Ideal, g: Polynomial, budget_secs: Optional[float] = None) -
     big = PolyRing((tname,) + ring.variables, ring.field_, ring.order)
 
     def lift(p: Polynomial) -> Polynomial:
-        return big.from_dict({(0,) + m: c for m, c in p.terms})
+        return big.from_terms(((0,) + m, c) for m, c in p.as_dict().items())
 
     t = big.gen(0)
     gens = [lift(p) for p in ideal.generators]
@@ -872,7 +872,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
             raise NotZeroDimensional(
                 f"no pure power of {ring.variables[i]!r} among leading terms"
             )
-    pk = packing(ring)
+    pk = ring.packing
     guard, over = pk.guard, pk.over
     packed = [lm for lm, _ in gb.reducers()]
     seen: set[int] = set()
@@ -891,7 +891,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
         out.append(m)
         frontier.extend(m + x for x in pk.variables)
     out.sort()  # packed ints compare as the monomial order
-    return QuotientBasis(ring, tuple(map(pk.unpack, out)))
+    return QuotientBasis(ring, tuple(out))
 
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -1002,8 +1002,8 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[lis
     if not isinstance(ring.field_, PrimeField):
         raise TypeError("multiplication matrices are built over prime fields only")
     n = ring.nvars
-    pk = packing(ring)
-    index = {pk.pack(m): i for i, m in enumerate(qb.monomials)}
+    pk = ring.packing
+    index = {m: i for i, m in enumerate(qb.monomials)}
     dim = len(index)
     tables = [[[0] * dim for _ in range(dim)] for _ in range(n)]
     normalize, _ = _field_ops(ring)

@@ -25,6 +25,7 @@ from .conormal import (
     FormT,
     MultiplierSystem,
     VarietySpec,
+    _draw_base_forms,
     _drawn_form,
     affine_conormal_ideal,
     multiplier_slack_forms,
@@ -36,7 +37,7 @@ from .conormal import (
     slice_variety,
 )
 from .groebner import Ideal, count_points, krull_dimension
-from .poly import CoefT, InputError, PolyRing, Polynomial, packing, residue_ring
+from .poly import CoefT, InputError, PolyRing, Polynomial, residue_ring, substitute
 from .randomness import (
     DEFAULT_POLICY,
     DEFAULT_PRIMES,
@@ -132,16 +133,14 @@ def _dual_form(system: MultiplierSystem, coeffs: Sequence[CoefT], const: CoefT) 
     """The equation <coeffs, dual coordinates> = const on a multiplier
     system, accumulated in one dict keyed by packed monomials."""
     fld = system.ring.field_
-    pack = packing(system.ring).pack
     acc = {0: -fld.coerce(const)}
     for q, c in zip(system.covector, coeffs):
         c = fld.coerce(c)
         if not c:
             continue
         for m, a in q.terms:
-            k = pack(m)
-            acc[k] = acc.get(k, 0) + a * c
-    return system.ring.from_packed(acc)
+            acc[m] = acc.get(m, 0) + a * c
+    return system.ring.from_dict(acc)
 
 
 def _count_system(
@@ -153,18 +152,6 @@ def _count_system(
 ) -> dict[int, int]:
     eqs = [*system.equations, *extra, *multiplier_slack_forms(system, stream)]
     return count_points(Ideal.of(system.ring, eqs), seed=count_seed, budget_secs=budget_secs)
-
-
-def _draw_base_forms(stream: SeedStream, width: int, count: int, const: Optional[int]) -> list[FormT]:
-    """Seeded affine forms on the base variables at shrinking widths.
-
-    ``const`` fixes every right-hand side (used for chart and hyperplane
-    forms); ``None`` draws it from the stream.
-    """
-    forms: list[FormT] = []
-    for k in range(count):
-        forms.append((stream.coefficients(width - k), stream.integer() if const is None else const))
-    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +384,7 @@ def dual_contains_hyperplane_at_infinity(
     point_ring = PolyRing(ring.variables[:nb], ring.field_, ring.order)
     images = [point_ring.gen(k) for k in range(nb)]
     images += [point_ring.one()] + [point_ring.zero()] * (nb - 1)
-    fiber = Ideal.of(point_ring, [g.substitute(point_ring, images) for g in cono.generators])
+    fiber = Ideal.of(point_ring, substitute(cono.generators, point_ring, images))
     return krull_dimension(fiber, budget_secs=budget_secs) >= 1
 
 

@@ -1,24 +1,38 @@
 """Sparse multivariate polynomials over the rationals or a large prime field.
 
-Monomials are plain exponent tuples.  A polynomial stores its terms as a
-tuple of (monomial, coefficient) pairs kept strictly decreasing in the
-ring's active monomial order, so equal polynomials compare equal and hash
-equal.  Coefficients are ``Fraction`` values over the rationals and plain
-``int`` residues in ``[0, p)`` over a prime field.
+A monomial is one Python ``int``: its exponents packed into digits in the
+layout of the ring's variable count and monomial order (:class:`_Packing`;
+layout in "Packed monomials" in ``groebner``).  The layout is the only
+definition of the monomial orders: packed ints compare as the order, and a
+product of monomials is the sum of their ints.  A polynomial stores its
+terms as a tuple of (packed monomial, coefficient) pairs by strictly
+decreasing int, so equal polynomials compare equal and hash equal.
+Coefficients are ``Fraction`` values over the rationals and plain ``int``
+residues in ``[0, p)`` over a prime field.
+
+Exponent tuples (``Mono``) appear only where a polynomial changes rings
+(:meth:`PolyRing.from_terms` of :meth:`Polynomial.as_dict`), where it is
+parsed or printed, and in the tuple-valued queries
+(:meth:`Polynomial.leading_monomial`, :meth:`Polynomial.coefficient`,
+:meth:`Polynomial.as_dict`).
+
+Width guard.  Every monomial of a polynomial keeps each digit below
+``PACK_LIMIT``: a sum, product, power, derivative, substitution or parse
+whose result has a digit at or above it raises
+:class:`DegreeLimitExceeded`.  The sum of two such digits stays below the
+guard bit, so a product of two polynomials never wraps a digit before it is
+checked.
 
 Internally, a :class:`ResidueRing` stands for several prime fields at once:
 the integers modulo the product of distinct primes (see "Several primes at
-once" in ``groebner``), and a monomial may be packed into one ``int``
-(:func:`packing`; layout in "Packed monomials" in ``groebner``).  Packed
-ints compare as the monomial order and multiply by addition, so
-substitution (:func:`substitute_packed`) accumulates one dict per
-polynomial and sorts it once (:meth:`PolyRing.from_packed`).
+once" in ``groebner``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass, field
@@ -213,6 +227,9 @@ QQ = Rationals()
 # ---------------------------------------------------------------------------
 # Monomial orders
 # ---------------------------------------------------------------------------
+#
+# An order names a packed layout (:class:`_Packing`), which is its only
+# definition: packed monomials compare as the order.
 
 
 @dataclass(frozen=True)
@@ -221,18 +238,12 @@ class Grevlex:
 
     name: str = field(default="grevlex", init=False)
 
-    def key(self, m: Mono):
-        return (sum(m), tuple(-e for e in reversed(m)))
-
 
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic order, first variable strongest."""
 
     name: str = field(default="lex", init=False)
-
-    def key(self, m: Mono):
-        return m
 
 
 @dataclass(frozen=True)
@@ -242,15 +253,6 @@ class BlockOrder:
 
     k: int
     name: str = field(default="block", init=False)
-
-    def key(self, m: Mono):
-        head, tail = m[: self.k], m[self.k :]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
 
 
 OrderT = Union[Grevlex, Lex, BlockOrder]
@@ -270,7 +272,8 @@ def block_order(k: int) -> BlockOrder:
 # ---------------------------------------------------------------------------
 
 # Width of one digit of a packed monomial (that of struct's "H"), and the
-# bound every checked digit stays below (see "Width guard" in ``groebner``).
+# bound every digit of a polynomial's monomial stays below (see "Width
+# guard" above and in ``groebner``).
 PACK_DIGIT_BITS = 16
 PACK_LIMIT = 1 << (PACK_DIGIT_BITS - 2)
 
@@ -293,12 +296,11 @@ def _repeat(digit: int, count: int) -> int:
 
 
 class _Packing:
-    """Packed monomials of one ring (layout in the ``groebner`` docstring);
-    :func:`packing` keeps one per ring."""
+    """Packed monomials of ``n`` variables under one order (layout in the
+    ``groebner`` docstring); every ring keeps the one of its variable count
+    and order as :attr:`PolyRing.packing`."""
 
-    def __init__(self, ring: "PolyRing") -> None:
-        n = ring.nvars
-        order = ring.order
+    def __init__(self, n: int, order: OrderT) -> None:
         if isinstance(order, Lex):
             sizes = [1] * n
         elif isinstance(order, BlockOrder):
@@ -314,11 +316,15 @@ class _Packing:
         # Per block: shift to its first exponent, mask and all-ones of its
         # width, and its width in bits.
         self.blocks: list[tuple[int, int, int, int]] = []
+        # Shift to each block's degree, the top digit of its weight rows.
+        self.tops: list[int] = []
         start = 0
         for s in sizes:
             self.spans.append((start, start + s))
             self.blocks.append((start * w, _repeat(digit, s), _repeat(1, s), s * w))
+            self.tops.append(w * (2 * n - 1 - start))
             start += s
+        self.digit_mask = digit
         self.exp_bits = n * w
         self.low = _repeat(digit, n)
         self.low_guard = _repeat(1 << (w - 1), n)
@@ -344,8 +350,9 @@ class _Packing:
     def unpack(self, p: int) -> Mono:
         return self.digits.unpack((p & self.low).to_bytes(self.digits.size, "little"))
 
-    def pack_terms(self, terms: Iterable[tuple[Mono, object]]) -> dict:
-        return {self.pack(m): c for m, c in terms}
+    def degree(self, p: int) -> int:
+        """Total degree: the sum of the block degrees."""
+        return sum((p >> top) & self.digit_mask for top in self.tops)
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
@@ -358,61 +365,48 @@ class _Packing:
         return self.from_exponents(eb ^ ((ea ^ eb) & take_a))
 
 
-@functools.lru_cache(maxsize=128)
-def packing(ring: "PolyRing") -> _Packing:
-    """The packed layout of ``ring``, built once per ring."""
-    return _Packing(ring)
+# The layout depends on the variable count and the order only, so rings of
+# any names and field share it.
+_layout = functools.cache(_Packing)
 
 
-def _add_packed_products(acc: dict, a: dict, b: dict) -> None:
-    """``acc += a * b`` for dicts keyed by packed monomials, unreduced."""
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            acc[k] = acc.get(k, 0) + ca * cb
+def substitute(
+    polys: Sequence["Polynomial"], target: "PolyRing", images: Sequence["Polynomial"]
+) -> list["Polynomial"]:
+    """``g(images)`` for each ``g`` of ``polys``: the polynomial of
+    ``target`` that replaces variable ``i`` by ``images[i]``.  The images
+    set the target ring, which may drop variables or add new ones.
 
-
-def substitute_packed(
-    polys: Iterable["Polynomial"],
-    target: "PolyRing",
-    images: Sequence[dict],
-    degrees: Sequence[int],
-) -> list[dict]:
-    """``g(images)`` for each ``g`` of ``polys``, as an unreduced dict keyed
-    by packed monomials of ``target`` (:meth:`PolyRing.from_packed` finishes
-    it).  ``images[i]`` is such a dict, of total degree at most
-    ``degrees[i]``; its powers are kept for all of ``polys``.  A term whose
-    image could reach degree ``PACK_LIMIT`` raises
-    :class:`DegreeLimitExceeded` before it is expanded (see "Width guard" in
-    ``groebner``)."""
-    fld = target.field_
-    p = _modulus(fld)
-    powers = {(i, 1): q for i, q in enumerate(images)}
+    The powers of the images are computed once for all of ``polys``, and
+    every power and partial product is checked against the width guard
+    before it is multiplied again, so no digit wraps.
+    """
+    if any(q.ring != target for q in images) or any(
+        g.ring.nvars != len(images) or g.ring.field_ != target.field_ for g in polys
+    ):
+        raise ValueError("substitution needs one image per variable, all in the target ring")
+    p = _modulus(target.field_)
+    over = target.packing.over
+    powers = {(i, 1): dict(q.terms) for i, q in enumerate(images)}
 
     def power(i: int, e: int) -> dict:
         if (i, e) not in powers:
-            square: dict = {}
-            _add_packed_products(square, power(i, e // 2), power(i, e - e // 2))
-            powers[i, e] = _reduced(square, p)
+            square = _dict_product({}, power(i, e // 2), power(i, e - e // 2))
+            powers[i, e] = _reduced(square, p, over)
         return powers[i, e]
 
-    one = {0: fld.one}
+    one = {0: target.field_.one}
     out = []
     for g in polys:
+        unpack = g.ring.packing.unpack
         acc: dict = {}
-        # Below this bound no term can reach the limit.
-        check = g.total_degree() * max(degrees, default=0) >= PACK_LIMIT
         for m, c in g.terms:
-            factors = [(i, e) for i, e in enumerate(m) if e]
-            if check and sum(e * degrees[i] for i, e in factors) >= PACK_LIMIT:
-                raise DegreeLimitExceeded()
+            factors = [(i, e) for i, e in enumerate(unpack(m)) if e]
             product = {0: c}
             for i, e in factors[:-1]:
-                step: dict = {}
-                _add_packed_products(step, product, power(i, e))
-                product = step
-            _add_packed_products(acc, product, power(*factors[-1]) if factors else one)
-        out.append(acc)
+                product = _reduced(_dict_product({}, product, power(i, e)), p, over)
+            _dict_product(acc, product, power(*factors[-1]) if factors else one)
+        out.append(target.from_dict(acc))
     return out
 
 
@@ -431,17 +425,20 @@ class ParseError(InputError):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """A polynomial ring context: named variables, a field, an active order."""
+    """A polynomial ring context: named variables, a field, an active order,
+    and the packed layout of its monomials (:attr:`packing`)."""
 
     variables: tuple[str, ...]
     field_: FieldT = QQ
     order: OrderT = GREVLEX
+    packing: _Packing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.variables:
             raise InputError("a polynomial ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise InputError(f"duplicate variable names in {self.variables}")
+        object.__setattr__(self, "packing", _layout(len(self.variables), self.order))
 
     @property
     def nvars(self) -> int:
@@ -457,33 +454,29 @@ class PolyRing:
         cc = self.field_.coerce(c)
         if cc == self.field_.zero:
             return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, cc),))
+        return Polynomial(self, ((0, cc),))
 
     def gen(self, i: int) -> "Polynomial":
-        return Polynomial(self, ((tuple(int(j == i) for j in range(self.nvars)), self.field_.one),))
+        return Polynomial(self, ((self.packing.variables[i], self.field_.one),))
 
-    def from_dict(self, d: Mapping[Mono, CoefT]) -> "Polynomial":
-        items = sorted(((m, c) for m, c in d.items() if c), key=lambda mc: self.order.key(mc[0]))
-        return Polynomial(self, tuple(reversed(items)))
+    def from_dict(self, d: Mapping[int, CoefT]) -> "Polynomial":
+        """The polynomial of a dict keyed by packed monomials of this ring:
+        coefficients reduced, zeros dropped, the width guard checked, and
+        the terms ordered by one sort of the packed ints."""
+        d = _reduced(d, _modulus(self.field_), self.packing.over)
+        return Polynomial(self, tuple(sorted(d.items(), reverse=True)))
 
     def from_terms(self, pairs: Iterable[tuple[Mono, Union[int, Fraction]]]) -> "Polynomial":
-        acc: dict[Mono, CoefT] = {}
+        """The polynomial of (exponent tuple, coefficient) pairs, repeated
+        monomials summed."""
+        pack, coerce = self.packing.pack, self.field_.coerce
+        acc: dict[int, CoefT] = {}
         for m, c in pairs:
             if len(m) != self.nvars:
                 raise ValueError(f"monomial {m} has wrong arity for {self.variables}")
-            acc[m] = acc.get(m, 0) + self.field_.coerce(c)
-        return self.from_dict(_reduced(acc, _modulus(self.field_)))
-
-    def from_packed(self, d: Mapping[int, CoefT]) -> "Polynomial":
-        """The polynomial of a dict keyed by packed monomials of this ring
-        (:func:`packing`): coefficients reduced, zeros dropped, and the
-        terms ordered by one sort of the packed ints."""
-        terms = sorted(d.items(), reverse=True)
-        if isinstance(self.field_, PrimeField):
-            p = self.field_.p
-            terms = [(m, c % p) for m, c in terms]
-        unpack = packing(self).unpack
-        return Polynomial(self, tuple([(unpack(m), c) for m, c in terms if c]))
+            k = pack(m)
+            acc[k] = acc.get(k, 0) + coerce(c)
+        return self.from_dict(acc)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_polynomial(text, self)
@@ -497,11 +490,12 @@ class PolyRing:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Immutable sparse polynomial; ``terms`` strictly decreasing in the
-    ring's active order with no zero coefficients."""
+    """Immutable sparse polynomial; ``terms`` are (packed monomial,
+    coefficient) pairs by strictly decreasing monomial, with no zero
+    coefficients."""
 
     ring: PolyRing
-    terms: tuple[tuple[Mono, CoefT], ...]
+    terms: tuple[tuple[int, CoefT], ...]
 
     # -- queries ---------------------------------------------------------
 
@@ -523,19 +517,20 @@ class Polynomial:
         return False
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 
     def total_degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max((sum(m) for m, _ in self.terms), default=-1)
+        return max(map(self.ring.packing.degree, (m for m, _ in self.terms)), default=-1)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(m) for m, _ in self.terms}) <= 1
+        degree = self.ring.packing.degree
+        return len({degree(m) for m, _ in self.terms}) <= 1
 
     def leading_monomial(self) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring.packing.unpack(self.terms[0][0])
 
     def leading_coefficient(self) -> CoefT:
         if not self.terms:
@@ -543,13 +538,19 @@ class Polynomial:
         return self.terms[0][1]
 
     def constant_coefficient(self) -> CoefT:
-        return self.coefficient((0,) * self.ring.nvars)
+        # The monomial 1 packs to 0, the least of all.
+        if self.terms and self.terms[-1][0] == 0:
+            return self.terms[-1][1]
+        return self.ring.field_.zero
 
     def coefficient(self, m: Mono) -> CoefT:
-        return next((c for mm, c in self.terms if mm == m), self.ring.field_.zero)
+        key = self.ring.packing.pack(m)
+        return next((c for mm, c in self.terms if mm == key), self.ring.field_.zero)
 
     def as_dict(self) -> dict[Mono, CoefT]:
-        return dict(self.terms)
+        """The terms keyed by exponent tuples, in decreasing order."""
+        unpack = self.ring.packing.unpack
+        return {unpack(m): c for m, c in self.terms}
 
     # -- arithmetic ------------------------------------------------------
 
@@ -562,7 +563,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         ring = self._binary_ring(other)
-        return ring.from_dict(_dict_sum(dict(self.terms), dict(other.terms), _modulus(ring.field_)))
+        return ring.from_dict(_dict_sum(dict(self.terms), dict(other.terms)))
 
     __radd__ = __add__
 
@@ -582,55 +583,47 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         ring = self._binary_ring(other)
-        return ring.from_dict(_dict_product(dict(self.terms), dict(other.terms), _modulus(ring.field_)))
+        return ring.from_dict(_dict_product({}, dict(self.terms), dict(other.terms)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined here")
-        one = dict(self.ring.one().terms)
-        p = _modulus(self.ring.field_)
-        return self.ring.from_dict(_dict_power(dict(self.terms), exponent, one, p))
+        ring = self.ring
+        one = {0: ring.field_.one}
+        return ring.from_dict(
+            _dict_power(dict(self.terms), exponent, one, _modulus(ring.field_), ring.packing)
+        )
 
-    # -- calculus and evaluation ----------------------------------------
+    # -- calculus and ring changes ---------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to variable ``i``."""
-        acc = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in self.terms if m[i]}
-        return self.ring.from_dict(_reduced(acc, _modulus(self.ring.field_)))
+        pk = self.ring.packing
+        x, shift = pk.variables[i], pk.shifts[i]
+        acc = {}
+        for m, c in self.terms:
+            e = (m >> shift) & pk.digit_mask
+            if e:
+                acc[m - x] = c * e
+        return self.ring.from_dict(acc)
 
     def homogenize(self, name: str) -> "Polynomial":
         """Homogenize with a fresh variable prepended as the new first one."""
         if name in self.ring.variables:
             raise ValueError(f"homogenizing variable {name!r} already in ring")
         new_ring = PolyRing((name,) + self.ring.variables, self.ring.field_, self.ring.order)
-        if not self.terms:
-            return new_ring.zero()
         deg = self.total_degree()
-        if deg > MAX_EXPONENT:
-            raise OverflowError("exponent overflow in homogenization")
-        return new_ring.from_dict({(deg - sum(m),) + m: c for m, c in self.terms})
-
-    def substitute(self, target: PolyRing, images: Sequence["Polynomial"]) -> "Polynomial":
-        """The polynomial of ``target`` that replaces variable ``i`` by
-        ``images[i]``; the images set the target ring, which may drop
-        variables or add new ones (see :func:`substitute_packed`)."""
-        if (
-            len(images) != self.ring.nvars
-            or target.field_ != self.ring.field_
-            or any(q.ring != target for q in images)
-        ):
-            raise ValueError("substitution needs one image per variable, all in the target ring")
-        packed = [packing(target).pack_terms(q.terms) for q in images]
-        degrees = [q.total_degree() for q in images]
-        return target.from_packed(substitute_packed([self], target, packed, degrees)[0])
+        return new_ring.from_terms(((deg - sum(m),) + m, c) for m, c in self.as_dict().items())
 
     def to_ring(self, target: PolyRing) -> "Polynomial":
         """Recoerce into a ring with the same variable names (field or order may differ)."""
         if target.variables != self.ring.variables:
             raise ValueError("target ring has different variables")
-        return target.from_terms(self.terms)
+        if target == self.ring:
+            return self
+        return target.from_terms(self.as_dict().items())
 
     # -- printing --------------------------------------------------------
 
@@ -639,7 +632,7 @@ class Polynomial:
             return "0"
         fld = self.ring.field_
         chunks: list[str] = []
-        for idx, (m, c) in enumerate(self.terms):
+        for idx, (m, c) in enumerate(self.as_dict().items()):
             if isinstance(fld, Rationals) and c < 0:
                 sign = "-"
                 mag = -c
@@ -662,44 +655,54 @@ def _modulus(fld: FieldT) -> Optional[int]:
     return fld.p if isinstance(fld, PrimeField) else None
 
 
-# Polynomials as dicts from exponent tuples to coefficients, reduced mod
-# ``p`` (``None`` over the rationals, where exact ints stay ints).
+# Polynomials as dicts from packed monomials to coefficients.  Sums and
+# products leave coefficients unreduced; :func:`_reduced` reduces them mod
+# ``p`` (``None`` over the rationals, where exact ints stay ints) and
+# checks the width guard.
 
 
-def _reduced(d: dict, p: Optional[int]) -> dict:
-    """``d`` with coefficients reduced and zeros dropped."""
+def _reduced(d: dict, p: Optional[int], over: int) -> dict:
+    """``d`` with coefficients reduced and zeros dropped; a monomial left
+    with a digit at or above ``PACK_LIMIT`` (a bit of ``over``) raises
+    :class:`DegreeLimitExceeded`."""
     if p:
-        d = {m: c % p for m, c in d.items()}
-    return {m: c for m, c in d.items() if c}
+        d = {m: r for m, c in d.items() if (r := c % p)}
+    else:
+        d = {m: c for m, c in d.items() if c}
+    if functools.reduce(operator.or_, d, 0) & over:
+        raise DegreeLimitExceeded()
+    return d
 
 
-def _dict_sum(a: dict, b: dict, p: Optional[int], sign: int = 1) -> dict:
+def _dict_sum(a: dict, b: dict, sign: int = 1) -> dict:
     acc = dict(a)
     for m, c in b.items():
         acc[m] = acc.get(m, 0) + sign * c
-    return _reduced(acc, p)
+    return acc
 
 
-def _dict_product(a: dict, b: dict, p: Optional[int]) -> dict:
-    acc: dict = {}
+def _dict_product(acc: dict, a: dict, b: dict) -> dict:
+    """``acc += a*b``, returning ``acc``: a product of monomials is the sum
+    of their packed ints."""
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = ma + mb
             acc[m] = acc.get(m, 0) + ca * cb
-    return _reduced(acc, p)
+    return acc
 
 
-def _dict_power(a: dict, e: int, one: dict, p: Optional[int]) -> dict:
-    """``a**e`` by repeated squaring; ``one`` is the dict of 1."""
-    if e * max((sum(m) for m in a), default=0) > MAX_EXPONENT:
+def _dict_power(a: dict, e: int, one: dict, p: Optional[int], pk: _Packing) -> dict:
+    """``a**e`` by repeated squaring, every product reduced and checked;
+    ``one`` is the dict of 1."""
+    if e * max(map(pk.degree, a), default=0) > MAX_EXPONENT:
         raise OverflowError("exponent overflow in polynomial power")
     result = one
     while e:
         if e & 1:
-            result = _dict_product(result, a, p)
+            result = _reduced(_dict_product({}, result, a), p, pk.over)
         e >>= 1
         if e:
-            a = _dict_product(a, a, p)
+            a = _reduced(_dict_product({}, a, a), p, pk.over)
     return result
 
 
@@ -740,9 +743,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent whose values are dicts as for :func:`_dict_sum`; a
-    ``Fraction`` only comes from an ``a/b`` literal, coerced where it stands
-    over a prime field.  One polynomial is built at the end."""
+    """Recursive descent whose values are reduced dicts keyed by packed
+    monomials (:func:`_reduced`), so the width guard holds for every
+    intermediate value; a ``Fraction`` only comes from an ``a/b`` literal,
+    coerced where it stands over a prime field.  One polynomial is built at
+    the end."""
 
     def __init__(self, tokens: list[tuple[str, str, int]], ring: PolyRing, length: int) -> None:
         self.tokens = tokens
@@ -750,7 +755,10 @@ class _Parser:
         self.pos = 0
         self.length = length
         self.p = _modulus(ring.field_)
-        self.one = {(0,) * ring.nvars: 1}
+        self.one = {0: 1}
+
+    def reduced(self, d: dict) -> dict:
+        return _reduced(d, self.p, self.ring.packing.over)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -784,7 +792,7 @@ class _Parser:
         result = self.term()
         while self.at("+-"):
             sign = 1 if self.advance()[1] == "+" else -1
-            result = _dict_sum(result, self.term(), self.p, sign)
+            result = self.reduced(_dict_sum(result, self.term(), sign))
         return result
 
     def term(self) -> dict:
@@ -795,8 +803,8 @@ class _Parser:
         result = self.power()
         while self.at("*"):
             self.advance()
-            result = _dict_product(result, self.power(), self.p)
-        return _dict_sum({}, result, self.p, -1) if negate else result
+            result = self.reduced(_dict_product({}, result, self.power()))
+        return self.reduced(_dict_sum({}, result, -1)) if negate else result
 
     def power(self) -> dict:
         base = self.atom()
@@ -811,7 +819,7 @@ class _Parser:
         exponent = int(etok[1])
         if exponent > MAX_EXPONENT:
             raise ParseError("exponent too large", etok[2])
-        return _dict_power(base, exponent, self.one, self.p)
+        return _dict_power(base, exponent, self.one, self.p, self.ring.packing)
 
     def atom(self) -> dict:
         tok = self.advance()
@@ -829,19 +837,19 @@ class _Parser:
                 literal = Fraction(literal, denominator)
                 if self.p:
                     literal = self.ring.field_.coerce(literal)
-            return _reduced({m: literal for m in self.one}, self.p)
+            return self.reduced({0: literal})
         if kind == "name":
             try:
                 index = self.ring.variables.index(value)
             except ValueError:
                 raise ParseError(f"unknown identifier {value!r}", where) from None
-            return {tuple(int(i == index) for i in range(self.ring.nvars)): 1}
+            return {self.ring.packing.variables[index]: 1}
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
         if kind == "op" and value == "-":
-            return _dict_sum({}, self.atom(), self.p, -1)
+            return self.reduced(_dict_sum({}, self.atom(), -1))
         raise ParseError(f"unexpected token {value!r}", where)
 
 

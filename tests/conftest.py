@@ -4,12 +4,29 @@ import os
 import pytest
 
 from lodeg.conormal import VarietySpec
+from lodeg.poly import BlockOrder, Grevlex, Lex
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
+
+
+def order_key(order):
+    """The monomial order as a sort key on exponent tuples, written out
+    here: the oracle the packed layout of ``poly`` is tested against."""
+
+    def grevlex(m):
+        return (sum(m), tuple(-e for e in reversed(m)))
+
+    if isinstance(order, Grevlex):
+        return grevlex
+    if isinstance(order, Lex):
+        return tuple
+    if isinstance(order, BlockOrder):
+        return lambda m: grevlex(m[: order.k]) + grevlex(m[order.k :])
+    raise TypeError(f"no key for the order {order!r}")
 
 
 def load_spec(name: str) -> VarietySpec:

@@ -170,7 +170,7 @@ def _random_hypersurface(stream, nvars, degree):
             continue
         sign = 1 if stream.next_u64() % 2 else -1
         terms[expo] = Fraction(sign * stream.integer(1, 60))
-    return VarietySpec.define(names, [ring.from_dict(terms)])
+    return VarietySpec.define(names, [ring.from_terms(terms.items())])
 
 
 def test_acceptance_7_property_suite():

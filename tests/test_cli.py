@@ -404,9 +404,23 @@ class TestFailures:
         assert err.startswith("input error: a monomial reached degree 16384")
         assert err.count("\n") == 1
 
+    def test_degree_at_the_limit_stops_at_parse(self, tmp_path, capsys):
+        # x^16384 never becomes a polynomial: the parser raises, with the
+        # line a Groebner basis of it used to give.
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^16384 + y^2 - 1"]}))
+        code, out, err = run_cli(capsys, "lodeg", str(big))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            f"input error: {big}: a monomial reached degree 16384; Groebner computations need "
+            "degrees below 16384 (under a block order, each block's degree; under lex, each exponent)\n"
+        )
+
     def test_degree_beyond_packed_monomials_in_restrict_base(self, monkeypatch, capsys):
-        # A restricted system whose source term has degree 16384 stops in
-        # restrict_base, before any Groebner basis, with the same exit 3.
+        # A source term of degree 16384 for restrict_base cannot be built:
+        # the power raises where it is formed, before any Groebner basis,
+        # with the same exit 3.
         real = invariants.restrict_base
 
         def too_wide(system, forms):
@@ -435,6 +449,16 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("input error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_budget_must_be_a_positive_number_of_seconds(self, capsys, value):
+        # NaN and infinity never run out, and print as invalid JSON; zero
+        # and negative budgets run out at once.
+        code, out, err = run_cli(capsys, "lodeg", data_path("sphere.json"), "--budget-secs", value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: --budget-secs must be a positive number of seconds")
         assert err.count("\n") == 1
 
     def test_duplicate_variable_is_an_input_error(self, tmp_path, capsys):

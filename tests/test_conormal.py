@@ -203,7 +203,7 @@ class TestMultiplierSystem:
         slack = multiplier_slack_forms(system, SeedStream(1))
         assert len(slack) == 1
         base_zero = (0,) * system.base_count
-        assert all(m[: system.base_count] == base_zero for m, _ in slack[0].terms)
+        assert all(m[: system.base_count] == base_zero for m in slack[0].as_dict())
 
     def test_restrict_base(self, sphere):
         system = multiplier_system(sphere, DEFAULT_PRIMES[0])
@@ -255,7 +255,7 @@ class TestRestrictBase:
 
             def expected(g):
                 total = small.zero()
-                for m, c in g.terms:
+                for m, c in g.as_dict().items():
                     term = small.constant(c)
                     for q, e in zip(images, m):
                         term = term * q ** e
@@ -291,7 +291,8 @@ class TestRestrictBase:
         assert len(restrict_base(self._system(PrimeField(Q), split), same).equations) == 2
 
     def test_width_guard(self):
-        # Affine images never raise a degree, so the source term decides.
+        # Affine images never raise a degree, so the source term decides;
+        # one at the limit is refused when it is parsed.
         fld = PrimeField(DEFAULT_PRIMES[0])
         with pytest.raises(DegreeLimitExceeded):
             restrict_base(self._system(fld, f"x0^{PACK_LIMIT} - x1"), [((1, 1), 0)])
@@ -330,7 +331,7 @@ class TestConormalIdeals:
         assert cono.ring.nvars == 8
         assert krull_dimension(Ideal.of(cono.ring, list(cono.generators))) == 4
         for g in cono.generators:
-            bidegrees = {(sum(m[:4]), sum(m[4:])) for m, _ in g.terms}
+            bidegrees = {(sum(m[:4]), sum(m[4:])) for m in g.as_dict()}
             assert len(bidegrees) == 1
 
     @pytest.mark.parametrize("build", ["minors", "multiplier", "projective"])

@@ -36,9 +36,10 @@ from lodeg.poly import (
     SplitModulus,
     block_order,
     residue_ring,
-    _Packing,
 )
 from lodeg.randomness import COEFF_BOUND, DEFAULT_PRIMES, Instability
+
+from conftest import order_key
 
 P1 = 2147483647
 
@@ -68,7 +69,7 @@ class TestBuchberger:
     def test_basis_is_monic_and_sorted(self):
         r = qring("x", "y")
         gb = buchberger(Ideal.of(r, [r.parse("2*x^2*y - 4"), r.parse("3*y^3 - x")]))
-        keyf = r.order.key
+        keyf = order_key(r.order)
         lms = [g.leading_monomial() for g in gb.basis]
         assert all(g.leading_coefficient() == 1 for g in gb.basis)
         assert lms == sorted(lms, key=keyf, reverse=True)
@@ -157,7 +158,7 @@ def _plain_spoly(f, g, key, p):
 def _random_generators(rng, ring, count, degree, terms):
     monos = [m for m in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(m) <= degree]
     return [
-        ring.from_dict({m: rng.randrange(1, P1) for m in rng.sample(monos, terms)})
+        ring.from_terms((m, rng.randrange(1, P1)) for m in rng.sample(monos, terms))
         for _ in range(count)
     ]
 
@@ -174,7 +175,7 @@ class TestReducerAgainstPlainDivision:
     def test_random_ideals(self, order):
         rng = random.Random(f"reducer:{order.name}")
         ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
-        key = order.key
+        key = order_key(order)
         for count, degree, terms in [(2, 2, 3), (3, 2, 4), (2, 3, 4), (3, 2, 3)] * 2:
             gens = _random_generators(rng, ring, count, degree, terms)
             gb = buchberger(Ideal.of(ring, gens))
@@ -197,7 +198,7 @@ class TestReducerAgainstPlainDivision:
         # Two-variable blocks put multi-digit weight rows under the test.
         rng = random.Random(f"reducer5:{order.name}:{getattr(order, 'k', 0)}")
         ring = PolyRing(("v", "w", "x", "y", "z"), PrimeField(P1), order)
-        key = order.key
+        key = order_key(order)
         # The last two cases are square, so they run the signature loop.
         for count, degree, terms in [(2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4), (5, 2, 3), (5, 2, 4)]:
             gens = _random_generators(rng, ring, count, degree, terms)
@@ -269,7 +270,7 @@ class TestTwoLoops:
 class TestPairUpdate:
     def test_one_pair_per_lcm_and_none_beside_a_coprime_one(self):
         ring = fring("x", "y", "z")
-        pk = _Packing(ring)
+        pk = ring.packing
 
         def new_pairs(*monos):
             # The last monomial is the new generator h.
@@ -343,17 +344,18 @@ def _orders(n):
 
 
 class TestPackedMonomials:
-    """Packed monomials against the tuple operations of ``poly``, for every
-    order on 1 to 10 variables, with block degrees up to the guard bound."""
+    """Packed monomials against tuple operations written here and the order
+    keys of ``conftest.order_key``, for every order on 1 to 10 variables,
+    with block degrees up to the guard bound."""
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_packing_agrees_with_tuples(self, n):
         rng = random.Random(f"packing:{n}")
         for order in _orders(n):
             ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
-            pk = _Packing(ring)
+            pk = ring.packing
             blocks = _order_blocks(order, n)
-            key = order.key
+            key = order_key(order)
             monos = [_random_monomial(rng, n, blocks, PACK_LIMIT) for _ in range(60)]
             packed = [pk.pack(m) for m in monos]
             for m, a in zip(monos, packed):
@@ -387,7 +389,7 @@ class TestPackedMonomials:
     def test_packing_refuses_a_block_at_the_bound(self, n):
         for order in _orders(n):
             ring = PolyRing(tuple(f"x{i}" for i in range(n)), QQ, order)
-            pk = _Packing(ring)
+            pk = ring.packing
             for a, b in _order_blocks(order, n):
                 m = [0] * n
                 m[b - 1] = PACK_LIMIT
@@ -464,7 +466,8 @@ class TestEliminateAndSaturate:
         # x^2 + t listed with the leading monomial x^2: wrong under any
         # block order, and caught rather than projected away.
         r = qring("t", "x")
-        bad = Polynomial(r, (((0, 2), Fraction(1)), ((1, 0), Fraction(1))))
+        pack = r.packing.pack
+        bad = Polynomial(r, ((pack((0, 2)), Fraction(1)), (pack((1, 0)), Fraction(1))))
         monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: GroebnerBasis(r, (bad,)))
         with pytest.raises(RuntimeError, match="eliminated variables"):
             eliminate(Ideal.of(r, [r.parse("x")]), 1)
@@ -578,7 +581,8 @@ class TestZeroDimensional:
             m for m in itertools.product(range(top), repeat=3)
             if not any(mono_divides(lm, m) for lm in lms)
         ]
-        assert quotient_basis(gb).monomials == tuple(sorted(staircase, key=order.key))
+        monomials = tuple(map(r.packing.unpack, quotient_basis(gb).monomials))
+        assert monomials == tuple(sorted(staircase, key=order_key(order)))
 
     def test_quotient_basis_rejects_curves(self):
         r = fring("x", "y")

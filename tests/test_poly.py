@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from lodeg.groebner import Ideal, buchberger, eliminate, saturate
 from lodeg.poly import (
     GREVLEX,
     LEX,
+    PACK_LIMIT,
     CoefficientError,
+    DegreeLimitExceeded,
     ParseError,
     PolyRing,
     PrimeField,
@@ -19,7 +22,10 @@ from lodeg.poly import (
     fresh_names,
     parse_polynomial,
     residue_ring,
+    substitute,
 )
+
+from conftest import order_key
 
 
 P = 2147483647
@@ -103,14 +109,14 @@ class TestArithmetic:
         assert str(h) == "-3*w^2 + x^2 + w*y"
         # setting the new variable to 1 recovers the original
         images = [f.ring.one()] + [f.ring.gen(i) for i in range(3)]
-        assert h.substitute(f.ring, images) == f
+        assert substitute([h], f.ring, images) == [f]
 
     def test_substitute_and_project(self, ring):
         # x -> y + 1 into the ring on (y, z): substitution and projection
         # are one map.
         small = PolyRing(("y", "z"), QQ, GREVLEX)
         images = [small.parse("y + 1"), small.gen(0), small.gen(1)]
-        g = ring.parse("x^2 + z").substitute(small, images)
+        (g,) = substitute([ring.parse("x^2 + z")], small, images)
         assert g == small.parse("y^2 + 2*y + 1 + z")
         assert g.ring.variables == ("y", "z")
 
@@ -119,11 +125,11 @@ class TestArithmetic:
         other = PolyRing(("y", "z"), PrimeField(P), GREVLEX)
         f = ring.parse("x + z")
         with pytest.raises(ValueError):
-            f.substitute(small, [small.gen(0), small.gen(0), other.gen(1)])
+            substitute([f], small, [small.gen(0), small.gen(0), other.gen(1)])
         with pytest.raises(ValueError):
-            f.substitute(small, [small.gen(0), small.gen(1)])
+            substitute([f], small, [small.gen(0), small.gen(1)])
         with pytest.raises(ValueError):
-            f.substitute(other, [other.gen(0)] * 3)
+            substitute([f], other, [other.gen(0)] * 3)
 
     @pytest.mark.parametrize("field_", [QQ, PrimeField(P)], ids=["QQ", "GFp"])
     def test_substitute_is_the_sum_of_products(self, field_):
@@ -143,12 +149,12 @@ class TestArithmetic:
             g = random_poly(source, 4, 6)
             images = [random_poly(target, rng.randrange(1, 3), rng.randrange(1, 4)) for _ in range(3)]
             expected = target.zero()
-            for m, c in g.terms:
+            for m, c in g.as_dict().items():
                 term = target.constant(c)
                 for q, e in zip(images, m):
                     term = term * q ** e
                 expected = expected + term
-            assert g.substitute(target, images) == expected
+            assert substitute([g], target, images) == [expected]
 
 
 class TestParserOracle:
@@ -211,6 +217,140 @@ class TestParserOracle:
         with pytest.raises(ParseError) as exc:
             PolyRing(("x",), QQ, GREVLEX).parse("x * (x + 2")
         assert exc.value.position == 10
+
+
+ORACLE_FIELDS = [QQ, PrimeField(P), residue_ring((P, 2147483629))]
+ORACLE_FIELD_IDS = ["QQ", "GFp", "two_primes"]
+ORACLE_ORDERS = [GREVLEX, LEX, block_order(1), block_order(2)]
+ORACLE_ORDER_IDS = ["grevlex", "lex", "block1", "block2"]
+
+
+class TestAgainstTupleOracle:
+    """``Polynomial`` on packed monomials against the same operations on
+    dicts keyed by exponent tuples, written here; the order of every
+    result's terms against ``conftest.order_key``."""
+
+    @staticmethod
+    def tuples(f):
+        """The terms of ``f`` keyed by exponent tuples, checked to come in
+        decreasing order."""
+        d = f.as_dict()
+        assert list(d) == sorted(d, key=order_key(f.ring.order), reverse=True)
+        return d
+
+    @staticmethod
+    def reduced(d, fld):
+        p = getattr(fld, "p", None)
+        return {m: c % p if p else c for m, c in d.items() if (c % p if p else c)}
+
+    def add(self, a, b, fld):
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + c
+        return self.reduced(out, fld)
+
+    def mul(self, a, b, fld):
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        return self.reduced(out, fld)
+
+    @staticmethod
+    def random_poly(rng, ring, degree, terms):
+        # Integer data below every prime: no residue ring splits on it.
+        monos = [m for m in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(m) <= degree]
+        return ring.from_terms(
+            (m, Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 5))
+             if ring.field_ == QQ else rng.randrange(1, 1 << 30))
+            for m in rng.sample(monos, min(terms, len(monos)))
+        )
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=ORACLE_ORDER_IDS)
+    @pytest.mark.parametrize("field_", ORACLE_FIELDS, ids=ORACLE_FIELD_IDS)
+    def test_arithmetic_and_ring_changes(self, field_, order):
+        rng = random.Random(f"oracle:{field_}:{order}")
+        ring = PolyRing(("x", "y", "z"), field_, order)
+        target = PolyRing(("a", "b"), field_, order)
+        for _ in range(12):
+            f, g = (self.random_poly(rng, ring, 3, rng.randrange(1, 7)) for _ in range(2))
+            tf, tg = self.tuples(f), self.tuples(g)
+            assert self.tuples(f + g) == self.add(tf, tg, field_)
+            assert self.tuples(f - g) == self.add(tf, {m: -c for m, c in tg.items()}, field_)
+            assert self.tuples(f * g) == self.mul(tf, tg, field_)
+            power = {(0, 0, 0): field_.one}
+            for e in range(4):
+                assert self.tuples(f ** e) == power
+                power = self.mul(power, tf, field_)
+            for i in range(3):
+                partial = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in tf.items() if m[i]}
+                assert self.tuples(f.partial(i)) == self.reduced(partial, field_)
+            degree = max(map(sum, tf))
+            assert f.total_degree() == degree
+            assert f.is_homogeneous() == (len(set(map(sum, tf))) == 1)
+            assert f.leading_monomial() == next(iter(tf))
+            assert all(f.coefficient(m) == c for m, c in tf.items())
+            assert f.constant_coefficient() == tf.get((0, 0, 0), 0)
+            assert self.tuples(f.homogenize("w")) == {(degree - sum(m),) + m: c for m, c in tf.items()}
+            for other in ORACLE_ORDERS:
+                moved = f.to_ring(ring.with_order(other))
+                assert self.tuples(moved) == tf
+                assert moved.to_ring(ring) == f
+            images = [self.random_poly(rng, target, 2, rng.randrange(1, 4)) for _ in range(3)]
+            expected = {}
+            for m, c in tf.items():
+                term = {(0, 0): c}
+                for q, e in zip(images, m):
+                    for _ in range(e):
+                        term = self.mul(term, self.tuples(q), field_)
+                expected = self.add(expected, term, field_)
+            assert [self.tuples(h) for h in substitute([f, g], target, images)] == [
+                expected, self.tuples(substitute([g], target, images)[0])
+            ]
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=ORACLE_ORDER_IDS)
+    @pytest.mark.parametrize("field_", ORACLE_FIELDS, ids=ORACLE_FIELD_IDS)
+    def test_eliminate_and_saturate_round_trips(self, field_, order):
+        # Eliminating t from I + (t - q), and saturating I by a unit, both
+        # cross into a ring with t prepended and back: they give I's basis.
+        rng = random.Random(f"oracle-ideals:{field_}:{order}")
+        ring = PolyRing(("x", "y", "z"), field_, order)
+        big = PolyRing(("t",) + ring.variables, field_, order)
+        for _ in range(3):
+            gens = [self.random_poly(rng, ring, 2, 3) for _ in range(2)]
+            basis = buchberger(Ideal.of(ring, gens)).basis
+            q = self.random_poly(rng, ring, 2, 3)
+            lifted = [big.from_terms(((0,) + m, c) for m, c in self.tuples(h).items()) for h in gens + [q]]
+            cut = lifted[:-1] + [big.gen(0) - lifted[-1]]
+            for out in (eliminate(Ideal.of(big, cut), 1), saturate(Ideal.of(ring, gens), ring.constant(3))):
+                assert out.ring == ring
+                assert out.generators == basis
+                for h in out.generators:
+                    self.tuples(h)
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=ORACLE_ORDER_IDS)
+    def test_width_guard_holds_at_entry(self, order):
+        # A digit of PACK_LIMIT never enters a polynomial, whatever builds it.
+        ring = PolyRing(("x", "y", "z"), PrimeField(P), order)
+        with pytest.raises(DegreeLimitExceeded):
+            ring.parse(f"x^{PACK_LIMIT}")
+        with pytest.raises(DegreeLimitExceeded):
+            ring.from_terms([((PACK_LIMIT, 0, 0), 1)])
+        half = ring.parse(f"x^{PACK_LIMIT // 2}")
+        with pytest.raises(DegreeLimitExceeded):
+            half * half
+        with pytest.raises(DegreeLimitExceeded):
+            half ** 2
+        with pytest.raises(DegreeLimitExceeded):
+            substitute([half], ring, [ring.parse("x^2"), ring.gen(1), ring.gen(2)])
+        assert ring.parse(f"x^{PACK_LIMIT - 1}").total_degree() == PACK_LIMIT - 1
+        if order == LEX:
+            # Lex bounds each exponent, so a homogenizing power can pass it.
+            wide = ring.parse(f"x^{PACK_LIMIT - 1}*y + 1")
+            assert wide.leading_monomial() == (PACK_LIMIT - 1, 1, 0)
+            with pytest.raises(DegreeLimitExceeded):
+                wide.homogenize("w")
 
 
 class TestOrders:
