@@ -141,8 +141,8 @@ def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
     for p in primes:
         if p > MAX_MATRIX_PRIME:
             raise InputError(
-                f"--prime {p} is above {MAX_MATRIX_PRIME}: products of residues "
-                "must fit in 64-bit integers"
+                f"--prime {p} is above {MAX_MATRIX_PRIME}, the top of the documented "
+                "--prime range"
             )
     residue_ring(primes)  # each prime must be a valid characteristic
     return AgreementPolicy(

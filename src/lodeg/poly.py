@@ -618,11 +618,16 @@ class Polynomial:
         return new_ring.from_terms(((deg - sum(m),) + m, c) for m, c in self.as_dict().items())
 
     def to_ring(self, target: PolyRing) -> "Polynomial":
-        """Recoerce into a ring with the same variable names (field or order may differ)."""
+        """Recoerce into a ring with the same variable names (field or order
+        may differ).  A field change alone keeps the packed monomials and
+        their order and coerces the coefficients."""
         if target.variables != self.ring.variables:
             raise ValueError("target ring has different variables")
         if target == self.ring:
             return self
+        if target.packing is self.ring.packing:
+            coerce = target.field_.coerce
+            return Polynomial(target, tuple((m, cc) for m, c in self.terms if (cc := coerce(c))))
         return target.from_terms(self.as_dict().items())
 
     # -- printing --------------------------------------------------------

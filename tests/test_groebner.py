@@ -176,7 +176,9 @@ class TestReducerAgainstPlainDivision:
         rng = random.Random(f"reducer:{order.name}")
         ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
         key = order_key(order)
-        for count, degree, terms in [(2, 2, 3), (3, 2, 4), (2, 3, 4), (3, 2, 3)] * 2:
+        # The last three have more generators than variables.
+        cases = [(2, 2, 3), (3, 2, 4), (2, 3, 4), (3, 2, 3), (4, 2, 3), (5, 2, 3), (6, 2, 4)]
+        for count, degree, terms in cases * 2:
             gens = _random_generators(rng, ring, count, degree, terms)
             gb = buchberger(Ideal.of(ring, gens))
             basis = [g.as_dict() for g in gb.basis]
@@ -199,7 +201,6 @@ class TestReducerAgainstPlainDivision:
         rng = random.Random(f"reducer5:{order.name}:{getattr(order, 'k', 0)}")
         ring = PolyRing(("v", "w", "x", "y", "z"), PrimeField(P1), order)
         key = order_key(order)
-        # The last two cases are square, so they run the signature loop.
         for count, degree, terms in [(2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4), (5, 2, 3), (5, 2, 4)]:
             gens = _random_generators(rng, ring, count, degree, terms)
             gb = buchberger(Ideal.of(ring, gens))
@@ -215,42 +216,28 @@ class TestReducerAgainstPlainDivision:
 
 
 class TestTwoLoops:
-    """A square ideal runs the signature loop; adding a combination of two
-    of its generators gives the same ideal, which runs the pair loop."""
+    """A square ideal and the same ideal with a combination of two of its
+    generators added, one generator more than variables, have one reduced
+    basis."""
 
     @staticmethod
-    def spy(monkeypatch):
-        calls = []
-        real = groebner._signature_basis
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(groebner, "_signature_basis", counted)
-        return calls
-
-    def both_loops(self, monkeypatch, gens, rng):
-        calls = self.spy(monkeypatch)
+    def with_combination(gens, rng):
         ring = gens[0].ring
         square = buchberger(Ideal.of(ring, gens))
-        assert len(calls) == 1
         combo = gens[0] * rng.randrange(1, P1) + gens[-1] * rng.randrange(1, P1)
-        paired = buchberger(Ideal.of(ring, gens + [combo]))
-        assert len(calls) == 1
-        assert square.basis == paired.basis
+        assert buchberger(Ideal.of(ring, gens + [combo])).basis == square.basis
         return square
 
     @pytest.mark.parametrize(
         "order", [GREVLEX, LEX, block_order(1)], ids=["grevlex", "lex", "block1"]
     )
-    def test_random_square_ideals(self, monkeypatch, order):
+    def test_random_square_ideals(self, order):
         rng = random.Random(f"loops:{order.name}")
         for n, degree, terms in [(2, 2, 3), (2, 3, 4), (3, 2, 3), (3, 2, 4), (3, 3, 3), (4, 2, 3)] * 3:
             ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
-            self.both_loops(monkeypatch, _random_generators(rng, ring, n, degree, terms), rng)
+            self.with_combination(_random_generators(rng, ring, n, degree, terms), rng)
 
-    def test_pinned_lex_case(self, monkeypatch):
+    def test_pinned_lex_case(self):
         ring = PolyRing(("x0", "x1", "x2"), PrimeField(P1), LEX)
         gens = [
             ring.parse(
@@ -263,46 +250,55 @@ class TestTwoLoops:
                 "1656379082*x0*x2^2 + 366336344*x1^2*x2 + 1122565993*x1*x2^2 + 992705623*x1*x2 + 1900017490*x1"
             ),
         ]
-        gb = self.both_loops(monkeypatch, gens, random.Random("pinned"))
+        gb = self.with_combination(gens, random.Random("pinned"))
         assert gb.leading_monomials() == ((1, 0, 0), (0, 1, 0), (0, 0, 14))
 
 
-class TestPairUpdate:
-    def test_one_pair_per_lcm_and_none_beside_a_coprime_one(self):
-        ring = fring("x", "y", "z")
-        pk = ring.packing
+class TestKeptReducers:
+    """The reducers :func:`buchberger` hands over are those of its basis,
+    prepared once per element the signature loop adds."""
 
-        def new_pairs(*monos):
-            # The last monomial is the new generator h.
-            lms = {i: pk.pack(m) for i, m in enumerate(monos)}
-            h = len(monos) - 1
-            return groebner._update_pairs(set(range(h)), {}, h, lms, pk)[1]
+    FIELDS = [QQ, PrimeField(P1), residue_ring(DEFAULT_PRIMES)]
 
-        # x*z and y*z both make the lcm x*y*z with h = x*y.
-        assert len(new_pairs((1, 0, 1), (0, 1, 1), (1, 1, 0))) == 1
-        # z is coprime to h = x*y; only y^2 gets a pair.
-        assert [g for _, g, _ in new_pairs((0, 0, 1), (0, 2, 0), (1, 1, 0))] == [1]
+    @pytest.mark.parametrize("fld", FIELDS, ids=["QQ", "GFp", "two_primes"])
+    def test_reducers_are_the_basis_reducers(self, fld):
+        rng = random.Random(f"kept:{fld}")
+        for order in _orders(3):
+            ring = PolyRing(("x", "y", "z"), fld, order)
+            normalize, invert = groebner._field_ops(ring)
+            for count in (2, 3, 4, 5):
+                gens = TestSeveralPrimes.integer_generators(rng, ring, count, 2, 3)
+                gb = buchberger(Ideal.of(ring, gens))
+                prepared = tuple(groebner._reducer(dict(g.terms), normalize, invert) for g in gb.basis)
+                assert gb.reducers() == prepared
 
-    @pytest.mark.parametrize(
-        "order", [GREVLEX, LEX, block_order(1)], ids=["grevlex", "lex", "block1"]
-    )
-    def test_generators_stay_an_antichain(self, monkeypatch, order):
-        # The update relies on it: no leading monomial of G divides another.
-        real = groebner._update_pairs
-        calls = []
+    def test_each_element_is_prepared_once(self, monkeypatch):
+        prepared, added = [], []
+        real_reducer, real_index = groebner._reducer, groebner._signature_index
 
-        def checked(G, pairs, h, lms, pk):
-            for a in G:
-                assert not any(b != a and pk.divides(lms[a], lms[b]) for b in G)
-            calls.append(len(G))
-            return real(G, pairs, h, lms, pk)
+        def counted_reducer(*args):
+            prepared.append(args)
+            return real_reducer(*args)
 
-        monkeypatch.setattr(groebner, "_update_pairs", checked)
-        rng = random.Random(f"antichain:{order.name}")
-        ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
-        for count, degree, terms in [(2, 2, 3), (4, 2, 3), (2, 3, 4), (4, 2, 4)] * 2:
-            buchberger(Ideal.of(ring, _random_generators(rng, ring, count, degree, terms)))
-        assert max(calls) > 2
+        def counted_index(*args):
+            out = real_index(*args)
+            added.append(len(out))
+            return out
+
+        monkeypatch.setattr(groebner, "_reducer", counted_reducer)
+        monkeypatch.setattr(groebner, "_signature_index", counted_index)
+        rng = random.Random("kept-once")
+        ring = PolyRing(("x", "y", "z"), PrimeField(P1), GREVLEX)
+        for count in (2, 3, 4, 6):
+            prepared.clear()
+            added.clear()
+            gens = TestSeveralPrimes.integer_generators(rng, ring, count, 2, 3)
+            gb = buchberger(Ideal.of(ring, gens))
+            assert len(added) > 1
+            assert len(prepared) == sum(added) >= len(gb.basis)
+            gb.reducers()
+            normal_form(ring.parse("x^3 + y*z"), gb)
+            assert len(prepared) == sum(added)
 
 
 def _order_blocks(order, n):
@@ -629,7 +625,7 @@ class TestZeroDimensional:
 
     def test_count_rejects_primes_beyond_int64_products(self):
         r = PolyRing(("x",), PrimeField(4294967291), GREVLEX)
-        with pytest.raises(ValueError, match="64-bit"):
+        with pytest.raises(ValueError, match="documented --prime range"):
             count_points(Ideal.of(r, [r.parse("x^2 - 2")]), seed=1)
 
     def test_characteristic_hazard_guard(self):

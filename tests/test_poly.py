@@ -310,6 +310,35 @@ class TestAgainstTupleOracle:
             ]
 
     @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=ORACLE_ORDER_IDS)
+    def test_field_changes(self, order):
+        # QQ -> GF(P) -> residue ring -> QQ, within one order and into each
+        # other: every coefficient coerced on its own exponent tuple.
+        rng = random.Random(f"oracle-fields:{order}")
+        rings = [PolyRing(("x", "y", "z"), fld, order) for fld in ORACLE_FIELDS]
+        rings.append(rings[0])
+        for _ in range(12):
+            f = self.random_poly(rng, rings[0], 3, rng.randrange(1, 7))
+            # A coefficient that vanishes modulo P leaves the GF(P) image.
+            f = f + rings[0].from_terms([((4, 0, 0), P)])
+            for target in rings[1:]:
+                coerce = target.field_.coerce
+                expected = {m: coerce(c) for m, c in self.tuples(f).items() if coerce(c)}
+                for other in ORACLE_ORDERS:
+                    assert self.tuples(f.to_ring(target.with_order(other))) == expected
+                f = f.to_ring(target)
+                assert f.ring == target
+                assert self.tuples(f) == expected
+        # A denominator keeps its errors: not a unit modulo one of the
+        # primes, or zero modulo the characteristic.
+        q = ORACLE_FIELDS[2].primes[1]
+        third = rings[0].from_terms([((1, 0, 0), Fraction(1, q)), ((0, 0, 0), 1)])
+        assert third.to_ring(rings[1]).as_dict() == {(1, 0, 0): pow(q, -1, P), (0, 0, 0): 1}
+        with pytest.raises(SplitModulus):
+            third.to_ring(rings[2])
+        with pytest.raises(CoefficientError):
+            rings[0].from_terms([((0, 0, 0), Fraction(1, P))]).to_ring(rings[1])
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=ORACLE_ORDER_IDS)
     @pytest.mark.parametrize("field_", ORACLE_FIELDS, ids=ORACLE_FIELD_IDS)
     def test_eliminate_and_saturate_round_trips(self, field_, order):
         # Eliminating t from I + (t - q), and saturating I by a unit, both
