@@ -75,6 +75,13 @@ finished basis travel inside its :class:`GroebnerBasis`, so
 :func:`normal_form`, :func:`quotient_basis` and
 :func:`multiplication_matrix` reduce with them.
 
+Every list that a divisor is searched in is kept by increasing packed
+monomial: the reducers, the own elements of an index, the leading
+monomials of the earlier basis, the signatures of the criteria.  Packing
+is additive, so if ``a`` divides ``b`` then ``b - a`` is a packed monomial
+and ``a <= b``; a scan for a divisor of ``m`` ends at the first entry
+``lm > m``, with nothing after it that could divide.
+
 The loop
 --------
 Most S-pairs of Buchberger's algorithm reduce to zero, and a zero
@@ -120,6 +127,14 @@ basis, including one whose leading term only a same-signature multiple
 could reduce (singular top-reducible): discarding those under add-order
 rewriting can lose a needed element.  When the queue is empty, the elements
 and ``G`` are minimalized and inter-reduced into the next ``G``.
+
+Signatures pop in increasing order, so the signatures of the elements and
+of the zero reductions are stored increasing: the queue holds one pair per
+signature, and each pair queued when an element of signature ``s`` is
+added has a signature above ``s``.  That signature is at least ``(lcm -
+lm) + s``, above ``s`` unless ``lm`` is a multiple ``t*lm_b`` of an own
+element's (no leading monomial of ``G`` divides ``lm``).  Then ``t*sig_b >=
+s``, as ``lm`` is regularly irreducible, and equality forms no pair.
 
 Signature width.  A queued signature is ``(lcm - lm) + sig`` for an lcm of
 two checked leading monomials (digits below ``2 * PACK_LIMIT``) and a
@@ -212,7 +227,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from bisect import insort
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -278,8 +295,10 @@ class Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced, monic Groebner basis, sorted by decreasing leading monomial,
-    and its packed reducers (see "Reduction"), prepared on first use unless
-    :func:`buchberger` handed its own over."""
+    and its packed reducers (see "Reduction") by increasing leading
+    monomial, prepared on first use unless :func:`buchberger` handed its own
+    over.  A basis built by hand may list its elements in any order: the
+    prepared reducers are sorted, as every divisor scan needs."""
 
     ring: PolyRing
     basis: tuple[Polynomial, ...]
@@ -288,8 +307,8 @@ class GroebnerBasis:
     def reducers(self) -> tuple:
         if self._reducers is None:
             normalize, invert = _field_ops(self.ring)
-            prepared = tuple(_reducer(dict(g.terms), normalize, invert) for g in self.basis)
-            object.__setattr__(self, "_reducers", prepared)
+            prepared = (_reducer(dict(g.terms), normalize, invert) for g in self.basis)
+            object.__setattr__(self, "_reducers", tuple(sorted(prepared, key=itemgetter(0))))
         return self._reducers
 
     def is_unit(self) -> bool:
@@ -350,6 +369,18 @@ def _reducer(d: dict, normalize, invert) -> tuple[int, tuple]:
     return lm, tuple((m, normalize(-c * inv)) for m, c in items)
 
 
+def _has_divisor(m: int, lms: Iterable[int], guard: int) -> bool:
+    """Whether a packed monomial of ``lms``, increasing, divides ``m``; the
+    scan ends at the first one above ``m``."""
+    guarded = m | guard
+    for lm in lms:
+        if lm > m:
+            return False
+        if (guarded - lm) & guard == guard:
+            return True
+    return False
+
+
 def _reduce_full(
     target: dict,
     reducers: Sequence[tuple[int, tuple]],
@@ -362,16 +393,18 @@ def _reduce_full(
     """Full normal form of the packed dict ``target`` modulo prepared
     ``reducers``; with a signature ``sig``, the regular normal form.
 
-    The first reducer (in list order) whose leading monomial divides a term
-    reduces it; the scan is one guard-bit subtraction per reducer.  The
-    working set is a dict of coefficients plus a heap of negated packed
-    monomials, one entry per monomial: a monomial is pushed when it first
-    enters the dict and stays there, with a coefficient that may cancel to
-    zero, until popped; a popped zero is skipped.  Terms are popped in
-    strictly decreasing order, and every term a reduction step adds is
-    smaller than the term being reduced, so a popped monomial never returns
-    and the result comes out in decreasing order.  Coefficients are reduced
-    by ``normalize`` once, when their term is popped.
+    ``reducers`` and ``own`` are by increasing leading monomial.  The first
+    reducer whose leading monomial divides a term reduces it; the scan is
+    one guard-bit subtraction per reducer, up to the first leading monomial
+    above the term.  The working set is a dict of coefficients plus a heap
+    of negated packed monomials, one entry per monomial: a monomial is
+    pushed when it first enters the dict and stays there, with a
+    coefficient that may cancel to zero, until popped; a popped zero is
+    skipped.  Terms are popped in strictly decreasing order, and every term
+    a reduction step adds is smaller than the term being reduced, so a
+    popped monomial never returns and the result comes out in decreasing
+    order.  Coefficients are reduced by ``normalize`` once, when their term
+    is popped.
 
     Every popped term with a nonzero coefficient passes the width guard
     before it is used, so a step's new terms ``(m - lm) + t`` keep their
@@ -398,14 +431,21 @@ def _reduce_full(
         if m & over:
             raise DegreeLimitExceeded()
         guarded = m | guard
-        for lm, tail in reducers:
-            if (guarded - lm) & guard == guard:
+        tail = None
+        for lm, t in reducers:
+            if lm > m:
                 break
-        else:
-            for lm, tail, s in own:
-                if (guarded - lm) & guard == guard and m - lm + s < sig:
+            if (guarded - lm) & guard == guard:
+                tail = t
+                break
+        if tail is None:
+            for lm, t, s in own:
+                if lm > m:
                     break
-            else:
+                if (guarded - lm) & guard == guard and m - lm + s < sig:
+                    tail = t
+                    break
+            if tail is None:
                 out[m] = c
                 continue
         shift = m - lm
@@ -432,23 +472,36 @@ def _spoly(f: tuple[int, tuple], g: tuple[int, tuple], lcm: int) -> dict:
 
 
 def _reduced_basis(
-    members: list, pk: _Packing, normalize, deadline: _Deadline
+    old: list, added: list, pk: _Packing, normalize, deadline: _Deadline
 ) -> list[tuple[int, tuple]]:
     """Reduced basis, as monic prepared reducers by increasing leading
-    monomial, of monic prepared reducers that form a Groebner basis."""
+    monomial, of a reduced basis ``old`` (the same shape) and monic prepared
+    reducers ``added`` that together form a Groebner basis.
+
+    An element of ``old`` that stays in the minimal basis keeps its tail
+    unless a new leading monomial that stays divides one of its terms.  That
+    is exact: the tail is irreducible by the old leading monomials, and a
+    normal form modulo the minimal basis is unique."""
+    guard = pk.guard
     # Minimalize: drop members whose leading monomial another one divides.
     minimal: list[tuple[int, tuple]] = []
-    for r in sorted(members, key=itemgetter(0)):
-        if any(pk.divides(lm, r[0]) for lm, _ in minimal):
-            continue
-        minimal.append(r)
+    lms: list[int] = []
+    for r in sorted(old + added, key=itemgetter(0)):
+        if not _has_divisor(r[0], lms, guard):
+            minimal.append(r)
+            lms.append(r[0])
+    # An lm of ``old`` that stays is its old element's: the sort is stable.
+    kept = {lm for lm, _ in old}
+    fresh = [lm for lm in lms if lm not in kept]
 
     # Inter-reduce tails.  A reducer's tail is minus its polynomial's tail,
     # and reduction is linear, so the reduced tail is the normal form of
     # the tail.  Its terms lie below ``lm``, which divides none of them, so
     # reducing by all of ``minimal`` is reducing by the others.
     return [
-        (lm, tuple(_reduce_full(dict(tail), minimal, pk, normalize, deadline).items()))
+        (lm, tail)
+        if lm in kept and not any(_has_divisor(m, fresh, guard) for m, _ in tail)
+        else (lm, tuple(_reduce_full(dict(tail), minimal, pk, normalize, deadline).items()))
         for lm, tail in minimal
     ]
 
@@ -467,7 +520,7 @@ def _signature_basis(
         r = _reduce_full(f, reduced, pk, normalize, deadline)
         if r:
             added = _signature_index(r, reduced, pk, normalize, invert, deadline)
-            reduced = _reduced_basis(reduced + added, pk, normalize, deadline)
+            reduced = _reduced_basis(reduced, added, pk, normalize, deadline)
     return reduced
 
 
@@ -487,32 +540,26 @@ def _signature_index(
     guard, over = pk.guard, pk.over
     earlier_lms = [lm for lm, _ in earlier]
     own: list[tuple[int, tuple, int]] = []  # (lm, tail, signature), in add order
-    sigs: list[int] = []  # their signatures
-    syzygies: list[int] = []
+    by_lm: list[tuple[int, tuple, int]] = []  # the same, by increasing lm
+    sigs: list[int] = []  # their signatures, increasing (see "The loop")
+    syzygies: list[int] = []  # increasing
     pending: dict[int, tuple[int, tuple, int]] = {}  # signature -> (side, other, lcm)
     queue: list[int] = []
 
-    # Divisibility of a signature u by a checked monomial is the guard-bit
-    # test of _Packing.divides, and the lcm that of _Packing.lcm, inlined.
+    # The lcm of two leading monomials is that of _Packing.lcm, inlined.
     low, low_guard, from_exponents = pk.low, pk.low_guard, pk.from_exponents
     top = PACK_DIGIT_BITS - 1
 
     def rewritable(u: int, side: int) -> bool:
-        guarded = u | guard
-        for z in syzygies + sigs[side + 1:]:
-            if (guarded - z) & guard == guard:
-                return True
-        return False
+        return _has_divisor(u, syzygies, guard) or _has_divisor(
+            u, islice(sigs, side + 1, None), guard
+        )
 
     def queue_pair(u: int, side: int, other: tuple, lcm: int) -> None:
         held = pending.get(u)
         if held is not None and held[0] >= side:
             return
-        guarded = u | guard
-        for lm in earlier_lms:
-            if (guarded - lm) & guard == guard:
-                return
-        if rewritable(u, side):
+        if _has_divisor(u, earlier_lms, guard) or rewritable(u, side):
             return
         if held is None:
             heappush(queue, u)
@@ -522,6 +569,7 @@ def _signature_index(
         h = len(own)
         lm, tail = _reducer(d, normalize, invert)  # remainders come out decreasing
         own.append((lm, tail, sig))
+        insort(by_lm, own[-1], key=itemgetter(0))
         sigs.append(sig)
         e = lm & low
         sig_e = (sig & low) | low_guard
@@ -556,7 +604,7 @@ def _signature_index(
             raise DegreeLimitExceeded()
         deadline.check()
         lm, tail, _ = own[side]
-        r = _reduce_full(_spoly((lm, tail), other, lcm), earlier, pk, normalize, deadline, u, own)
+        r = _reduce_full(_spoly((lm, tail), other, lcm), earlier, pk, normalize, deadline, u, by_lm)
         if r:
             add(u, r)
         else:
@@ -588,17 +636,17 @@ def buchberger(
     polys = [dict(g.to_ring(ring).terms) for g in ideal.generators if not g.is_zero()]
     if not polys:
         return GroebnerBasis(ring, ())
-    final = _signature_basis(polys, pk, normalize, invert, deadline)[::-1]
+    reduced = _signature_basis(polys, pk, normalize, invert, deadline)
 
     # Self-check: every input generator must reduce to zero.
     for d in polys:
-        if _reduce_full(d, final, pk, normalize):
+        if _reduce_full(d, reduced, pk, normalize):
             raise RuntimeError("input generator does not reduce to zero against its basis")
     basis = tuple(
         Polynomial(ring, ((lm, one),) + tuple((m, normalize(-t)) for m, t in tail))
-        for lm, tail in final
+        for lm, tail in reversed(reduced)
     )
-    return GroebnerBasis(ring, basis, tuple(final))
+    return GroebnerBasis(ring, basis, tuple(reduced))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -779,7 +827,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
             )
     pk = ring.packing
     guard, over = pk.guard, pk.over
-    packed = [lm for lm, _ in gb.reducers()]
+    packed = [lm for lm, _ in gb.reducers()]  # increasing
     seen: set[int] = set()
     frontier = [0]  # the packed monomial 1
     out: list[int] = []
@@ -788,8 +836,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
         if m in seen:
             continue
         seen.add(m)
-        guarded = m | guard
-        if any((guarded - lm) & guard == guard for lm in packed):
+        if _has_divisor(m, packed, guard):
             continue
         if m & over:
             raise DegreeLimitExceeded()
@@ -913,6 +960,7 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[lis
     tables = [[[0] * dim for _ in range(dim)] for _ in range(n)]
     normalize, _ = _field_ops(ring)
     reducers = gb.reducers()
+    lms = [lm for lm, _ in reducers]
     nf_cache: dict[int, dict] = {}
     for col, m in enumerate(index):
         for table, x in zip(tables, pk.variables):
@@ -923,7 +971,7 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[lis
                 continue
             nf = nf_cache.get(sm)
             if nf is None:
-                if not any(pk.divides(lm, sm) for lm, _ in reducers):
+                if not _has_divisor(sm, lms, pk.guard):
                     raise RuntimeError("standard-monomial closure violated")
                 nf = _reduce_full({sm: 1}, reducers, pk, normalize)
                 nf_cache[sm] = nf

@@ -214,6 +214,74 @@ class TestReducerAgainstPlainDivision:
             shuffled = [g * rng.randrange(1, P1) for g in rng.sample(gens, len(gens))]
             assert buchberger(Ideal.of(ring, shuffled)).basis == gb.basis
 
+    @pytest.mark.parametrize(
+        "order",
+        [GREVLEX, LEX, block_order(1), block_order(2)],
+        ids=["grevlex", "lex", "block1", "block2"],
+    )
+    def test_targets_below_every_leading_monomial(self, order):
+        # Every scan stops at its first reducer; nothing reduces.
+        rng = random.Random(f"below:{order!r}")
+        ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+        key = order_key(order)
+        monos = list(itertools.product(range(4), repeat=3))
+        checked = 0
+        for count in (2, 3, 3, 4, 5):
+            gb = buchberger(Ideal.of(ring, _random_generators(rng, ring, count, 2, 3)))
+            lowest = min(gb.leading_monomials(), key=key)
+            below = [m for m in monos if key(m) < key(lowest)]
+            basis = [g.as_dict() for g in gb.basis]
+            for _ in range(5):
+                if not below:
+                    break
+                target = ring.from_terms(
+                    (m, rng.randrange(1, P1)) for m in rng.sample(below, min(4, len(below)))
+                )
+                assert normal_form(target, gb) == target
+                assert _plain_remainder(target.as_dict(), basis, key, P1) == target.as_dict()
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize(
+        "order",
+        [GREVLEX, LEX, block_order(1), block_order(2)],
+        ids=["grevlex", "lex", "block1", "block2"],
+    )
+    def test_own_elements_sharing_a_leading_monomial(self, order):
+        # Of two own elements with one leading monomial, only the one of
+        # signature 1 may reduce below the signature x^5: the scan must pass
+        # over the other, in either order, to the divisor after it.
+        rng = random.Random(f"shared:{order!r}")
+        ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+        key, pk = order_key(order), ring.packing
+        normalize, invert = groebner._field_ops(ring)
+        sig = pk.pack((5, 0, 0))  # above every monomial of degree 4 in each order
+        used = 0
+        for _ in range(12):
+            earlier_gb = buchberger(Ideal.of(ring, _random_generators(rng, ring, 2, 2, 2)))
+            earlier = [g.as_dict() for g in reversed(earlier_gb.basis)]  # increasing lm
+            f = _random_generators(rng, ring, 1, 2, 3)[0]
+            lm = f.leading_monomial()
+            smaller = [
+                m for m in itertools.product(range(3), repeat=3) if key(m) < key(lm) and sum(m) <= 2
+            ]
+            g = ring.from_terms(
+                [(lm, rng.randrange(1, P1))]
+                + [(m, rng.randrange(1, P1)) for m in rng.sample(smaller, min(2, len(smaller)))]
+            )
+            blocked = groebner._reducer(dict(f.terms), normalize, invert) + (sig,)
+            allowed = groebner._reducer(dict(g.terms), normalize, invert) + (0,)
+            for _ in range(4):
+                target = _random_generators(rng, ring, 1, 4, 6)[0]
+                want = _plain_remainder(target.as_dict(), earlier + [g.as_dict()], key, P1)
+                for own in ([blocked, allowed], [allowed, blocked]):
+                    got = groebner._reduce_full(
+                        dict(target.terms), earlier_gb.reducers(), pk, normalize, None, sig, own
+                    )
+                    assert ring.from_dict(got).as_dict() == want
+                used += want != _plain_remainder(target.as_dict(), earlier, key, P1)
+        assert used
+
 
 class TestTwoLoops:
     """A square ideal and the same ideal with a combination of two of its
@@ -256,7 +324,8 @@ class TestTwoLoops:
 
 class TestKeptReducers:
     """The reducers :func:`buchberger` hands over are those of its basis,
-    prepared once per element the signature loop adds."""
+    by increasing leading monomial, prepared once per element the signature
+    loop adds."""
 
     FIELDS = [QQ, PrimeField(P1), residue_ring(DEFAULT_PRIMES)]
 
@@ -269,7 +338,9 @@ class TestKeptReducers:
             for count in (2, 3, 4, 5):
                 gens = TestSeveralPrimes.integer_generators(rng, ring, count, 2, 3)
                 gb = buchberger(Ideal.of(ring, gens))
-                prepared = tuple(groebner._reducer(dict(g.terms), normalize, invert) for g in gb.basis)
+                prepared = tuple(
+                    groebner._reducer(dict(g.terms), normalize, invert) for g in reversed(gb.basis)
+                )
                 assert gb.reducers() == prepared
 
     def test_each_element_is_prepared_once(self, monkeypatch):
@@ -299,6 +370,109 @@ class TestKeptReducers:
             gb.reducers()
             normal_form(ring.parse("x^3 + y*z"), gb)
             assert len(prepared) == sum(added)
+
+
+def _scratch_reduced_basis(members, pk, normalize):
+    """Minimalize, then reduce every tail modulo the whole minimal basis."""
+    minimal = []
+    for r in sorted(members, key=lambda r: r[0]):
+        if not any(pk.divides(lm, r[0]) for lm, _ in minimal):
+            minimal.append(r)
+    return [
+        (lm, tuple(groebner._reduce_full(dict(tail), minimal, pk, normalize).items()))
+        for lm, tail in minimal
+    ]
+
+
+class TestAscendingScans:
+    """The invariants that let every divisor scan stop at the first leading
+    monomial above its target: reducers by increasing leading monomial,
+    signatures stored increasing, and the inter-reduction that keeps the
+    tails no new leading monomial divides."""
+
+    FIELDS = [QQ, PrimeField(P1), residue_ring(DEFAULT_PRIMES)]
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=["QQ", "GFp", "two_primes"])
+    def test_incremental_inter_reduction_is_from_scratch(self, fld, monkeypatch):
+        calls = []
+        real = groebner._reduced_basis
+
+        def spy(old, added, pk, normalize, deadline):
+            out = real(old, added, pk, normalize, deadline)
+            calls.append((list(old), list(added), pk, normalize, out))
+            return out
+
+        monkeypatch.setattr(groebner, "_reduced_basis", spy)
+        rng = random.Random(f"inter:{fld}")
+        kept = retouched = 0
+        for order in (GREVLEX, LEX, block_order(1)):
+            ring = PolyRing(("x", "y", "z"), fld, order)
+            for count in (2, 3, 4, 5, 6):
+                calls.clear()
+                gens = TestSeveralPrimes.integer_generators(rng, ring, count, 2, 3)
+                buchberger(Ideal.of(ring, gens))
+                for old, added, pk, normalize, out in calls:
+                    assert out == _scratch_reduced_basis(old + added, pk, normalize)
+                    before = dict(old)
+                    for lm, tail in out:
+                        if lm in before:
+                            kept += tail is before[lm]
+                            retouched += tail != before[lm]
+        assert kept and retouched
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=["QQ", "GFp", "two_primes"])
+    def test_scrambled_basis_has_the_same_normal_forms(self, fld):
+        rng = random.Random(f"scrambled:{fld}")
+        tails = 0
+        for order in _orders(3):
+            ring = PolyRing(("x", "y", "z"), fld, order)
+            for count in (3, 4, 5):
+                gens = TestSeveralPrimes.integer_generators(rng, ring, count, 2, 3)
+                gb = buchberger(Ideal.of(ring, gens))
+                if len(gb.basis) < 2:
+                    continue
+                hand = GroebnerBasis(ring, tuple(rng.sample(gb.basis, len(gb.basis))))
+                assert hand.reducers() == gb.reducers()
+                for target in TestSeveralPrimes.integer_generators(rng, ring, 6, 4, 6):
+                    assert normal_form(target, hand) == normal_form(target, gb)
+                if fld is not QQ and krull_dimension(gb) == 0:
+                    qb = quotient_basis(hand)
+                    assert qb == quotient_basis(gb)
+                    assert multiplication_matrix(hand, qb) == multiplication_matrix(gb, qb)
+                    tails += 1
+        assert tails or fld is QQ
+
+    def test_signatures_never_decrease_within_an_index(self, monkeypatch):
+        indices = []
+        real_reduce, real_index = groebner._reduce_full, groebner._signature_index
+
+        def spy_reduce(target, reducers, pk, normalize, deadline=None, sig=0, own=()):
+            lms = [r[0] for r in reducers]
+            assert lms == sorted(lms)
+            if own:
+                assert [r[0] for r in own] == sorted(r[0] for r in own)
+            if own:  # a regular reduction of the signature loop
+                indices[-1].append(sig)
+            return real_reduce(target, reducers, pk, normalize, deadline, sig, own)
+
+        def spy_index(*args):
+            indices.append([])
+            return real_index(*args)
+
+        monkeypatch.setattr(groebner, "_reduce_full", spy_reduce)
+        monkeypatch.setattr(groebner, "_signature_index", spy_index)
+        rng = random.Random("signatures")
+        for order in _orders(3):
+            ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
+            # Square ideals, and ideals with zero reductions (more generators
+            # than variables), which feed the syzygy list.
+            for count in (2, 3, 4, 5, 6):
+                gens = _random_generators(rng, ring, count, 2, 3)
+                buchberger(Ideal.of(ring, gens))
+        sigs = [s for index in indices for s in index]
+        assert len(sigs) > 50
+        for index in indices:
+            assert index == sorted(index)
 
 
 def _order_blocks(order, n):
