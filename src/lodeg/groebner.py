@@ -112,10 +112,14 @@ signature, keeping the one whose signature side was added last.  A pair is
 dropped when its signature ``u`` is
 
 - divisible by a leading monomial of ``G`` (F5, when the pair is formed):
-  ``g*e_i - f_i*(...)`` is a syzygy with signature ``lm(g)*e_i``.  A pair
-  of a new element ``f`` with ``g`` in ``G`` is not even formed when
+  ``g*e_i - f_i*(...)`` is a syzygy with signature ``lm(g)*e_i``.  The
+  test reads the exponent digits of ``u`` alone, before the pair's lcm is
+  packed, so a dropped pair builds no lcm.  A pair of a new element ``f``
+  with ``g`` in ``G`` is dropped first, in one subtraction, when
   ``gcd(lm(f), lm(g))`` divides ``sig(f)``: then ``lm(g)`` divides ``u``.
-  That test reads exponent digits only, so a dropped pair builds no lcm;
+  Of a pair of two elements of the index, the side with the larger
+  ``sig - lm`` has the larger signature, as ``u - u_b = (sig - lm) -
+  (sig_b - lm_b)``, so the side is chosen without the lcm too;
 - divisible by the signature of a pair that reduced to zero (syzygy);
 - divisible by the signature of an element added after its signature
   side (add-order rewriting).
@@ -143,9 +147,11 @@ stored, checked signature (below ``PACK_LIMIT``), so its digits stay below
 is still the monomial order.  A digit may reach its guard bit, though, so
 the guard-bit test "does a checked monomial divide ``u``" can answer a false
 "no", never a false "yes"; a false "no" skips a criterion, which costs
-work but never a wrong basis.  Each popped signature and its lcm pass the
-width guard after the criteria and before the pair is reduced or its
-signature stored.
+work but never a wrong basis.  F5 alone is exact: it tests the exponent
+digits of ``(lcm - lm) + sig``, each at most an exponent of ``lcm`` plus
+one of ``sig``, below ``2 * PACK_LIMIT``, the guard bit.  Each popped
+signature and its lcm pass the width guard after the criteria and before
+the pair is reduced or its signature stored.
 
 Several primes at once
 ----------------------
@@ -209,6 +215,10 @@ value, is harmless, or raises ``SplitModulus`` itself:
   and inverts it at once.  Its row updates test ``if a`` and add a
   multiple of ``a``, which is nothing mod ``p_i`` when ``a`` vanishes there;
   ``invariants._dual_form`` skips a covector entry the same way.
+- ``invariants._divided_duals`` takes as pivot the first constant that is
+  a unit modulo ``N`` (its proof needs a unit modulo every prime) and
+  inverts nothing.  A run one prime at a time may pick another pivot; every
+  choice gives the same ideal, so the same reduced basis.
 - :func:`saturate_by_ideal` redraws a combination that vanishes, through
   ``Polynomial.vanishes``.
 - Checks that fail mod ``N`` (two saturations that differ, a saturation
@@ -538,7 +548,7 @@ def _signature_index(
 
     See the module docstring for the criteria and the width argument."""
     guard, over = pk.guard, pk.over
-    earlier_lms = [lm for lm, _ in earlier]
+    earlier_es = [lm & pk.low for lm, _ in earlier]  # exponent digits
     own: list[tuple[int, tuple, int]] = []  # (lm, tail, signature), in add order
     by_lm: list[tuple[int, tuple, int]] = []  # the same, by increasing lm
     sigs: list[int] = []  # their signatures, increasing (see "The loop")
@@ -555,11 +565,20 @@ def _signature_index(
             u, islice(sigs, side + 1, None), guard
         )
 
+    def f5_drops(u_e: int) -> bool:
+        # Whether a leading monomial of G divides the signature whose
+        # exponent digits are u_e; those digits stay below the guard bit.
+        guarded = u_e | low_guard
+        for e_g in earlier_es:
+            if (guarded - e_g) & low_guard == low_guard:
+                return True
+        return False
+
     def queue_pair(u: int, side: int, other: tuple, lcm: int) -> None:
         held = pending.get(u)
         if held is not None and held[0] >= side:
             return
-        if _has_divisor(u, earlier_lms, guard) or rewritable(u, side):
+        if rewritable(u, side):
             return
         if held is None:
             heappush(queue, u)
@@ -572,27 +591,37 @@ def _signature_index(
         insort(by_lm, own[-1], key=itemgetter(0))
         sigs.append(sig)
         e = lm & low
-        sig_e = (sig & low) | low_guard
+        sig_e = sig & low
         for other in earlier:
             e_g = other[0] & low
             ge = ((e | low_guard) - e_g) & low_guard
             lcm_e = e_g ^ ((e ^ e_g) & (ge - (ge >> top)))
             # gcd(lm, lm_g) dividing sig means lm_g divides the signature:
             # F5 would drop the pair.  Exponent digits decide divisibility.
-            if (sig_e - (e + e_g - lcm_e)) & low_guard == low_guard:
+            if ((sig_e | low_guard) - (e + e_g - lcm_e)) & low_guard == low_guard:
+                continue
+            if f5_drops(lcm_e - e + sig_e):
                 continue
             lcm = from_exponents(lcm_e)
             queue_pair(lcm - lm + sig, h, other, lcm)
         for b in range(h):
             lm_b, tail_b, sig_b = own[b]
+            # The signatures u = lcm - lm + sig and u_b = lcm - lm_b + sig_b
+            # differ by (sig - lm) - (sig_b - lm_b): no lcm picks the side.
+            diff = (sig - lm) - (sig_b - lm_b)
+            if not diff:
+                continue
             e_b = lm_b & low
             ge = ((e | low_guard) - e_b) & low_guard
-            lcm = from_exponents(e_b ^ ((e ^ e_b) & (ge - (ge >> top))))
-            u, u_b = lcm - lm + sig, lcm - lm_b + sig_b
-            if u > u_b:
-                queue_pair(u, h, (lm_b, tail_b), lcm)
-            elif u_b > u:
-                queue_pair(u_b, b, (lm, tail), lcm)
+            lcm_e = e_b ^ ((e ^ e_b) & (ge - (ge >> top)))
+            if diff > 0:
+                side, s_lm, s_sig, other = h, lm, sig, (lm_b, tail_b)
+            else:
+                side, s_lm, s_sig, other = b, lm_b, sig_b, (lm, tail)
+            if f5_drops(lcm_e - (s_lm & low) + (s_sig & low)):
+                continue
+            lcm = from_exponents(lcm_e)
+            queue_pair(lcm - s_lm + s_sig, side, other, lcm)
 
     add(0, first)
     while queue:

@@ -11,13 +11,19 @@ Every randomized count goes through the cross-seed, cross-prime agreement
 protocol; reported integers are exact.  A grid callable takes a seed and
 the policy's primes, builds and counts its system once modulo their
 product (:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
+
+Every count by multipliers ends in :func:`_count_system`.  On a
+hypersurface (one multiplier ``lam``) it divides ``lam`` out of every dual
+equation but the first with a unit constant (:func:`_divided_duals`): the
+ideal is the same, so are its reduced basis and every count, and the
+generators are one degree lower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Optional, Sequence, Union
 
 from .conormal import (
@@ -37,7 +43,16 @@ from .conormal import (
     slice_variety,
 )
 from .groebner import Ideal, count_points, krull_dimension
-from .poly import CoefT, InputError, PolyRing, Polynomial, residue_ring, substitute
+from .poly import (
+    CoefT,
+    FieldT,
+    InputError,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    residue_ring,
+    substitute,
+)
 from .randomness import (
     DEFAULT_POLICY,
     DEFAULT_PRIMES,
@@ -143,6 +158,12 @@ def _dual_form(system: MultiplierSystem, coeffs: Sequence[CoefT], const: CoefT) 
     return system.ring.from_dict(acc)
 
 
+def _require_objective(covector: Optional[Sequence[CoefT]]) -> None:
+    """Refuse an explicit covector with no nonzero entry."""
+    if covector is not None and not any(covector):
+        raise InputError("covector has no nonzero entry: every point is critical for it")
+
+
 def _count_system(
     system: MultiplierSystem,
     extra: Sequence[Polynomial],
@@ -150,8 +171,60 @@ def _count_system(
     count_seed: int,
     budget_secs: Optional[float],
 ) -> dict[int, int]:
+    """Point counts of a multiplier system cut by the dual equations
+    ``extra`` (and its slack forms), one per prime of the system's ring.
+
+    With one multiplier the dual equations are first rewritten by
+    :func:`_divided_duals`: the same ideal, from lower-degree generators."""
+    if system.multiplier_count == 1:
+        extra = _divided_duals(system, extra)
     eqs = [*system.equations, *extra, *multiplier_slack_forms(system, stream)]
     return count_points(Ideal.of(system.ring, eqs), seed=count_seed, budget_secs=budget_secs)
+
+
+def _divided_duals(system: MultiplierSystem, duals: Sequence[Polynomial]) -> list[Polynomial]:
+    """The dual equations of a one-multiplier system with the multiplier
+    divided out of all but one; the ideal they generate with the system's
+    equations is unchanged.
+
+    Every dual equation is ``D_k = lam*a_k - b_k``: each covector entry is
+    ``lam`` times a partial derivative, and :func:`restrict_base`
+    substitutes base variables only.  Let ``D_p`` be the first whose
+    constant ``b_p`` is a unit of the field (over a residue ring, nonzero
+    modulo every prime).  Then ``lam*(a_p/b_p) = 1`` modulo the ideal, so
+    ``lam`` is a unit there (the Rabinowitsch argument; Cox, Little,
+    O'Shea, *Ideals, Varieties, and Algorithms*, 4.2).  Each other ``D_k``
+    becomes ``Q_k = (b_p*D_k - b_k*D_p)/lam``: the constants cancel and
+    every term left is a multiple of ``lam``, so the division shifts the
+    packed keys and inverts nothing.  ``lam*Q_k`` lies in the ideal and
+    ``lam`` is a unit, so ``Q_k`` does; conversely ``b_p*D_k = lam*Q_k +
+    b_k*D_p`` and ``b_p`` is a unit.  With no unit constant the list is
+    returned as it is.
+    """
+    ring = system.ring
+    fld = ring.field_
+    consts = [-d.constant_coefficient() for d in duals]
+    pivot = next((k for k, b in enumerate(consts) if _is_unit(fld, b)), None)
+    if pivot is None:
+        return list(duals)
+    lam = ring.packing.variables[system.base_count]
+    b_p, d_p = consts[pivot], duals[pivot]
+    out = []
+    for k, (d, b_k) in enumerate(zip(duals, consts)):
+        if k == pivot:
+            out.append(d)
+            continue
+        acc = {m: b_p * c for m, c in d.terms}
+        for m, c in d_p.terms:
+            acc[m] = acc.get(m, 0) - b_k * c
+        out.append(ring.from_dict({m - lam: c for m, c in acc.items() if m}))
+    return out
+
+
+def _is_unit(fld: FieldT, c: CoefT) -> bool:
+    """Whether the field element ``c`` is invertible: nonzero, and over a
+    residue ring nonzero modulo every prime."""
+    return gcd(c, fld.p) == 1 if isinstance(fld, PrimeField) else c != 0
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +244,11 @@ def lo_degree(
 
     An explicit ``covector`` pins the objective instead of drawing one; the
     count is then for that particular objective (and may be smaller than
-    the generic value).
+    the generic value).  A zero covector is refused: every point is
+    critical for it.
     """
     n = spec.n
+    _require_objective(covector)
 
     def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         system = multiplier_system(spec, residue_ring(primes))
@@ -541,6 +616,7 @@ def critical_correspondence(
         raise InputError(f"slice codimension {i} outside 0..{d}")
     if slices is not None and len(slices) != i:
         raise InputError(f"expected {i} slicing forms, got {len(slices)}")
+    _require_objective(covector)
     # Drawn data is redrawn when it degenerates; explicit data is not.
     explicit = covector is not None or slices is not None
     for attempt in range(1 if explicit else 4):
@@ -571,6 +647,8 @@ def _correspondence_once(
     n = spec.n
     sliced = slice_variety(spec, i, seed=0, forms=forms, budget_secs=budget_secs)
     pushed, _ = push_form(sliced.images, u)
+    if not any(pushed):
+        raise DegenerateSlice("the objective is constant on the sliced variety")
 
     count_critical = lo_degree(
         sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy, budget_secs=budget_secs

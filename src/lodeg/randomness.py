@@ -25,7 +25,7 @@ a time, so every observation is still that of one (seed, prime) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .poly import InputError, SplitModulus
 
@@ -88,13 +88,24 @@ class SeedStream:
 
 
 class Instability(RuntimeError):
-    """Randomized recounts failed to agree within the retry budget."""
+    """Randomized recounts failed to agree within the retry budget.
 
-    def __init__(self, context: str, observations: dict[tuple[int, int], int]) -> None:
-        detail = ", ".join(
-            f"(seed={s}, prime={p}) -> {v}" for (s, p), v in sorted(observations.items())
-        )
-        super().__init__(f"{context}: no agreement across trials: {detail}")
+    ``degenerate`` is the failure of the last attempt when every attempt
+    was a degenerate draw; the message then says so."""
+
+    def __init__(
+        self,
+        context: str,
+        observations: dict[tuple[int, int], int],
+        degenerate: Optional[Exception] = None,
+    ) -> None:
+        if degenerate is None:
+            detail = "no agreement across trials: " + ", ".join(
+                f"(seed={s}, prime={p}) -> {v}" for (s, p), v in sorted(observations.items())
+            )
+        else:
+            detail = f"every attempt was a degenerate draw (last: {degenerate})"
+        super().__init__(f"{context}: {detail}")
         self.context = context
         self.observations = observations
 
@@ -128,15 +139,17 @@ def agreed_value(
     ``SplitModulus``, one call per distinct prime, in order.  Every attempt
     uses fresh derived seeds; values must match exactly.  The callable may
     raise ``NotZeroDimensional`` or ``DegenerateSlice`` for an unlucky draw
-    -- those are treated as a failed trial and retried.
+    -- those are treated as a failed trial and retried.  When every
+    attempt is one, the :class:`Instability` raised says so.
     """
     from .conormal import DegenerateSlice
     from .groebner import NotZeroDimensional
 
     last_observations: dict[tuple[int, int], int] = {}
+    completed = False  # whether some attempt was not a degenerate draw
     for attempt in range(policy.max_retries + 1):
         observations: dict[tuple[int, int], int] = {}
-        degenerate = False
+        degenerate: Optional[Exception] = None
         for s_index in range(policy.seeds_per_trial):
             child = derive_seed(seed, attempt * policy.seeds_per_trial + s_index)
             try:
@@ -148,13 +161,14 @@ def agreed_value(
                     # prime keeps the observations before it.
                     for prime in dict.fromkeys(policy.primes):
                         observations[(child, prime)] = computation(child, (prime,))[prime]
-            except (NotZeroDimensional, DegenerateSlice):
-                degenerate = True
+            except (NotZeroDimensional, DegenerateSlice) as err:
+                degenerate = err
                 break
-        if not degenerate:
+        if degenerate is None:
+            completed = True
             values = set(observations.values())
             if len(values) == 1:
                 return values.pop()
         last_observations = observations or last_observations
-    raise Instability(context, last_observations)
+    raise Instability(context, last_observations, None if completed else degenerate)
 

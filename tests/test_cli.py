@@ -371,6 +371,29 @@ class TestFailures:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lodeg", data_path("sphere.json"), "--covector", "0,0,0"],
+            ["correspondence", data_path("sphere.json"), "--i", "1", "--covector", "0,0/7,0"],
+        ],
+        ids=["lodeg", "correspondence"],
+    )
+    def test_zero_covector(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: covector has no nonzero entry: every point is critical for it\n"
+
+    def test_objective_constant_on_the_slice(self, capsys):
+        code, out, err = run_cli(
+            capsys, "correspondence", data_path("sphere.json"),
+            "--i", "1", "--covector", "0,0,1", "--slice", "x3-6",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: the objective is constant on the sliced variety\n"
+
     def test_nonaffine_slice_form(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -394,9 +417,11 @@ class TestFailures:
 
     def test_degree_beyond_packed_monomials(self, tmp_path, capsys):
         # Degree 16383 parses and packs; the computation's first S-pair
-        # reaches degree 16384, the engine's limit.
+        # reaches degree 16384, the engine's limit.  Both variables carry
+        # that degree, so the hypersurface's divided dual equations, one
+        # degree lower, still reach it.
         big = tmp_path / "big.json"
-        big.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^16383 + y^2 - 1"]}))
+        big.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^16383 + y^16383 - 1"]}))
         code, out, err = run_cli(capsys, "lodeg", str(big))
         assert code == EXIT_INPUT
         assert out == ""

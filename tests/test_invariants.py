@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import load_spec
 
 from lodeg import conormal, invariants
 from lodeg.conormal import (
@@ -28,7 +29,8 @@ from lodeg.invariants import (
     verify_polar_relation,
     verify_sectional_bidegrees,
 )
-from lodeg.poly import PrimeField, ResidueRing, SplitModulus, residue_ring
+from lodeg.groebner import Ideal, buchberger, quotient_basis
+from lodeg.poly import QQ, PrimeField, ResidueRing, SplitModulus, fresh_name, residue_ring
 from lodeg.randomness import DEFAULT_PRIMES, SeedStream, derive_seed
 
 
@@ -415,3 +417,144 @@ class TestVerification:
         assert [r.identity for r in reports[2:]] == ["binomial transform round-trip"]
         assert all(r.passed for r in reports)
         assert warnings == ["generators are not homogeneous; cone-point check skipped"]
+
+
+def _affine_system(spec, field):
+    if isinstance(field, PrimeField):
+        return multiplier_system(spec, field)
+    return conormal._assemble_multiplier_system(list(spec.generators), spec.codimension)
+
+
+def _projective_system(spec, field):
+    if isinstance(field, PrimeField):
+        return projective_multiplier_system(spec, field)
+    # A hypersurface's generator alone generates the ideal of its closure.
+    name = fresh_name("p0", spec.ring.variables)
+    return conormal._assemble_multiplier_system(
+        [g.homogenize(name) for g in spec.generators], spec.codimension
+    )
+
+
+def _pins(system, u):
+    n = len(u)
+    return [invariants._dual_form(system, [int(j == k) for j in range(n)], u[k]) for k in range(n)]
+
+
+FIELDS = {
+    "QQ": QQ,
+    "one-prime": PrimeField(DEFAULT_PRIMES[0]),
+    "two-primes": residue_ring(DEFAULT_PRIMES),
+}
+
+
+class TestDividedDuals:
+    """With one multiplier, every dual equation but the first with a unit
+    constant is divided by the multiplier (``invariants._divided_duals``):
+    the ideal, so its reduced basis, stays the same."""
+
+    @staticmethod
+    def assert_same_ideal(system, duals, points):
+        divided = invariants._divided_duals(system, duals)
+        assert divided[0] == duals[0]
+        assert [d.total_degree() for d in divided[1:]] == [d.total_degree() - 1 for d in duals[1:]]
+        before = buchberger(Ideal.of(system.ring, [*system.equations, *duals]))
+        after = buchberger(Ideal.of(system.ring, [*system.equations, *divided]))
+        assert after.basis == before.basis
+        assert len(quotient_basis(before)) == points
+
+    @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+    def test_pins_on_the_sphere(self, field):
+        system = _affine_system(_sphere(), field)
+        self.assert_same_ideal(system, _pins(system, SeedStream(3).coefficients(3)), 2)
+
+    @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+    def test_pins_on_a_det3_section(self, field):
+        # Seven hyperplanes leave a curve with critical point count b_7 = 6.
+        section = slice_variety(load_spec("det3.json"), 7, seed=5).spec
+        system = _affine_system(section, field)
+        self.assert_same_ideal(system, _pins(system, SeedStream(5).coefficients(2)), 6)
+
+    @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+    @pytest.mark.parametrize("i", range(3))
+    def test_bidegree_duals(self, affine_cubic, i, field):
+        stream = SeedStream(7 + i)
+        system = conormal.restrict_base(
+            _affine_system(affine_cubic, field), conormal._draw_base_forms(stream, 3, i, None)
+        )
+        duals = [
+            invariants._dual_form(system, stream.coefficients(3), stream.integer())
+            for _ in range(3 - i)
+        ]
+        self.assert_same_ideal(system, duals, (2, 4, 3)[i])
+
+    @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+    @pytest.mark.parametrize("i", range(4))
+    def test_polar_duals(self, cubic_binomial, i, field):
+        # Constants 1, 0, ..., 0: the first dual is the pivot.
+        stream = SeedStream(11 + i)
+        system = conormal.restrict_base(
+            _projective_system(cubic_binomial, field),
+            conormal._draw_base_forms(stream, 5, 1, 1) + conormal._draw_base_forms(stream, 4, i, None),
+        )
+        duals = [invariants._dual_form(system, stream.coefficients(5), int(k == 0)) for k in range(4 - i)]
+        if i == 3:
+            # One dual equation: nothing to divide.
+            assert invariants._divided_duals(system, duals) == duals
+        else:
+            self.assert_same_ideal(system, duals, (3, 6, 6, 3)[i])
+
+    def test_first_zero_constant_is_skipped(self, affine_cubic):
+        system = _affine_system(affine_cubic, FIELDS["one-prime"])
+        stream = SeedStream(2)
+        duals = [invariants._dual_form(system, stream.coefficients(3), c) for c in (0, 5, 0)]
+        divided = invariants._divided_duals(system, duals)
+        assert divided[1] == duals[1]
+        assert [d.total_degree() for d in divided] == [2, 3, 2]
+        # A zero constant makes the quotient 5*D_k / lam: the dual divided.
+        assert all(
+            d.total_degree() == 2 and len(d.terms) == len(o.terms)
+            for d, o in zip(divided[::2], duals[::2])
+        )
+
+    def test_constant_zero_modulo_one_prime_is_skipped(self, affine_cubic):
+        field = FIELDS["two-primes"]
+        system = _affine_system(affine_cubic, field)
+        stream = SeedStream(4)
+        consts = (DEFAULT_PRIMES[0], 1, 2)
+        duals = [invariants._dual_form(system, stream.coefficients(3), c) for c in consts]
+        assert duals[0].constant_coefficient() != 0
+        divided = invariants._divided_duals(system, duals)
+        assert divided[1] == duals[1]
+        assert divided[0] != duals[0] and divided[2] != duals[2]
+        before = buchberger(Ideal.of(system.ring, [*system.equations, *duals]))
+        after = buchberger(Ideal.of(system.ring, [*system.equations, *divided]))
+        assert after.basis == before.basis
+
+    def test_no_unit_constant_leaves_the_list(self, affine_cubic):
+        field = FIELDS["two-primes"]
+        system = _affine_system(affine_cubic, field)
+        stream = SeedStream(6)
+        duals = [
+            invariants._dual_form(system, stream.coefficients(3), c)
+            for c in (0, DEFAULT_PRIMES[0], DEFAULT_PRIMES[1])
+        ]
+        assert invariants._divided_duals(system, duals) == duals
+
+    @staticmethod
+    def counted_duals(spec, monkeypatch):
+        seen = []
+        monkeypatch.setattr(invariants, "count_points", lambda ideal, **kw: seen.append(ideal) or {})
+        system = multiplier_system(spec, FIELDS["two-primes"])
+        duals = _pins(system, SeedStream(8).coefficients(3))
+        invariants._count_system(system, duals, SeedStream(9), 0, None)
+        start = len(system.equations)
+        return system, duals, list(seen[0].generators[start:start + len(duals)])
+
+    def test_one_multiplier_is_divided(self, monkeypatch):
+        system, duals, counted = self.counted_duals(_sphere(), monkeypatch)
+        assert counted == invariants._divided_duals(system, duals) != duals
+
+    def test_two_multipliers_are_untouched(self, space_curve, monkeypatch):
+        system, duals, counted = self.counted_duals(space_curve, monkeypatch)
+        assert system.multiplier_count == 2
+        assert counted == duals

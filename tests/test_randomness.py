@@ -82,6 +82,32 @@ class TestAgreement:
         with pytest.raises(Instability):
             agreed_value(always_degenerate, seed=2)
 
+    def test_only_degenerate_draws_are_named(self):
+        def always_degenerate(seed, primes):
+            raise NotZeroDimensional("never finite")
+
+        with pytest.raises(Instability) as exc:
+            agreed_value(always_degenerate, seed=2, context="doomed count")
+        assert str(exc.value) == (
+            "doomed count: every attempt was a degenerate draw (last: never finite)"
+        )
+        assert exc.value.observations == {}
+
+    def test_some_completed_attempt_reports_observations(self):
+        # The first attempt disagrees, every later one is degenerate.
+        policy = AgreementPolicy(seeds_per_trial=1, primes=DEFAULT_PRIMES, max_retries=2)
+        first = derive_seed(3, 0)
+
+        def mixed(seed, primes):
+            if seed != first:
+                raise NotZeroDimensional("never finite")
+            return {prime: prime % 1000 for prime in primes}
+
+        with pytest.raises(Instability) as exc:
+            agreed_value(mixed, seed=3, policy=policy, context="mixed count")
+        assert str(exc.value).startswith("mixed count: no agreement across trials: (seed=")
+        assert len(exc.value.observations) == 2
+
     def test_all_pairs_consulted(self):
         calls = []
 

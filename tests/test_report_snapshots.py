@@ -46,6 +46,8 @@ def _cases() -> dict[str, list[str]]:
     for name in ("affine_cubic", "space_curve", "cubic_binomial"):
         for command in ("lodeg", "bidegrees", "sectional", "polar", "chern_mather"):
             cases[f"{name}.{command}"] = [command, f"tests/data/{name}.json"]
+    # The largest input's bidegrees: the most reduction work per report.
+    cases["det3.bidegrees"] = ["bidegrees", "tests/data/det3.json"]
     return cases
 
 
