@@ -1,12 +1,14 @@
 """Conormal geometry of an affine variety.
 
 Two presentations of the conormal variety are built here.  The explicit one
-adjoins dual variables and cuts the locus where the objective row is a
-combination of Jacobian rows by rank minors, then saturates away the
-rank-deficient locus.  The implicit one keeps Lagrange multipliers as
-honest variables and represents each dual coordinate as a polynomial in
-(point, multiplier) space; the counting routines slice that presentation
-directly, which keeps the variable count low.
+adjoins a dual variable per point variable, cuts the locus where the dual
+row is a combination of Jacobian rows by rank minors, and saturates away
+the rank-deficient locus: one builder does this for the affine variety and
+for its projective closure, which the irrelevant ideal then saturates too.
+The implicit one keeps Lagrange multipliers as honest variables and
+represents each dual coordinate as a polynomial in (point, multiplier)
+space; the counting routines slice that presentation directly, which keeps
+the variable count low.
 
 Slicing, of the variety or of the base of a multiplier system, is one
 affine change of coordinates: :func:`solve_forms` solves all the affine
@@ -38,7 +40,6 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     buchberger,
-    eliminate,
     krull_dimension,
     saturate_by_ideal,
 )
@@ -89,7 +90,8 @@ class VarietySpec:
     The generators are assumed to cut the variety out generically
     transversally; irreducibility is assumed, not checked, and is recorded
     in ``assumed_irreducible`` so reports can warn when it was disclaimed.
-    The dimension is computed modulo ``primes`` (an agreement policy's).
+    The dimension is computed modulo ``primes`` (an agreement policy's), so
+    :meth:`define` refuses a generator that vanishes modulo one of them.
     """
 
     ring: PolyRing
@@ -105,11 +107,17 @@ class VarietySpec:
         primes: Sequence[int] = DEFAULT_PRIMES,
     ) -> "VarietySpec":
         ring = PolyRing(tuple(variables), QQ, GREVLEX)
+        moduli = [PrimeField(p).p for p in dict.fromkeys(primes)]  # each validated
         gens: list[Polynomial] = []
         for item in polynomials:
             poly = ring.parse(item) if isinstance(item, str) else item.to_ring(ring)
             if poly.is_zero():
                 raise InvalidVariety("zero generator")
+            for p in moduli:
+                # A reduced fraction is zero modulo p when its numerator is
+                # (its denominator is then a unit).
+                if not any(c.numerator % p for _, c in poly.terms):
+                    raise InvalidVariety(f"generator {poly} vanishes modulo the prime {p}")
             gens.append(poly)
         if not gens:
             raise InvalidVariety("at least one generator is required")
@@ -494,16 +502,48 @@ def _determinant(rows: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
 def _rank_minors(
     matrix: list[list[Polynomial]], size: int, ring: PolyRing
 ) -> list[Polynomial]:
-    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
-    out: list[Polynomial] = []
-    if size > nrows or size > ncols:
-        return out
-    for rsel in combinations(range(nrows), size):
-        for csel in combinations(range(ncols), size):
-            det = _determinant([[matrix[r][c] for c in csel] for r in rsel], ring)
-            if not det.vanishes():
-                out.append(det)
-    return out
+    """The nonzero ``size`` by ``size`` minors of ``matrix``."""
+    rows, cols = range(len(matrix)), range(len(matrix[0]))
+    dets = (
+        _determinant([[matrix[r][c] for c in csel] for r in rsel], ring)
+        for rsel in combinations(rows, size)
+        for csel in combinations(cols, size)
+    )
+    return [det for det in dets if not det.vanishes()]
+
+
+def _saturated_minors(
+    gens: Sequence[Polynomial],
+    codim: int,
+    prefix: str,
+    seed: int,
+    budget_secs: Optional[float],
+) -> Ideal:
+    """The conormal ideal of ``gens`` (codimension ``codim``), with one dual
+    variable per variable of their ring appended, named from ``prefix``:
+    ``gens`` and the rank ``codim + 1`` minors of their Jacobian under the
+    dual row, saturated by the rank ``codim`` minors of the Jacobian (the
+    rank-deficient locus).  The saturation leaves its reduced basis."""
+    base = gens[0].ring
+    nb = base.nvars
+    duals = fresh_names(prefix, nb, base.variables)
+    big = PolyRing(base.variables + tuple(duals), base.field_, base.order)
+    jac = [[_lift(g.partial(k), big) for k in range(nb)] for g in gens]
+    dual_row = [big.gen(nb + k) for k in range(nb)]
+    minors = _rank_minors([dual_row] + jac, codim + 1, big)
+    ideal = Ideal.of(big, [_lift(g, big) for g in gens] + minors)
+    rank_locus = Ideal.of(big, _rank_minors(jac, codim, big))
+    return saturate_by_ideal(ideal, rank_locus, seed=seed, budget_secs=budget_secs)
+
+
+def _checked(cono: ConormalIdeal, locus: str) -> ConormalIdeal:
+    """``cono``, once its dimension is its number of point variables
+    (:class:`DimensionMismatch` if not).  Its generators are a reduced
+    basis already, so no Groebner basis is computed again."""
+    dim = krull_dimension(GroebnerBasis(cono.ring, cono.generators))
+    if dim != cono.base_count:
+        raise DimensionMismatch(f"{locus} has dimension {dim}, expected {cono.base_count}")
+    return cono
 
 
 def affine_conormal_ideal(
@@ -511,69 +551,14 @@ def affine_conormal_ideal(
     prime: Optional[Modulus] = None,
     seed: int = 0,
     budget_secs: Optional[float] = None,
-    method: str = "minors",
 ) -> ConormalIdeal:
     """Closure of the conormal locus over the smooth points, with the dual
-    coordinates as explicit trailing variables.
-
-    ``method="minors"`` adds all rank minors of the Jacobian stacked under
-    the dual row and saturates away the rank-deficient locus;
-    ``method="multiplier"`` eliminates Lagrange multipliers instead.  Both
-    must describe the same locus of dimension n or :class:`DimensionMismatch`
-    is raised.  ``prime`` defaults to the first default prime.
-    """
-    fld = _field(prime if prime is not None else DEFAULT_PRIMES[0])
-    n = spec.n
-    c = spec.codimension
-    base = spec.ring.with_field(fld)
-    gens = [g.to_ring(base) for g in spec.generators]
-    u_names = fresh_names("u", n, spec.ring.variables)
-    big = PolyRing(base.variables + tuple(u_names), base.field_, base.order)
-
-    if method == "minors":
-        jac = [[_lift(g.partial(k), big) for k in range(n)] for g in gens]
-        dual_row = [big.gen(n + k) for k in range(n)]
-        stacked = [dual_row] + jac
-        minors = _rank_minors(stacked, c + 1, big)
-        ideal = Ideal.of(big, [_lift(g, big) for g in gens] + minors)
-        rank_locus = _rank_minors(jac, c, big)
-        sat = saturate_by_ideal(
-            ideal, Ideal.of(big, rank_locus), seed=seed, budget_secs=budget_secs
-        )
-    elif method == "multiplier":
-        system = multiplier_system(spec, fld)
-        m = system.multiplier_count
-        # Reorder to (multipliers, base, duals) so a block order eliminates
-        # the multipliers.
-        elim_ring = PolyRing(
-            tuple(system.ring.variables[system.base_count:])
-            + base.variables
-            + tuple(u_names),
-            base.field_,
-            base.order,
-        )
-
-        def reorder(poly: Polynomial) -> Polynomial:
-            return elim_ring.from_terms(
-                (m_[n:] + m_[:n] + (0,) * n, cc) for m_, cc in poly.as_dict().items()
-            )
-
-        eqs = [reorder(g) for g in system.equations]
-        for k in range(n):
-            u_k = elim_ring.gen(m + n + k)
-            eqs.append(u_k - reorder(system.covector[k]))
-        eliminated = eliminate(Ideal.of(elim_ring, eqs), m, budget_secs=budget_secs)
-        sat = Ideal.of(big, [g.to_ring(big) for g in eliminated.generators])
-    else:
-        raise ValueError(f"unknown conormal method {method!r}")
-
-    # Both branches leave the reduced basis of the conormal ideal.
-    dim = krull_dimension(GroebnerBasis(big, sat.generators))
-    if dim != n:
-        raise DimensionMismatch(
-            f"conormal locus has dimension {dim}, expected {n}"
-        )
-    return ConormalIdeal("affine", big, tuple(sat.generators), n, spec)
+    coordinates as explicit trailing variables.  It must have dimension n
+    (:class:`DimensionMismatch` if not).  ``prime`` defaults to the first
+    default prime."""
+    gens = spec.reduce_mod(prime if prime is not None else DEFAULT_PRIMES[0]).generators
+    sat = _saturated_minors(gens, spec.codimension, "u", seed, budget_secs)
+    return _checked(ConormalIdeal("affine", sat.ring, sat.generators, spec.n, spec), "conormal locus")
 
 
 def projective_conormal_ideal(
@@ -584,28 +569,16 @@ def projective_conormal_ideal(
 ) -> ConormalIdeal:
     """Conormal locus of the projective closure, in doubled projective
     coordinates, saturated by the rank-deficient locus and the irrelevant
-    ideal of the point factor.  ``prime`` defaults to the first default
-    prime."""
+    ideal of the point factor.  It must have dimension n + 1
+    (:class:`DimensionMismatch` if not).  ``prime`` defaults to the first
+    default prime."""
     fld = _field(prime if prime is not None else DEFAULT_PRIMES[0])
     n = spec.n
-    c = spec.codimension
     hom = _homogenized_basis(spec, fld, budget_secs)
-    pring = hom[0].ring
-    y_names = fresh_names("y", n + 1, pring.variables)
-    big = PolyRing(pring.variables + tuple(y_names), pring.field_, pring.order)
-
-    jac = [[_lift(g.partial(k), big) for k in range(n + 1)] for g in hom]
-    dual_row = [big.gen(n + 1 + k) for k in range(n + 1)]
-    minors = _rank_minors([dual_row] + jac, c + 1, big)
-    ideal = Ideal.of(big, [_lift(g, big) for g in hom] + minors)
-    rank_locus = _rank_minors(jac, c, big)
-    sat = saturate_by_ideal(
-        ideal, Ideal.of(big, rank_locus), seed=seed, budget_secs=budget_secs
-    )
+    sat = _saturated_minors(hom, spec.codimension, "y", seed, budget_secs)
+    big = sat.ring
     irrelevant = Ideal.of(big, [big.gen(k) for k in range(n + 1)])
-    sat = saturate_by_ideal(
-        sat, irrelevant, seed=derive_seed(seed, 97), budget_secs=budget_secs
-    )
+    sat = saturate_by_ideal(sat, irrelevant, seed=derive_seed(seed, 97), budget_secs=budget_secs)
     mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.generators)
     if mixed:
         if isinstance(fld, ResidueRing):
@@ -619,12 +592,8 @@ def projective_conormal_ideal(
             "(generators not bihomogeneous)",
             {(seed, fld.p): mixed},
         )
-    dim = krull_dimension(GroebnerBasis(big, sat.generators))  # the reduced basis
-    if dim != n + 1:
-        raise DimensionMismatch(
-            f"projective conormal cone has dimension {dim}, expected {n + 1}"
-        )
-    return ConormalIdeal("projective", big, tuple(sat.generators), n + 1, spec)
+    cono = ConormalIdeal("projective", big, sat.generators, n + 1, spec)
+    return _checked(cono, "projective conormal cone")
 
 
 def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:

@@ -122,7 +122,7 @@ class TestReports:
     def test_dimension_disagreement_is_instability(self, tmp_path, capsys):
         split = tmp_path / "split.json"
         split.write_text(
-            json.dumps({"variables": ["x", "y"], "polynomials": ["2147483647*x", "y"]})
+            json.dumps({"variables": ["x", "y"], "polynomials": ["2147483647*x + y", "y"]})
         )
         code, out, err = run_cli(capsys, "lodeg", str(split))
         assert code == EXIT_INSTABILITY
@@ -312,6 +312,24 @@ class TestFailures:
         code, _, err = run_cli(capsys, "bidegrees", str(bad))
         assert code == EXIT_INPUT
         assert "parse error" in err
+
+    @pytest.mark.parametrize("command", ["bidegrees", "sectional"])
+    def test_generator_vanishing_modulo_a_prime(self, command, tmp_path, capsys):
+        # The line x = -1 is the whole plane modulo 2147483647.
+        line = tmp_path / "line.json"
+        line.write_text(
+            json.dumps({"variables": ["x", "y"], "polynomials": ["2147483647*x + 2147483647"]})
+        )
+        code, out, err = run_cli(capsys, command, str(line), "--prime", "2147483647")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            f"input error: {line}: generator 2147483647*x + 2147483647 vanishes modulo "
+            "the prime 2147483647\n"
+        )
+        code, out, _ = run_cli(capsys, command, str(line), "--prime", "2147483629")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][command]["values"] == [0, 1]
 
     def test_false_homogeneity_claim(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

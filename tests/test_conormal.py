@@ -68,13 +68,21 @@ class TestVarietySpec:
         assert len(ideal.generators) == 1
 
     def test_dimension_at_the_given_primes(self):
-        # x vanishes modulo the first default prime only: the basis modulo
-        # both primes splits, and the per-prime dimensions disagree.
-        gens = [f"{DEFAULT_PRIMES[0]}*x", "y"]
+        # The x term vanishes modulo the first default prime only: the basis
+        # modulo both primes splits, and the per-prime dimensions disagree.
+        gens = [f"{DEFAULT_PRIMES[0]}*x + y", "y"]
         assert VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[:1]).dimension == 1
         assert VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[1:]).dimension == 0
         with pytest.raises(Instability, match="dimension of the vanishing locus"):
             VarietySpec.define(("x", "y"), gens)
+
+    def test_rejects_a_generator_vanishing_modulo_a_prime(self):
+        # Modulo the first default prime this line would be the whole plane.
+        gens = [f"{DEFAULT_PRIMES[0]}*x + {DEFAULT_PRIMES[0]}"]
+        assert VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[1:]).dimension == 1
+        for primes in (DEFAULT_PRIMES, DEFAULT_PRIMES[:1]):
+            with pytest.raises(InvalidVariety, match=f"vanishes modulo the prime {DEFAULT_PRIMES[0]}"):
+                VarietySpec.define(("x", "y"), gens, primes=primes)
 
     def test_dimension_after_a_split_when_primes_agree(self):
         # The leading coefficient of x^2*y splits the run; both primes give
@@ -313,17 +321,6 @@ class TestConormalIdeals:
         cross = cono.ring.parse("x1*u1 - x2*u0")
         assert normal_form(cross, gb).is_zero()
 
-    def test_methods_agree(self, sphere):
-        by_minors = affine_conormal_ideal(sphere, method="minors")
-        by_mult = affine_conormal_ideal(sphere, method="multiplier")
-        gb_a = buchberger(Ideal.of(by_minors.ring, list(by_minors.generators)))
-        gb_b = buchberger(Ideal.of(by_mult.ring, list(by_mult.generators)))
-        assert sorted(map(str, gb_a.basis)) == sorted(map(str, gb_b.basis))
-
-    def test_unknown_method(self, sphere):
-        with pytest.raises(ValueError):
-            affine_conormal_ideal(sphere, method="sorcery")
-
     def test_projective_sphere(self, sphere):
         cono = projective_conormal_ideal(sphere)
         assert cono.kind == "projective"
@@ -334,10 +331,10 @@ class TestConormalIdeals:
             bidegrees = {(sum(m[:4]), sum(m[4:])) for m in g.as_dict()}
             assert len(bidegrees) == 1
 
-    @pytest.mark.parametrize("build", ["minors", "multiplier", "projective"])
+    @pytest.mark.parametrize("build", ["affine", "projective"])
     def test_dimension_reads_the_reduced_basis(self, sphere, build, monkeypatch):
-        # The conormal ideal (a saturation, or an elimination) is handed to
-        # krull_dimension as its own reduced basis, with no Buchberger run.
+        # The conormal ideal (a saturation) is handed to krull_dimension as
+        # its own reduced basis, with no Buchberger run.
         handed = []
 
         def spy(source, budget_secs=None):
@@ -345,10 +342,8 @@ class TestConormalIdeals:
             return krull_dimension(source, budget_secs=budget_secs)
 
         monkeypatch.setattr(conormal, "krull_dimension", spy)
-        if build == "projective":
-            cono = projective_conormal_ideal(sphere)
-        else:
-            cono = affine_conormal_ideal(sphere, method=build)
+        build_ideal = projective_conormal_ideal if build == "projective" else affine_conormal_ideal
+        cono = build_ideal(sphere)
         (gb,) = handed
         assert isinstance(gb, GroebnerBasis)
         assert gb == buchberger(Ideal.of(cono.ring, list(cono.generators)))

@@ -224,6 +224,30 @@ class TestPolar:
         assert polar_degrees(sphere, method="conormal").values == (2, 2, 2)
 
 
+class TestConormalMethodBeyondTheSphere:
+    """The explicit conormal ideals against the multiplier counts on a
+    hypersurface in more variables and on two curves of codimension 2, one
+    of them with an excess multiplier (twisted_cubic)."""
+
+    @pytest.mark.parametrize(
+        "vector, name, values",
+        [
+            pytest.param(vector, name, values, id=f"{vector.__name__}-{name}")
+            for vector, name, values in [
+                (bidegrees, "affine_cubic", (2, 4, 3)),
+                (bidegrees, "space_curve", (6, 4)),
+                (bidegrees, "twisted_cubic", (2, 3)),
+                (polar_degrees, "affine_cubic", (4, 6, 3)),
+                (polar_degrees, "space_curve", (8, 4)),
+                (polar_degrees, "twisted_cubic", (4, 3)),
+            ]
+        ],
+    )
+    def test_conormal_method_agrees(self, vector, name, values, request):
+        spec = request.getfixturevalue(name)
+        assert vector(spec).values == vector(spec, method="conormal").values == values
+
+
 class TestDualAtInfinity:
     def test_sphere(self, sphere):
         assert dual_contains_hyperplane_at_infinity(sphere) is False

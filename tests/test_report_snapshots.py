@@ -41,10 +41,12 @@ def _cases() -> dict[str, list[str]]:
         "lodeg", "tests/data/quadric_cone.json", "--prime", "2147483647", "--prime", "2147483647",
     ]
     cases["sphere.polar.one_prime"] = ["polar", "tests/data/sphere.json", "--prime", "2147483629"]
-    # The counting commands on the other small inputs; dual_infinity on
-    # space_curve is left out for its run time.
+    # The counting commands on the other small inputs, and the two that
+    # build explicit conormal ideals (dual_infinity, verify).
     for name in ("affine_cubic", "space_curve", "cubic_binomial"):
-        for command in ("lodeg", "bidegrees", "sectional", "polar", "chern_mather"):
+        for command in (
+            "lodeg", "bidegrees", "sectional", "polar", "chern_mather", "dual_infinity", "verify",
+        ):
             cases[f"{name}.{command}"] = [command, f"tests/data/{name}.json"]
     # The largest input's bidegrees: the most reduction work per report.
     cases["det3.bidegrees"] = ["bidegrees", "tests/data/det3.json"]
