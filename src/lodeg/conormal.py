@@ -518,12 +518,12 @@ def _saturated_minors(
     prefix: str,
     seed: int,
     budget_secs: Optional[float],
-) -> Ideal:
+) -> GroebnerBasis:
     """The conormal ideal of ``gens`` (codimension ``codim``), with one dual
     variable per variable of their ring appended, named from ``prefix``:
     ``gens`` and the rank ``codim + 1`` minors of their Jacobian under the
     dual row, saturated by the rank ``codim`` minors of the Jacobian (the
-    rank-deficient locus).  The saturation leaves its reduced basis."""
+    rank-deficient locus), as the reduced basis the saturation leaves."""
     base = gens[0].ring
     nb = base.nvars
     duals = fresh_names(prefix, nb, base.variables)
@@ -533,7 +533,8 @@ def _saturated_minors(
     minors = _rank_minors([dual_row] + jac, codim + 1, big)
     ideal = Ideal.of(big, [_lift(g, big) for g in gens] + minors)
     rank_locus = Ideal.of(big, _rank_minors(jac, codim, big))
-    return saturate_by_ideal(ideal, rank_locus, seed=seed, budget_secs=budget_secs)
+    sat = saturate_by_ideal(ideal, rank_locus, seed=seed, budget_secs=budget_secs)
+    return GroebnerBasis(big, sat.generators)
 
 
 def _checked(cono: ConormalIdeal, locus: str) -> ConormalIdeal:
@@ -558,7 +559,7 @@ def affine_conormal_ideal(
     default prime."""
     gens = spec.reduce_mod(prime if prime is not None else DEFAULT_PRIMES[0]).generators
     sat = _saturated_minors(gens, spec.codimension, "u", seed, budget_secs)
-    return _checked(ConormalIdeal("affine", sat.ring, sat.generators, spec.n, spec), "conormal locus")
+    return _checked(ConormalIdeal("affine", sat.ring, sat.basis, spec.n, spec), "conormal locus")
 
 
 def projective_conormal_ideal(

@@ -153,6 +153,21 @@ one of ``sig``, below ``2 * PACK_LIMIT``, the guard bit.  Each popped
 signature and its lcm pass the width guard after the criteria and before
 the pair is reduced or its signature stored.
 
+Saturation
+----------
+:func:`saturate` computes ``I : g^oo`` by the Rabinowitsch trick: it
+eliminates ``t`` from ``I + (t*g - 1)`` under ``block_order(1)`` (Cox,
+Little, O'Shea, *Ideals, Varieties, and Algorithms*, 4.4).  There ``t*g -
+1`` has the only leading monomial that contains ``t``, so the loop takes it
+last, and every index before it builds the reduced basis of ``I``.  On
+``t``-free polynomials the block order is grevlex, so that prefix is the
+reduced grevlex basis of ``I``, the same for every ``g``; a basis that
+already is one is the prefix as it stands (over a residue ring too, see
+below).  So :func:`saturate` lifts such a basis into the ``t`` ring and
+runs only the index of ``t*g - 1``, and :func:`saturate_by_ideal` computes
+the basis once for both of its draws.  Each draw reduces the S-pairs it
+would reduce after the prefix, so every basis is the same.
+
 Several primes at once
 ----------------------
 The agreement grid counts every trial modulo each of a policy's primes
@@ -244,6 +259,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .poly import (
+    GREVLEX,
     PACK_DIGIT_BITS,
     DegreeLimitExceeded,
     Grevlex,
@@ -269,7 +285,7 @@ class BudgetExceeded(RuntimeError):
     """A Groebner computation ran past its wall-clock budget."""
 
     def __init__(self, context: str, budget_secs: float) -> None:
-        super().__init__(f"{context}: budget of {budget_secs:.1f}s exhausted")
+        super().__init__(f"{context}: budget of {budget_secs:g}s exhausted")
         self.context = context
         self.budget_secs = budget_secs
 
@@ -517,15 +533,16 @@ def _reduced_basis(
 
 
 def _signature_basis(
-    polys: list[dict], pk: _Packing, normalize, invert, deadline: _Deadline
+    polys: list[dict], pk: _Packing, normalize, invert, deadline: _Deadline, reduced: Sequence = ()
 ) -> list[tuple[int, tuple]]:
     """Incremental signature loop (F5C style); returns the reduced basis as
     monic prepared reducers, by increasing leading monomial.
 
     Input ``f_i`` (by increasing leading monomial) reduced modulo the
     reduced basis ``G`` of the earlier inputs starts index ``i``; ``G`` and
-    the elements of index ``i`` then give the next ``G``."""
-    reduced: list[tuple[int, tuple]] = []
+    the elements of index ``i`` then give the next ``G``.  The first ``G``
+    is ``reduced``, a reduced basis in the same shape as the result."""
+    reduced = list(reduced)
     for f in sorted(polys, key=max):
         r = _reduce_full(f, reduced, pk, normalize, deadline)
         if r:
@@ -657,17 +674,18 @@ def buchberger(
     """
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     deadline = _Deadline(budget_secs, "buchberger")
-    pk = ring.packing
-    normalize, invert = _field_ops(ring)
-    one = ring.field_.one
-
     # Generators share the ideal's ring, so only the order may differ.
     polys = [dict(g.to_ring(ring).terms) for g in ideal.generators if not g.is_zero()]
-    if not polys:
-        return GroebnerBasis(ring, ())
-    reduced = _signature_basis(polys, pk, normalize, invert, deadline)
+    return _checked_basis(ring, polys, _signature_basis(polys, ring.packing, *_field_ops(ring), deadline))
 
-    # Self-check: every input generator must reduce to zero.
+
+def _checked_basis(ring: PolyRing, polys: list[dict], reduced: list) -> GroebnerBasis:
+    """The basis of the monic prepared reducers ``reduced`` (by increasing
+    leading monomial), once every input of ``polys`` reduces to zero
+    against them (the self-check)."""
+    pk = ring.packing
+    normalize, _ = _field_ops(ring)
+    one = ring.field_.one
     for d in polys:
         if _reduce_full(d, reduced, pk, normalize):
             raise RuntimeError("input generator does not reduce to zero against its basis")
@@ -745,15 +763,19 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Idea
 
     The returned ideal lives in the smaller ring, in the ring's order, and
     its generators are its reduced Groebner basis; it may be the zero ideal.
-    The second block of ``block_order(k)`` is grevlex, so on a grevlex ring
-    the kept basis elements already are that basis; any other order
-    recomputes it.
     """
     n = ideal.ring.nvars
     if not 1 <= k < n:
         raise ValueError(f"cannot eliminate {k} of {n} variables")
     gb = buchberger(ideal, order=block_order(k), budget_secs=budget_secs)
-    small = PolyRing(tuple(ideal.ring.variables[k:]), ideal.ring.field_, ideal.ring.order)
+    return _eliminated(gb, k, ideal.ring.order, budget_secs)
+
+
+def _eliminated(gb: GroebnerBasis, k: int, order, budget_secs: Optional[float]) -> Ideal:
+    """The elements of ``gb`` (under ``block_order(k)``) free of the first
+    ``k`` variables, as a reduced basis under ``order``.  The second block
+    is grevlex, so only another order recomputes it."""
+    small = PolyRing(tuple(gb.ring.variables[k:]), gb.ring.field_, order)
     kept = []
     for g in gb.basis:
         if any(g.leading_monomial()[:k]):
@@ -764,54 +786,64 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Idea
         if any(any(m[:k]) for m in terms):
             raise RuntimeError(f"eliminated variables left in {g}")
         kept.append(small.from_terms((m[k:], c) for m, c in terms.items()))
-    if isinstance(small.order, Grevlex):
+    if isinstance(order, Grevlex):
         return Ideal.of(small, kept)
     return Ideal.of(small, buchberger(Ideal.of(small, kept), budget_secs=budget_secs).basis)
 
 
-def saturate(ideal: Ideal, g: Polynomial, budget_secs: Optional[float] = None) -> Ideal:
-    """Saturation by a single polynomial via the inverted-multiplier trick.
-
-    Adjoins t with t*g = 1 and eliminates t; the result is returned as a
-    reduced Groebner basis in the original ring and order.
-    """
-    ring = ideal.ring
+def saturate(
+    source: Ideal | GroebnerBasis, g: Polynomial, budget_secs: Optional[float] = None
+) -> Ideal:
+    """Saturation of an ideal, or of the ideal of a reduced basis, by ``g``
+    (see "Saturation"), as a reduced Groebner basis in the original ring
+    and order.  A basis over a grevlex ring is the prefix as it stands; any
+    other source is first computed into its reduced grevlex basis."""
+    ring = source.ring
     if g.ring != ring:
         raise ValueError("saturating polynomial lives in a different ring")
     if g.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
+    if not (isinstance(source, GroebnerBasis) and isinstance(ring.order, Grevlex)):
+        gens = source.basis if isinstance(source, GroebnerBasis) else source.generators
+        source = buchberger(Ideal.of(ring, gens), order=GREVLEX, budget_secs=budget_secs)
     tname = fresh_name("t", ring.variables)
-    big = PolyRing((tname,) + ring.variables, ring.field_, ring.order)
+    big = PolyRing((tname,) + ring.variables, ring.field_, block_order(1))
 
     def lift(p: Polynomial) -> Polynomial:
         return big.from_terms(((0,) + m, c) for m, c in p.as_dict().items())
 
-    t = big.gen(0)
-    gens = [lift(p) for p in ideal.generators]
-    gens.append(t * lift(g) - big.one())
-    eliminated = eliminate(Ideal.of(big, gens), 1, budget_secs=budget_secs)
-    return Ideal.of(ring, [q.to_ring(ring) for q in eliminated.generators])
+    lifted = tuple(lift(p) for p in source.basis)
+    polys = [dict(p.terms) for p in lifted + (big.gen(0) * lift(g) - big.one(),)]
+    deadline = _Deadline(budget_secs, "buchberger")
+    prefix = GroebnerBasis(big, lifted).reducers()  # prepared in the t ring
+    reduced = _signature_basis(polys[-1:], big.packing, *_field_ops(big), deadline, prefix)
+    return _eliminated(_checked_basis(big, polys, reduced), 1, ring.order, budget_secs)
 
 
 def saturate_by_ideal(
-    ideal: Ideal,
+    ideal: Ideal | GroebnerBasis,
     other: Ideal,
     seed: int,
     budget_secs: Optional[float] = None,
 ) -> Ideal:
-    """Saturate ``ideal`` by a whole ideal.
+    """Saturate ``ideal`` (or the ideal of a reduced basis) by a whole ideal.
 
     Saturate by a random linear combination of the generators of ``other``
     for two derived seeds.  A generic combination gives the saturation by
     the whole ideal exactly, so the two answers agree unless a draw was
     unlucky; disagreement raises :class:`Instability` (the observations are
-    the two basis sizes).
+    the two basis sizes).  Both draws start from one reduced basis of an
+    ideal over a grevlex ring, computed first (see "Saturation").
     """
     from .randomness import Instability, SeedStream, derive_seed
 
+    ring = ideal.ring
+    if other.ring != ring:
+        raise ValueError("saturating ideal lives in a different ring")
     if not other.generators:
         raise ValueError("cannot saturate by the zero ideal")
-    ring = ideal.ring
+    if isinstance(ideal, Ideal) and isinstance(ring.order, Grevlex):
+        ideal = buchberger(ideal, budget_secs=budget_secs)
 
     def combo(s: int) -> Polynomial:
         stream = SeedStream(s)

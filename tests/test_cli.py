@@ -8,6 +8,7 @@ import pytest
 
 from lodeg import groebner, invariants
 from lodeg.cli import (
+    EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_INSTABILITY,
     EXIT_INTERNAL,
@@ -502,6 +503,18 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("input error: --budget-secs must be a positive number of seconds")
+        assert err.count("\n") == 1
+
+    def test_budget_exhausted(self, capsys):
+        # The budget prints as given, not rounded to 0.0s.
+        code, out, err = run_cli(
+            capsys, "dual_infinity", data_path("det3.json"), "--budget-secs", "1e-6"
+        )
+        assert code == EXIT_BUDGET == 4
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("budget exceeded: ")
+        assert err.endswith(": budget of 1e-06s exhausted\n")
         assert err.count("\n") == 1
 
     def test_duplicate_variable_is_an_input_error(self, tmp_path, capsys):

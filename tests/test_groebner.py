@@ -681,19 +681,51 @@ class TestEliminateAndSaturate:
             saturate_by_ideal(ideal, other, seed=5)
         assert len(answers) == 2
 
+    @pytest.mark.parametrize(
+        "as_basis, calls, indices", [(False, 1, 4), (True, 0, 2)], ids=["ideal", "grevlex-basis"]
+    )
+    def test_saturate_by_ideal_computes_the_basis_once(
+        self, as_basis, calls, indices, monkeypatch
+    ):
+        # Both draws start from one reduced basis of the ideal: computed
+        # once (two indices, one per generator) for an Ideal, taken as it is
+        # for a grevlex basis.  Each draw then runs the index of t*g - 1.
+        counts = {"buchberger": 0, "_signature_index": 0}
+        for name in counts:
+            real = getattr(groebner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(groebner, name, counted)
+        r = fring("x", "y", "z")
+        ideal = Ideal.of(r, [r.parse("x*y"), r.parse("x*z")])
+        if as_basis:
+            ideal = GroebnerBasis(r, ideal.generators)
+        other = Ideal.of(r, [r.parse("y"), r.parse("z")])
+        out = saturate_by_ideal(ideal, other, seed=5)
+        assert [str(g) for g in out.generators] == ["x"]
+        assert counts == {"buchberger": calls, "_signature_index": indices}
+
+    def test_saturate_by_ideal_refuses_another_ring(self):
+        r, s = fring("x", "y", "z"), fring("x", "y", "w")
+        ideal = Ideal.of(r, [r.parse("x*y"), r.parse("x*z")])
+        other = Ideal.of(s, [s.parse("y"), s.parse("w")])
+        with pytest.raises(ValueError, match="saturating ideal lives in a different ring"):
+            saturate_by_ideal(ideal, other, seed=5)
+
     def test_saturate_no_op_when_coprime(self):
         r = qring("x", "y")
         ideal = Ideal.of(r, [r.parse("x^2 + 1")])
         out = saturate(ideal, r.parse("y"))
         assert [str(g) for g in out.generators] == ["x^2 + 1"]
 
-    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-    def test_eliminate_and_saturate_return_the_reduced_basis(self, order):
-        # Seeded ideals with integer data, projected and saturated by a
-        # seeded polynomial: the generators returned are their own reduced
-        # basis.
+    @staticmethod
+    def seeded_cases(order):
+        # Eight seeded ideals with integer data, in two and three
+        # variables, each with a seeded polynomial to saturate by.
         rng = random.Random(f"saturate:{order.name}")
-        checked = 0
         for n in (2, 3):
             ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
             monos = [m for m in itertools.product(range(3), repeat=n) if sum(m) <= 2]
@@ -703,10 +735,25 @@ class TestEliminateAndSaturate:
                     for _ in range(n - 1)
                 ]
                 g = ring.from_terms((m, rng.randrange(1, COEFF_BOUND)) for m in rng.sample(monos, 2))
-                for out in (eliminate(Ideal.of(ring, gens), 1), saturate(Ideal.of(ring, gens), g)):
-                    assert out.generators == buchberger(out).basis
-                checked += 1
+                yield Ideal.of(ring, gens), g
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_eliminate_and_saturate_return_the_reduced_basis(self, order):
+        # Projected and saturated, the generators returned are their own
+        # reduced basis.
+        checked = 0
+        for ideal, g in self.seeded_cases(order):
+            for out in (eliminate(ideal, 1), saturate(ideal, g)):
+                assert out.generators == buchberger(out).basis
+            checked += 1
         assert checked == 8
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_saturate_from_a_basis_is_saturate_from_the_ideal(self, order):
+        # A grevlex basis is taken as the loop's prefix; a lex basis runs
+        # through the loop.  Either way the saturation is the ideal's.
+        for ideal, g in self.seeded_cases(order):
+            assert saturate(buchberger(ideal), g) == saturate(ideal, g)
 
     @pytest.mark.parametrize("order, calls", [(GREVLEX, 1), (LEX, 2)], ids=["grevlex", "lex"])
     def test_saturate_recomputes_only_off_grevlex(self, order, calls, monkeypatch):

@@ -48,6 +48,12 @@ def twisted_cubic():
     )
 
 
+@pytest.fixture(scope="module")
+def twisted_cubic_cone():
+    # The affine cone over the twisted cubic: codimension 2, three generators.
+    return load_spec("twisted_cubic_cone.json")
+
+
 def _sphere():
     # A fresh spec: the shared conftest fixtures keep the systems already built.
     return VarietySpec.define(("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 100"])
@@ -226,8 +232,9 @@ class TestPolar:
 
 class TestConormalMethodBeyondTheSphere:
     """The explicit conormal ideals against the multiplier counts on a
-    hypersurface in more variables and on two curves of codimension 2, one
-    of them with an excess multiplier (twisted_cubic)."""
+    hypersurface in more variables, on two curves of codimension 2 and on a
+    surface of codimension 2; the curve twisted_cubic and the surface
+    twisted_cubic_cone have an excess multiplier."""
 
     @pytest.mark.parametrize(
         "vector, name, values",
@@ -240,6 +247,8 @@ class TestConormalMethodBeyondTheSphere:
                 (polar_degrees, "affine_cubic", (4, 6, 3)),
                 (polar_degrees, "space_curve", (8, 4)),
                 (polar_degrees, "twisted_cubic", (4, 3)),
+                (bidegrees, "twisted_cubic_cone", (0, 4, 3)),
+                (polar_degrees, "twisted_cubic_cone", (0, 4, 3)),
             ]
         ],
     )

@@ -21,7 +21,9 @@ REPORTS = os.path.join(ROOT, "tests", "data", "reports")
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
-    for name in ("quadric_cone", "sphere"):
+    # twisted_cubic_cone has codimension 2 and three generators: its
+    # systems carry an excess multiplier.
+    for name in ("quadric_cone", "sphere", "twisted_cubic_cone"):
         for command in COMMANDS:
             extra = ["--i", "1"] if command == "correspondence" else []
             cases[f"{name}.{command}"] = [command, f"tests/data/{name}.json"] + extra
@@ -48,8 +50,10 @@ def _cases() -> dict[str, list[str]]:
             "lodeg", "bidegrees", "sectional", "polar", "chern_mather", "dual_infinity", "verify",
         ):
             cases[f"{name}.{command}"] = [command, f"tests/data/{name}.json"]
-    # The largest input's bidegrees: the most reduction work per report.
-    cases["det3.bidegrees"] = ["bidegrees", "tests/data/det3.json"]
+    # The largest input's bidegrees, the most reduction work per report,
+    # and its dual_infinity, the largest explicit conormal ideal.
+    for command in ("bidegrees", "dual_infinity"):
+        cases[f"det3.{command}"] = [command, "tests/data/det3.json"]
     return cases
 
 
