@@ -2,11 +2,11 @@
 
 The public surface: build a :class:`VarietySpec` from variable names and
 polynomial strings, then ask for its invariants.  All randomized counts
-are seeded and cross-checked over two primes before being reported.
+are seeded and cross-checked over the policy's primes before being
+reported.  The explicit conormal builders return a :class:`GroebnerBasis`.
 """
 
 from .conormal import (
-    ConormalIdeal,
     DegenerateSlice,
     DimensionMismatch,
     InvalidVariety,
@@ -38,15 +38,12 @@ from .invariants import (
     chern_mather_from_bidegrees,
     critical_correspondence,
     dual_contains_hyperplane_at_infinity,
-    euler_obstruction_at_cone_point,
     euler_obstruction_with_bidegrees,
     lo_degree,
     polar_degrees,
     sectional_lo_degrees,
     variety_degree,
     verify_identities,
-    verify_polar_relation,
-    verify_sectional_bidegrees,
 )
 from .poly import GREVLEX, LEX, PolyRing, Polynomial, PrimeField, QQ, parse_polynomial
 from .randomness import AgreementPolicy, Instability, SeedStream, derive_seed
@@ -54,7 +51,6 @@ from .randomness import AgreementPolicy, Instability, SeedStream, derive_seed
 __all__ = [
     "AgreementPolicy",
     "BudgetExceeded",
-    "ConormalIdeal",
     "CorrespondenceReport",
     "DegenerateJacobian",
     "DegenerateSlice",
@@ -85,7 +81,6 @@ __all__ = [
     "derive_seed",
     "dual_contains_hyperplane_at_infinity",
     "eliminate",
-    "euler_obstruction_at_cone_point",
     "euler_obstruction_with_bidegrees",
     "krull_dimension",
     "lo_degree",
@@ -98,8 +93,6 @@ __all__ = [
     "slice_variety",
     "variety_degree",
     "verify_identities",
-    "verify_polar_relation",
-    "verify_sectional_bidegrees",
 ]
 
 __version__ = "0.1.0"

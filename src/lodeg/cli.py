@@ -36,7 +36,6 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 from . import invariants
 from .conormal import DegenerateSlice, DimensionMismatch, VarietySpec
 from .groebner import MAX_MATRIX_PRIME, BudgetExceeded, CharacteristicHazard
-from .invariants import VerificationReport
 from .poly import InputError, ParseError, residue_ring
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
 

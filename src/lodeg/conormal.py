@@ -468,23 +468,6 @@ def _drawn_form(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConormalIdeal:
-    """Reduced basis of a conormal locus with explicit dual variables."""
-
-    kind: str  # "affine" or "projective"
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-    base_count: int
-    source: VarietySpec
-
-    @property
-    def prime(self) -> int:
-        """The modulus: the prime, or the product of the primes of a
-        residue ring."""
-        return self.ring.field_.p
-
-
 def _determinant(rows: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
     size = len(rows)
     if size == 1:
@@ -533,18 +516,17 @@ def _saturated_minors(
     minors = _rank_minors([dual_row] + jac, codim + 1, big)
     ideal = Ideal.of(big, [_lift(g, big) for g in gens] + minors)
     rank_locus = Ideal.of(big, _rank_minors(jac, codim, big))
-    sat = saturate_by_ideal(ideal, rank_locus, seed=seed, budget_secs=budget_secs)
-    return GroebnerBasis(big, sat.generators)
+    return saturate_by_ideal(ideal, rank_locus, seed=seed, budget_secs=budget_secs)
 
 
-def _checked(cono: ConormalIdeal, locus: str) -> ConormalIdeal:
-    """``cono``, once its dimension is its number of point variables
-    (:class:`DimensionMismatch` if not).  Its generators are a reduced
-    basis already, so no Groebner basis is computed again."""
-    dim = krull_dimension(GroebnerBasis(cono.ring, cono.generators))
-    if dim != cono.base_count:
-        raise DimensionMismatch(f"{locus} has dimension {dim}, expected {cono.base_count}")
-    return cono
+def _checked(gb: GroebnerBasis, expected: int, locus: str) -> GroebnerBasis:
+    """``gb``, once its dimension is ``expected``, its number of point
+    variables (:class:`DimensionMismatch` if not).  It is a reduced basis
+    already, so no Groebner basis is computed again."""
+    dim = krull_dimension(gb)
+    if dim != expected:
+        raise DimensionMismatch(f"{locus} has dimension {dim}, expected {expected}")
+    return gb
 
 
 def affine_conormal_ideal(
@@ -552,14 +534,14 @@ def affine_conormal_ideal(
     prime: Optional[Modulus] = None,
     seed: int = 0,
     budget_secs: Optional[float] = None,
-) -> ConormalIdeal:
+) -> GroebnerBasis:
     """Closure of the conormal locus over the smooth points, with the dual
-    coordinates as explicit trailing variables.  It must have dimension n
-    (:class:`DimensionMismatch` if not).  ``prime`` defaults to the first
-    default prime."""
+    coordinates as explicit trailing variables, as its reduced basis.  It
+    must have dimension n (:class:`DimensionMismatch` if not).  ``prime``
+    defaults to the first default prime."""
     gens = spec.reduce_mod(prime if prime is not None else DEFAULT_PRIMES[0]).generators
     sat = _saturated_minors(gens, spec.codimension, "u", seed, budget_secs)
-    return _checked(ConormalIdeal("affine", sat.ring, sat.basis, spec.n, spec), "conormal locus")
+    return _checked(sat, spec.n, "conormal locus")
 
 
 def projective_conormal_ideal(
@@ -567,10 +549,11 @@ def projective_conormal_ideal(
     prime: Optional[Modulus] = None,
     seed: int = 0,
     budget_secs: Optional[float] = None,
-) -> ConormalIdeal:
+) -> GroebnerBasis:
     """Conormal locus of the projective closure, in doubled projective
     coordinates, saturated by the rank-deficient locus and the irrelevant
-    ideal of the point factor.  It must have dimension n + 1
+    ideal of the point factor, as its reduced basis; the first n + 1
+    variables are the point coordinates.  It must have dimension n + 1
     (:class:`DimensionMismatch` if not).  ``prime`` defaults to the first
     default prime."""
     fld = _field(prime if prime is not None else DEFAULT_PRIMES[0])
@@ -580,7 +563,7 @@ def projective_conormal_ideal(
     big = sat.ring
     irrelevant = Ideal.of(big, [big.gen(k) for k in range(n + 1)])
     sat = saturate_by_ideal(sat, irrelevant, seed=derive_seed(seed, 97), budget_secs=budget_secs)
-    mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.generators)
+    mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.basis)
     if mixed:
         if isinstance(fld, ResidueRing):
             # Terms of different bidegrees may vanish modulo different
@@ -593,8 +576,7 @@ def projective_conormal_ideal(
             "(generators not bihomogeneous)",
             {(seed, fld.p): mixed},
         )
-    cono = ConormalIdeal("projective", big, sat.generators, n + 1, spec)
-    return _checked(cono, "projective conormal cone")
+    return _checked(sat, n + 1, "projective conormal cone")
 
 
 def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:

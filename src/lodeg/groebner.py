@@ -3,7 +3,8 @@
 :func:`buchberger` computes reduced Groebner bases with one signature loop
 (see "The loop").  Everything downstream -- Krull dimension, elimination,
 saturation, quotient bases, and point counting via the squarefree part of
-a characteristic polynomial -- is built on top of it.
+a characteristic polynomial -- is built on top of it.  Elimination and
+saturation return the reduced basis they compute, a :class:`GroebnerBasis`.
 
 Packed monomials
 ----------------
@@ -95,12 +96,8 @@ removes every zero reduction; on the counting workloads of the benchmark
 no S-pair reduces to zero.  Other inputs stay correct: their zero
 reductions feed the syzygy criterion.  The ideals of elimination and
 saturation have more generators than variables, so they are never a
-regular sequence.  On them (``conormal_saturation``) Buchberger's pair
-loop with the Gebauer-Moeller update measured no faster than this loop
-(median pass time 1.01x, call time p50 0.95x and p90 1.11x of this
-loop's, ten alternating 40 s runs), so one loop serves every ideal.  Each
-index ends in a minimalization and inter-reduction, so the basis is
-canonical.
+regular sequence, and the same loop serves them.  Each index ends in a
+minimalization and inter-reduction, so the basis is canonical.
 
 Signature loop.  Inputs are taken by increasing leading monomial.  Input
 ``f_i`` has signature ``e_i``; the work before it is the reduced basis
@@ -273,12 +270,12 @@ from .poly import (
     block_order,
     fresh_name,
 )
+from .randomness import Instability, SeedStream, derive_seed
 
 DEFAULT_BUDGET_SECS = 120.0
 
-# Largest characteristic the point counter accepts, the documented range of
-# --prime.  Its arithmetic is in Python ints, so this is no longer an int64
-# limit: it stays floor(sqrt(2**63 - 1)) + 1 until lifting it is tested.
+# Largest characteristic the point counter accepts, the top of the
+# documented range of --prime: floor(sqrt(2**63 - 1)) + 1.
 MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
 
 class BudgetExceeded(RuntimeError):
@@ -342,18 +339,6 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> tuple[Mono, ...]:
         return tuple(g.leading_monomial() for g in self.basis)
-
-
-@dataclass(frozen=True)
-class QuotientBasis:
-    """Standard monomials of a zero-dimensional quotient algebra, packed in
-    the ring's layout, by increasing order."""
-
-    ring: PolyRing
-    monomials: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
 
 
 class _Deadline:
@@ -758,11 +743,11 @@ def krull_dimension(
 # ---------------------------------------------------------------------------
 
 
-def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Ideal:
+def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> GroebnerBasis:
     """Intersect with the subring spanned by all but the first ``k`` variables.
 
-    The returned ideal lives in the smaller ring, in the ring's order, and
-    its generators are its reduced Groebner basis; it may be the zero ideal.
+    Returns the reduced Groebner basis of the intersection in the smaller
+    ring, in the ring's order; it is empty for the zero ideal.
     """
     n = ideal.ring.nvars
     if not 1 <= k < n:
@@ -771,7 +756,7 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Idea
     return _eliminated(gb, k, ideal.ring.order, budget_secs)
 
 
-def _eliminated(gb: GroebnerBasis, k: int, order, budget_secs: Optional[float]) -> Ideal:
+def _eliminated(gb: GroebnerBasis, k: int, order, budget_secs: Optional[float]) -> GroebnerBasis:
     """The elements of ``gb`` (under ``block_order(k)``) free of the first
     ``k`` variables, as a reduced basis under ``order``.  The second block
     is grevlex, so only another order recomputes it."""
@@ -787,13 +772,13 @@ def _eliminated(gb: GroebnerBasis, k: int, order, budget_secs: Optional[float]) 
             raise RuntimeError(f"eliminated variables left in {g}")
         kept.append(small.from_terms((m[k:], c) for m, c in terms.items()))
     if isinstance(order, Grevlex):
-        return Ideal.of(small, kept)
-    return Ideal.of(small, buchberger(Ideal.of(small, kept), budget_secs=budget_secs).basis)
+        return GroebnerBasis(small, tuple(kept))
+    return buchberger(Ideal.of(small, kept), budget_secs=budget_secs)
 
 
 def saturate(
     source: Ideal | GroebnerBasis, g: Polynomial, budget_secs: Optional[float] = None
-) -> Ideal:
+) -> GroebnerBasis:
     """Saturation of an ideal, or of the ideal of a reduced basis, by ``g``
     (see "Saturation"), as a reduced Groebner basis in the original ring
     and order.  A basis over a grevlex ring is the prefix as it stands; any
@@ -825,7 +810,7 @@ def saturate_by_ideal(
     other: Ideal,
     seed: int,
     budget_secs: Optional[float] = None,
-) -> Ideal:
+) -> GroebnerBasis:
     """Saturate ``ideal`` (or the ideal of a reduced basis) by a whole ideal.
 
     Saturate by a random linear combination of the generators of ``other``
@@ -833,10 +818,9 @@ def saturate_by_ideal(
     the whole ideal exactly, so the two answers agree unless a draw was
     unlucky; disagreement raises :class:`Instability` (the observations are
     the two basis sizes).  Both draws start from one reduced basis of an
-    ideal over a grevlex ring, computed first (see "Saturation").
+    ideal over a grevlex ring, computed first (see "Saturation").  Returns
+    the reduced basis of the saturation.
     """
-    from .randomness import Instability, SeedStream, derive_seed
-
     ring = ideal.ring
     if other.ring != ring:
         raise ValueError("saturating ideal lives in a different ring")
@@ -856,7 +840,7 @@ def saturate_by_ideal(
 
     seeds = (derive_seed(seed, 0), derive_seed(seed, 1))
     first, second = (saturate(ideal, combo(s), budget_secs=budget_secs) for s in seeds)
-    if first.generators != second.generators:
+    if first != second:
         if isinstance(ring.field_, ResidueRing):
             # The answers differ modulo some prime; which one, and what the
             # runs before it did, only one prime at a time tells.
@@ -865,7 +849,7 @@ def saturate_by_ideal(
         p = getattr(ring.field_, "p", 0)
         raise Instability(
             "saturation by random combinations of the generators",
-            {(seeds[0], p): len(first.generators), (seeds[1], p): len(second.generators)},
+            {(seeds[0], p): len(first.basis), (seeds[1], p): len(second.basis)},
         )
     return first
 
@@ -875,11 +859,12 @@ def saturate_by_ideal(
 # ---------------------------------------------------------------------------
 
 
-def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
-    """Monomials outside the leading-term ideal; requires a finite quotient."""
+def quotient_basis(gb: GroebnerBasis) -> tuple[int, ...]:
+    """Monomials outside the leading-term ideal, packed in the ring's layout,
+    by increasing order; requires a finite quotient."""
     ring = gb.ring
     if gb.is_unit():
-        return QuotientBasis(ring, ())
+        return ()
     lms = gb.leading_monomials()
     for i in range(ring.nvars):
         if not any(all(e == 0 for j, e in enumerate(lm) if j != i) and lm[i] > 0 for lm in lms):
@@ -904,7 +889,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
         out.append(m)
         frontier.extend(m + x for x in pk.variables)
     out.sort()  # packed ints compare as the monomial order
-    return QuotientBasis(ring, tuple(out))
+    return tuple(out)
 
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -1002,13 +987,14 @@ def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
     return chars[n]
 
 
-def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[list[int]]]:
+def multiplication_matrix(gb: GroebnerBasis, qb: Sequence[int]) -> list[list[list[int]]]:
     """Multiplication by each variable on the quotient algebra.
 
     Returns nested lists ``tables[i][row][col]``: ``tables[i]`` has in
     column ``j`` the normal form of ``m_j * x_i``, ``m_j`` the ``j``-th
-    standard monomial, as Python ints reduced modulo the field's modulus
-    (which may exceed 64 bits over a :class:`~lodeg.poly.ResidueRing`).
+    packed standard monomial of ``qb``, as Python ints reduced modulo the
+    field's modulus (which may exceed 64 bits over a
+    :class:`~lodeg.poly.ResidueRing`).
     Multiplication by ``sum(c_i * x_i)`` is ``sum(c_i * tables[i])``.
     """
     ring = gb.ring
@@ -1016,7 +1002,7 @@ def multiplication_matrix(gb: GroebnerBasis, qb: QuotientBasis) -> list[list[lis
         raise TypeError("multiplication matrices are built over prime fields only")
     n = ring.nvars
     pk = ring.packing
-    index = {m: i for i, m in enumerate(qb.monomials)}
+    index = {m: i for i, m in enumerate(qb)}
     dim = len(index)
     tables = [[[0] * dim for _ in range(dim)] for _ in range(n)]
     normalize, _ = _field_ops(ring)
@@ -1088,8 +1074,6 @@ def count_points(
 def _count_modulo(tables: list[list[list[int]]], p: int, seed: int) -> int:
     """The point count of :func:`count_points` at the prime ``p`` from the
     tables of :func:`multiplication_matrix`."""
-    from .randomness import SeedStream
-
     stream = SeedStream(seed)
     coeffs = [stream.nonzero_residue(p) for _ in tables]
     mat = [

@@ -314,7 +314,7 @@ def _bidegree_computation(
             spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
         )
         stream = SeedStream(child)
-        ideal = Ideal.of(cono.ring, list(cono.generators) + [
+        ideal = Ideal.of(cono.ring, list(cono.basis) + [
             _drawn_form(cono.ring, start, n, stream)
             for start, count in ((0, i), (n, n - i))
             for _ in range(count)
@@ -422,9 +422,9 @@ def _polar_computation(
             spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
         )
         stream = SeedStream(child)
-        nb = cono.base_count
+        nb = n + 1
         # Per factor one chart form (= 1), then hyperplanes through its origin.
-        ideal = Ideal.of(cono.ring, list(cono.generators) + [
+        ideal = Ideal.of(cono.ring, list(cono.basis) + [
             _drawn_form(cono.ring, start, nb, stream, int(idx == 0))
             for start, planes in ((0, i), (nb, n - 1 - i))
             for idx in range(1 + planes)
@@ -455,11 +455,11 @@ def dual_contains_hyperplane_at_infinity(
         spec, p, seed=derive_seed(seed, 201), budget_secs=budget_secs
     )
     ring = cono.ring
-    nb = cono.base_count
+    nb = spec.n + 1
     point_ring = PolyRing(ring.variables[:nb], ring.field_, ring.order)
     images = [point_ring.gen(k) for k in range(nb)]
     images += [point_ring.one()] + [point_ring.zero()] * (nb - 1)
-    fiber = Ideal.of(point_ring, substitute(cono.generators, point_ring, images))
+    fiber = Ideal.of(point_ring, substitute(cono.basis, point_ring, images))
     return krull_dimension(fiber, budget_secs=budget_secs) >= 1
 
 
@@ -469,30 +469,25 @@ def dual_contains_hyperplane_at_infinity(
 
 
 def _as_values(
-    vec: Union[DegreeVector, Sequence[int]],
-    d: Optional[int],
-    n: Optional[int],
-    expected_kind: str,
+    vec: Union[DegreeVector, Sequence[int]], n: Optional[int], expected_kind: str
 ) -> tuple[tuple[int, ...], int, int]:
+    """The values, dimension and ambient dimension of ``vec``.  A plain
+    sequence has dimension ``len(vec) - 1``, and ambient dimension ``n``,
+    which defaults to its dimension."""
     if isinstance(vec, DegreeVector):
         if vec.kind != expected_kind:
             raise ValueError(f"expected a {expected_kind} vector, got {vec.kind}")
         return vec.values, vec.dimension, vec.ambient
     values = tuple(int(v) for v in vec)
-    dd = len(values) - 1 if d is None else d
-    nn = dd if n is None else n
-    if len(values) != dd + 1:
-        raise ValueError("vector length must be d + 1")
-    return values, dd, nn
+    dd = len(values) - 1
+    return values, dd, dd if n is None else n
 
 
 def bidegrees_from_chern_mather(
-    a: Union[DegreeVector, Sequence[int]],
-    d: Optional[int] = None,
-    n: Optional[int] = None,
+    a: Union[DegreeVector, Sequence[int]], n: Optional[int] = None
 ) -> DegreeVector:
     """Forward binomial transform: entry i is sum_j (-1)^(d-j) C(j,i) a_j."""
-    values, dd, nn = _as_values(a, d, n, "chern_mather")
+    values, dd, nn = _as_values(a, n, "chern_mather")
     b = [
         sum((-1) ** (dd - j) * comb(j, i) * values[j] for j in range(i, dd + 1))
         for i in range(dd + 1)
@@ -501,42 +496,27 @@ def bidegrees_from_chern_mather(
 
 
 def chern_mather_from_bidegrees(
-    b: Union[DegreeVector, Sequence[int]],
-    d: Optional[int] = None,
-    n: Optional[int] = None,
+    b: Union[DegreeVector, Sequence[int]], n: Optional[int] = None
 ) -> DegreeVector:
     """Invert the binomial transform by back-substitution, exactly; the
     result must transform back to ``b``."""
-    result = _back_substitute(b, d, n)
-    if bidegrees_from_chern_mather(result).values != _as_values(b, d, n, "bidegree")[0]:
+    result = _back_substitute(b, n)
+    if bidegrees_from_chern_mather(result).values != _as_values(b, n, "bidegree")[0]:
         raise RuntimeError("binomial transform inversion failed to round-trip")
     return result
 
 
 def _back_substitute(
-    b: Union[DegreeVector, Sequence[int]],
-    d: Optional[int] = None,
-    n: Optional[int] = None,
+    b: Union[DegreeVector, Sequence[int]], n: Optional[int] = None
 ) -> DegreeVector:
     """The back-substitution of :func:`chern_mather_from_bidegrees`, without
     its round-trip check."""
-    values, dd, nn = _as_values(b, d, n, "bidegree")
+    values, dd, nn = _as_values(b, n, "bidegree")
     a = [0] * (dd + 1)
     for j in range(dd, -1, -1):
         tail = sum((-1) ** (dd - k) * comb(k, j) * a[k] for k in range(j + 1, dd + 1))
         a[j] = (-1) ** (dd - j) * (values[j] - tail)
     return DegreeVector("chern_mather", tuple(a), dd, nn)
-
-
-def euler_obstruction_at_cone_point(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
-) -> int:
-    """Local Euler obstruction at the vertex of an affine cone: the
-    alternating sum of the conormal slice counts."""
-    return euler_obstruction_with_bidegrees(spec, seed, policy, budget_secs)[0]
 
 
 def euler_obstruction_with_bidegrees(
@@ -545,7 +525,8 @@ def euler_obstruction_with_bidegrees(
     policy: AgreementPolicy = DEFAULT_POLICY,
     budget_secs: Optional[float] = None,
 ) -> tuple[int, DegreeVector]:
-    """The Euler obstruction at the cone vertex and the bidegrees it sums.
+    """The local Euler obstruction at the vertex of an affine cone, the
+    alternating sum of the conormal slice counts, and the bidegrees it sums.
 
     A non-cone is rejected before anything is counted; the alternating sum
     is cross-checked against entry 0 of the Chern-Mather transform.
@@ -680,34 +661,6 @@ def _correspondence_once(
 # ---------------------------------------------------------------------------
 
 
-def verify_sectional_bidegrees(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
-) -> VerificationReport:
-    """Check that slicing the variety and slicing its conormal variety give
-    the same counts, componentwise."""
-    b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
-    return _sectional_check(spec, b, seed, policy, budget_secs)
-
-
-def verify_polar_relation(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
-) -> VerificationReport:
-    """Check the dichotomy between affine and projective conormal counts.
-
-    The affine counts equal the shifted projective ones exactly when the
-    hyperplane at infinity is not in the dual variety; when it is, the
-    first nonzero projective count strictly exceeds its affine partner.
-    """
-    b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
-    return _polar_check(spec, b, seed, policy, budget_secs)
-
-
 def verify_identities(
     spec: VarietySpec,
     seed: int = 0,
@@ -717,11 +670,16 @@ def verify_identities(
     """Every identity check on one input, and the warnings of checks that do
     not apply.
 
-    The bidegrees are counted once and shared by the sectional and polar
-    checks, whose reports equal those of :func:`verify_sectional_bidegrees`
-    and :func:`verify_polar_relation`; then the binomial transform must
-    round-trip them and, for a cone, their alternating sum must equal the
-    transform's 0th entry.
+    The bidegrees are counted once and shared by the checks, in this
+    order:
+
+    - slicing the variety and slicing its conormal variety give the same
+      counts, componentwise;
+    - the affine counts equal the projective ones exactly when the
+      hyperplane at infinity is not in the dual variety; when it is, the
+      first nonzero projective count strictly exceeds its affine partner;
+    - the binomial transform round-trips them;
+    - for a cone, their alternating sum equals the transform's 0th entry.
     """
     b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
     a = _back_substitute(b)

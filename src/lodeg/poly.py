@@ -729,7 +729,7 @@ def _format_term(coeff: CoefT, m: Mono, names: tuple[str, ...]) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()/]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -741,8 +741,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if match.lastgroup is None:  # trailing whitespace
             break
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
+        kind, value = match.lastgroup, match.group(match.lastgroup)
+        tokens.append((kind, "^" if value == "**" else value, match.start(kind)))
         pos = match.end()
     return tokens
 

@@ -120,6 +120,22 @@ class TestReports:
         assert fields
         assert all(fld.p % 2147483647 for fld in fields)
 
+    def test_double_star_powers(self, tmp_path, capsys):
+        # ^ and ** both denote powers: the same input written with ** gives
+        # the same results.
+        with open(data_path("cubic_binomial.json")) as f:
+            doc = json.load(f)
+        starred = tmp_path / "starred.json"
+        doc["polynomials"] = [p.replace("^", "**") for p in doc["polynomials"]]
+        assert any("**" in p for p in doc["polynomials"])
+        starred.write_text(json.dumps(doc))
+        runs = [
+            run_json(capsys, "bidegrees", path, "--no-timings")
+            for path in (data_path("cubic_binomial.json"), str(starred))
+        ]
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
+        assert runs[0][1]["results"] == runs[1][1]["results"]
+
     def test_dimension_disagreement_is_instability(self, tmp_path, capsys):
         split = tmp_path / "split.json"
         split.write_text(
@@ -163,7 +179,7 @@ class TestReports:
         assert len(calls) == 1
 
     def test_verify_reports_a_failed_round_trip(self, monkeypatch, capsys):
-        def wrong(a, d=None, n=None):
+        def wrong(a, n=None):
             return invariants.DegreeVector("bidegree", (9,) * len(a.values), a.dimension, a.ambient)
 
         monkeypatch.setattr(invariants, "bidegrees_from_chern_mather", wrong)
@@ -373,7 +389,7 @@ class TestFailures:
             calls.append(out)
             if len(calls) % 2 == 0:
                 ring = out.ring
-                out = groebner.Ideal.of(ring, list(out.generators) + [ring.gen(0) ** 7])
+                out = groebner.GroebnerBasis(ring, out.basis + (ring.gen(0) ** 7,))
             return out
 
         monkeypatch.setattr(groebner, "saturate", drifting)

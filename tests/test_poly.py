@@ -65,6 +65,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             ring.parse("x +")
 
+    @pytest.mark.parametrize("text", ["x**2 + y**3", "(x+y)**2", "2*x ** 3*y"])
+    def test_double_star_is_power(self, ring, text):
+        assert ring.parse(text) == ring.parse(text.replace("**", "^"))
+
+    def test_split_double_star_rejected(self, ring):
+        with pytest.raises(ParseError, match="unexpected token"):
+            ring.parse("x* *2")
+
     def test_helper_function(self):
         p = parse_polynomial("a*b - 1", ("a", "b"))
         assert p.total_degree() == 2
@@ -354,8 +362,8 @@ class TestAgainstTupleOracle:
             cut = lifted[:-1] + [big.gen(0) - lifted[-1]]
             for out in (eliminate(Ideal.of(big, cut), 1), saturate(Ideal.of(ring, gens), ring.constant(3))):
                 assert out.ring == ring
-                assert out.generators == basis
-                for h in out.generators:
+                assert out.basis == basis
+                for h in out.basis:
                     self.tuples(h)
 
     @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=ORACLE_ORDER_IDS)
