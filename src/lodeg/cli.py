@@ -35,7 +35,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import invariants
 from .conormal import DegenerateSlice, DimensionMismatch, VarietySpec
-from .groebner import MAX_MATRIX_PRIME, BudgetExceeded, CharacteristicHazard
+from .groebner import BudgetExceeded, CharacteristicHazard
 from .poly import InputError, ParseError, residue_ring
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
 
@@ -137,12 +137,6 @@ def _parse_slice_form(text: str, spec: VarietySpec) -> tuple[list[Fraction], Fra
 
 def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
-    for p in primes:
-        if p > MAX_MATRIX_PRIME:
-            raise InputError(
-                f"--prime {p} is above {MAX_MATRIX_PRIME}, the top of the documented "
-                "--prime range"
-            )
     residue_ring(primes)  # each prime must be a valid characteristic
     return AgreementPolicy(
         seeds_per_trial=args.trials, primes=primes, max_retries=3

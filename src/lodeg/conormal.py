@@ -188,7 +188,7 @@ FormT = tuple[Sequence[CoefT], CoefT]
 
 def solve_forms(
     ring: PolyRing, forms: Sequence[FormT], width: Optional[int] = None
-) -> tuple[PolyRing, list[Polynomial], list[tuple[tuple[CoefT, ...], CoefT]]]:
+) -> tuple[PolyRing, list[Polynomial]]:
     """Solve affine forms ``(coeffs, constant)``, meaning ``coeffs . x =
     constant``, for one variable each.
 
@@ -197,10 +197,9 @@ def solve_forms(
     variables, such as multipliers, out of reach), and is solved for its
     nonzero coefficient of largest index.  A form as wide as ``width`` is
     on the source variables instead, and is first rewritten through the
-    forms solved before it.  Returns the ring of the variables left, the
-    image there of every variable of ``ring`` (an affine form), and the
-    forms as solved.  The forms are solved in plain coefficients (ints mod
-    p over a prime field).
+    forms solved before it.  Returns the ring of the variables left and
+    the image there of every variable of ``ring`` (an affine form).  The
+    forms are solved in plain coefficients (ints mod p over a prime field).
     """
     fld = ring.field_
     p = _modulus(fld)
@@ -212,7 +211,6 @@ def solve_forms(
     # rows[i] is the image of variable i: coefficients on ``names``, then
     # the constant.
     rows = [[zero] * i + [fld.one] + [zero] * (n - i) for i in range(n)]
-    solved = []
     for raw_coeffs, raw_const in forms:
         coeffs = [fld.coerce(c) for c in raw_coeffs]
         const = fld.coerce(raw_const)
@@ -234,21 +232,10 @@ def solve_forms(
                 row[:] = [norm(x + a * y) for x, y in zip(row, image)]
             del row[pivot]
         del names[pivot]
-        solved.append((tuple(coeffs), const))
         left -= 1
     small = PolyRing(tuple(names), fld, ring.order)
     keys = small.packing.variables + (0,)
-    return small, [small.from_dict(dict(zip(keys, row))) for row in rows], solved
-
-
-def push_form(images: Sequence[Polynomial], coeffs: Sequence[CoefT]) -> tuple[list[CoefT], CoefT]:
-    """The affine form ``sum_i coeffs[i] * images[i]``: its coefficients on
-    the variables of the images' ring and its constant."""
-    ring = images[0].ring
-    units = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars + 1)]
-    rows = [[q.coefficient(m) for m in units] for q in images]
-    pushed = _combine(ring.field_, [ring.field_.coerce(c) for c in coeffs], rows)
-    return pushed[:-1], pushed[-1]
+    return small, [small.from_dict(dict(zip(keys, row))) for row in rows]
 
 
 def _combine(fld: FieldT, coeffs: Sequence[CoefT], rows: Sequence[Sequence[CoefT]]) -> list[CoefT]:
@@ -281,7 +268,6 @@ class SlicedVariety:
 
     spec: VarietySpec
     images: tuple[Polynomial, ...]
-    forms: tuple[tuple[tuple[CoefT, ...], CoefT], ...]
 
 
 def slice_variety(
@@ -289,33 +275,19 @@ def slice_variety(
     count: int,
     seed: int,
     budget_secs: Optional[float] = None,
-    forms: Optional[Sequence[FormT]] = None,
 ) -> SlicedVariety:
-    """Cut ``spec`` by ``count`` affine forms, solved as by :func:`solve_forms`.
-
-    With no explicit forms, seeded random ones are drawn (all coefficients
-    nonzero) and redrawn up to three times if the dimension fails to drop by
-    exactly ``count``.
-    """
+    """Cut ``spec`` by ``count`` seeded random affine forms (all
+    coefficients nonzero), as by :func:`_apply_slices`, redrawn up to three
+    times if the dimension fails to drop by exactly ``count``."""
     dimension = spec.dimension_within(budget_secs)
     if not 0 <= count <= dimension:
         raise InputError(f"cannot cut dimension {dimension} by {count} sections")
-    if count == 0:
-        return SlicedVariety(spec, tuple(solve_forms(spec.ring, ())[1]), ())
-    explicit = forms is not None
-    attempts = 1 if explicit else 4
-    last_error: Optional[Exception] = None
-    for attempt in range(attempts):
-        if explicit:
-            chosen = [(tuple(c for c in cs), k) for cs, k in forms]
-        else:
-            chosen = _draw_base_forms(SeedStream(derive_seed(seed, attempt)), spec.n, count, None)
+    for attempt in range(4):
+        forms = _draw_base_forms(SeedStream(derive_seed(seed, attempt)), spec.n, count, None)
         try:
-            return _apply_slices(spec, chosen, budget_secs)
-        except (DegenerateSlice, InvalidVariety) as err:
+            return _apply_slices(spec, forms, budget_secs)
+        except DegenerateSlice as err:
             last_error = err
-            if explicit:
-                raise DegenerateSlice(str(err)) from err
     raise DegenerateSlice(
         f"sections kept failing to drop the dimension: {last_error}"
     )
@@ -324,7 +296,16 @@ def slice_variety(
 def _apply_slices(
     spec: VarietySpec, forms: Sequence[FormT], budget_secs: Optional[float]
 ) -> SlicedVariety:
-    ring, images, solved = solve_forms(spec.ring, forms)
+    """Cut ``spec`` by the affine ``forms``, solved as by
+    :func:`solve_forms`; no forms leave ``spec`` as it is.
+
+    Raises :class:`DegenerateSlice` when a form has no variable left to
+    solve for, when the cut leaves no generator or a constant one, and when
+    the dimension does not drop by one per form.
+    """
+    ring, images = solve_forms(spec.ring, forms)
+    if not forms:
+        return SlicedVariety(spec, tuple(images))
     survivors = tuple(g for g in substitute(spec.generators, ring, images) if not g.is_zero())
     if not survivors or any(g.is_constant() for g in survivors):
         raise DegenerateSlice("sections made the system inconsistent or empty")
@@ -335,7 +316,7 @@ def _apply_slices(
         raise DegenerateSlice(
             f"dimension {dimension} after cutting, expected {expected}"
         )
-    return SlicedVariety(new_spec, tuple(images), tuple(solved))
+    return SlicedVariety(new_spec, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +417,7 @@ def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> Multiplie
     """Solve affine forms on the base variables (see :func:`solve_forms`)
     and substitute the solution everywhere, multipliers included: one
     :func:`~lodeg.poly.substitute` over the whole system."""
-    ring, images, _ = solve_forms(system.ring, forms, system.base_count)
+    ring, images = solve_forms(system.ring, forms, system.base_count)
     count = len(system.equations)
     polys = substitute(system.equations + system.covector, ring, images)
     equations = tuple(g for g in polys[:count] if not g.vanishes())

@@ -202,7 +202,7 @@ every prime, so :func:`count_points` runs its tail once over ``Z/N`` too:
 
 Only the matrix mod ``p_i`` of a random form and its characteristic
 polynomial, by reduction to Hessenberg form in Python ints, are built once
-per prime, below ``MAX_MATRIX_PRIME``.
+per prime.
 
 Every zero test crossed mod ``N`` is followed by an inversion of the same
 value, is harmless, or raises ``SplitModulus`` itself:
@@ -246,7 +246,6 @@ in seconds and raises :class:`BudgetExceeded` when it runs out.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from bisect import insort
@@ -273,10 +272,6 @@ from .poly import (
 from .randomness import Instability, SeedStream, derive_seed
 
 DEFAULT_BUDGET_SECS = 120.0
-
-# Largest characteristic the point counter accepts, the top of the
-# documented range of --prime: floor(sqrt(2**63 - 1)) + 1.
-MAX_MATRIX_PRIME = math.isqrt(2**63 - 1) + 1
 
 class BudgetExceeded(RuntimeError):
     """A Groebner computation ran past its wall-clock budget."""
@@ -1051,12 +1046,6 @@ def count_points(
     if not isinstance(fld, PrimeField):
         raise TypeError("count_points requires a prime-field ideal")
     primes = fld.primes if isinstance(fld, ResidueRing) else (fld.p,)
-    for p in primes:
-        if p > MAX_MATRIX_PRIME:
-            raise ValueError(
-                f"characteristic {p} is above {MAX_MATRIX_PRIME}, the top of the "
-                "documented --prime range"
-            )
     gb = buchberger(ideal, budget_secs=budget_secs)
     if gb.is_unit():
         return {p: 0 for p in primes}

@@ -31,6 +31,7 @@ from .conormal import (
     FormT,
     MultiplierSystem,
     VarietySpec,
+    _apply_slices,
     _draw_base_forms,
     _drawn_form,
     affine_conormal_ideal,
@@ -38,7 +39,6 @@ from .conormal import (
     multiplier_system,
     projective_conormal_ideal,
     projective_multiplier_system,
-    push_form,
     restrict_base,
     slice_variety,
 )
@@ -473,13 +473,18 @@ def _as_values(
 ) -> tuple[tuple[int, ...], int, int]:
     """The values, dimension and ambient dimension of ``vec``.  A plain
     sequence has dimension ``len(vec) - 1``, and ambient dimension ``n``,
-    which defaults to its dimension."""
+    which defaults to its dimension; an empty one, or an ``n`` below the
+    dimension, is refused."""
     if isinstance(vec, DegreeVector):
         if vec.kind != expected_kind:
             raise ValueError(f"expected a {expected_kind} vector, got {vec.kind}")
         return vec.values, vec.dimension, vec.ambient
     values = tuple(int(v) for v in vec)
+    if not values:
+        raise InputError(f"an empty {expected_kind} vector has no dimension")
     dd = len(values) - 1
+    if n is not None and n < dd:
+        raise InputError(f"ambient dimension {n} is below the dimension {dd}")
     return values, dd, dd if n is None else n
 
 
@@ -546,35 +551,6 @@ def euler_obstruction_with_bidegrees(
 # ---------------------------------------------------------------------------
 
 
-def _rational_kernel(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a full-row-rank matrix over the rationals."""
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        sel = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [c * inv for c in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] != 0:
-                factor = mat[k][col]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
-        pivots.append(col)
-        r += 1
-    basis: list[list[Fraction]] = []
-    free = [c for c in range(n) if c not in pivots]
-    for col in free:
-        vec = [Fraction(0)] * n
-        vec[col] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            vec[pc] = -mat[k][col]
-        basis.append(vec)
-    return basis
-
-
 def critical_correspondence(
     spec: VarietySpec,
     i: int,
@@ -625,9 +601,14 @@ def _correspondence_once(
     policy: AgreementPolicy,
     budget_secs: Optional[float],
 ) -> CorrespondenceReport:
-    n = spec.n
-    sliced = slice_variety(spec, i, seed=0, forms=forms, budget_secs=budget_secs)
-    pushed, _ = push_form(sliced.images, u)
+    sliced = _apply_slices(spec, forms, budget_secs)
+    # Column j of the images' linear parts is the direction of L along the
+    # j-th variable left; these columns span L's directions, and u pushed
+    # onto the slice is <w_j, u> for each column w_j.
+    left = sliced.spec.n
+    units = [tuple(int(k == j) for k in range(left)) for j in range(left)]
+    kernel = [[q.coefficient(unit) for q in sliced.images] for unit in units]
+    pushed = [sum(wk * uk for wk, uk in zip(w, u)) for w in kernel]
     if not any(pushed):
         raise DegenerateSlice("the objective is constant on the sliced variety")
 
@@ -635,16 +616,11 @@ def _correspondence_once(
         sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy, budget_secs=budget_secs
     )
 
-    kernel = _rational_kernel([list(c) for c, _ in forms], n)
-
     def count_conormal_comp(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
-        restricted = restrict_base(system, list(sliced.forms))
-        conditions = [
-            _dual_form(restricted, w, sum(wk * uk for wk, uk in zip(w, u)))
-            for w in kernel
-        ]
+        restricted = restrict_base(system, forms)
+        conditions = [_dual_form(restricted, w, c) for w, c in zip(kernel, pushed)]
         return _count_system(restricted, conditions, stream, derive_seed(child, 5), budget_secs)
 
     count_conormal = agreed_value(

@@ -123,19 +123,20 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Integers modulo an odd prime larger than 2**30.
+    """Integers modulo an odd prime larger than 2**30 and smaller than 2**64.
 
-    Residues are always reduced to ``[0, p)``.  The size bound keeps
+    Residues are always reduced to ``[0, p)``.  The lower bound keeps
     Schwartz-Zippel failure probabilities negligible for the seeded random
-    evaluations performed elsewhere in the package.
+    evaluations performed elsewhere in the package; the upper one lets a
+    residue be drawn from one 64-bit word of a ``SeedStream``.
     """
 
     p: int
 
     def __post_init__(self) -> None:
-        if self.p <= (1 << 30) or self.p % 2 == 0 or not is_probable_prime(self.p):
+        if not 1 << 30 < self.p < 1 << 64 or self.p % 2 == 0 or not is_probable_prime(self.p):
             raise CoefficientError(
-                f"characteristic must be an odd prime above 2**30, got {self.p}"
+                f"characteristic must be an odd prime between 2**30 and 2**64, got {self.p}"
             )
 
     def coerce(self, value: Union[int, Fraction]) -> int:
@@ -801,30 +802,31 @@ class _Parser:
         return result
 
     def term(self) -> dict:
-        negate = False
-        while self.at("-"):
-            self.advance()
-            negate = not negate
         result = self.power()
         while self.at("*"):
             self.advance()
             result = self.reduced(_dict_product({}, result, self.power()))
-        return self.reduced(_dict_sum({}, result, -1)) if negate else result
+        return result
 
     def power(self) -> dict:
-        base = self.atom()
-        if not self.at("^"):
-            return base
-        self.advance()
-        if self.at("-"):
-            raise ParseError("negative exponents are not allowed", self.peek()[2])
-        etok = self.advance()
-        if etok[0] != "int":
-            raise ParseError("exponent must be a non-negative integer", etok[2])
-        exponent = int(etok[1])
-        if exponent > MAX_EXPONENT:
-            raise ParseError("exponent too large", etok[2])
-        return _dict_power(base, exponent, self.one, self.p, self.ring.packing)
+        """A run of ``+``/``-`` signs, then an atom and its exponent: the
+        signs apply to the whole power, so ``x*-y^2`` is ``x*(-(y^2))``."""
+        negate = False
+        while self.at("+-"):
+            negate ^= self.advance()[1] == "-"
+        value = self.atom()
+        if self.at("^"):
+            self.advance()
+            if self.at("-"):
+                raise ParseError("negative exponents are not allowed", self.peek()[2])
+            etok = self.advance()
+            if etok[0] != "int":
+                raise ParseError("exponent must be a non-negative integer", etok[2])
+            exponent = int(etok[1])
+            if exponent > MAX_EXPONENT:
+                raise ParseError("exponent too large", etok[2])
+            value = _dict_power(value, exponent, self.one, self.p, self.ring.packing)
+        return self.reduced(_dict_sum({}, value, -1)) if negate else value
 
     def atom(self) -> dict:
         tok = self.advance()
@@ -853,8 +855,6 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        if kind == "op" and value == "-":
-            return self.reduced(_dict_sum({}, self.atom(), -1))
         raise ParseError(f"unexpected token {value!r}", where)
 
 

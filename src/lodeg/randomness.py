@@ -65,10 +65,13 @@ class SeedStream:
         return _mix(self._state)
 
     def integer(self, low: int = 1, high: int = COEFF_BOUND) -> int:
-        """Uniform-ish integer in ``[low, high)`` by rejection sampling."""
+        """Uniform-ish integer in ``[low, high)`` by rejection sampling of
+        one 64-bit word, so the span is at most 2**64."""
         span = high - low
         if span <= 0:
             raise ValueError("empty range")
+        if span > 1 << 64:
+            raise ValueError(f"span {span} is wider than one 64-bit word")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             word = self.next_u64()

@@ -440,15 +440,17 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert "not affine" in err
 
-    def test_prime_too_large_for_int64_products(self, capsys):
+    def test_prime_beyond_one_64_bit_word(self, capsys):
+        # 2**64 + 13 is prime; the largest accepted prime is 2**64 - 59.
         code, out, err = run_cli(
-            capsys, "lodeg", data_path("sphere.json"), "--prime", "4294967291"
+            capsys, "lodeg", data_path("sphere.json"), "--prime", "18446744073709551629"
         )
         assert code == EXIT_INPUT
         assert out == ""
-        assert "Traceback" not in err
-        assert err.startswith("input error: --prime 4294967291")
-        assert err.count("\n") == 1
+        assert err == (
+            "input error: characteristic must be an odd prime between 2**30 and 2**64, "
+            "got 18446744073709551629\n"
+        )
 
     def test_degree_beyond_packed_monomials(self, tmp_path, capsys):
         # Degree 16383 parses and packs; the computation's first S-pair

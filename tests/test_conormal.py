@@ -14,7 +14,6 @@ from lodeg.conormal import (
     multiplier_slack_forms,
     multiplier_system,
     projective_conormal_ideal,
-    push_form,
     restrict_base,
     slice_variety,
     solve_forms,
@@ -98,27 +97,19 @@ def _q(*values):
 class TestSolveForms:
     def test_pivot_is_last_nonzero_coefficient(self):
         ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
-        left, images, solved = solve_forms(ring, [(_q(1, 2, 3), 6)])
+        left, images = solve_forms(ring, [(_q(1, 2, 3), 6)])
         assert left.variables == ("x", "y")
         # x + 2y + 3z = 6 solves to z = 2 - x/3 - 2y/3.
         assert str(images[2]) == "-1/3*x - 2/3*y + 2"
         assert images[:2] == [left.gen(0), left.gen(1)]
-        assert solved == [(_q(1, 2, 3), 6)]
         # A zero last coefficient moves the pivot down.
-        left, images, _ = solve_forms(ring, [(_q(1, 1, 0), 0)])
+        left, images = solve_forms(ring, [(_q(1, 1, 0), 0)])
         assert left.variables == ("x", "z")
         assert str(images[1]) == "-x"
 
-    def test_push_objective(self):
-        ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
-        _, images, _ = solve_forms(ring, [(_q(1, 2, 3), 6)])
-        coeffs, const = push_form(images, [0, 0, 1])
-        assert coeffs == [Fraction(-1, 3), Fraction(-2, 3)]
-        assert const == Fraction(2)
-
     def test_width_keeps_multipliers_out_of_reach(self):
         ring = PolyRing(("x1", "x2", "lam0"), QQ, GREVLEX)
-        left, images, _ = solve_forms(ring, [(_q(1, 1), 0)], width=2)
+        left, images = solve_forms(ring, [(_q(1, 1), 0)], width=2)
         assert left.variables == ("x1", "lam0")
         assert images == [left.gen(0), -left.gen(0), left.gen(1)]
         with pytest.raises(DegenerateSlice):
@@ -128,13 +119,13 @@ class TestSolveForms:
         ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
         # z = 0 on the source variables, after x + 2y + 3z = 6, reads
         # -x/3 - 2y/3 = -2 on (x, y) and solves for y.
-        left, images, solved = solve_forms(ring, [(_q(1, 2, 3), 6), (_q(0, 0, 1), 0)])
-        assert solved[1] == ((Fraction(-1, 3), Fraction(-2, 3)), -2)
+        left, images = solve_forms(ring, [(_q(1, 2, 3), 6), (_q(0, 0, 1), 0)])
         assert left.variables == ("x",)
         assert str(images[1]) == "-1/2*x + 3"
         assert images[2].is_zero()
         # The same form read on the variables left gives the same images.
-        assert solve_forms(ring, [(_q(1, 2, 3), 6), solved[1]])[1] == images
+        solved = ((Fraction(-1, 3), Fraction(-2, 3)), -2)
+        assert solve_forms(ring, [(_q(1, 2, 3), 6), solved])[1] == images
 
     def test_other_widths_raise(self):
         ring = PolyRing(("x", "y", "z"), QQ, GREVLEX)
@@ -164,28 +155,22 @@ class TestSlicing:
     def test_same_seed_same_slice(self, sphere):
         a = slice_variety(sphere, 1, seed=9)
         b = slice_variety(sphere, 1, seed=9)
-        assert a.forms == b.forms
+        assert a.images == b.images
         assert a.spec.generators == b.spec.generators
 
     def test_explicit_forms_in_source_width(self, sphere):
-        forms = [
-            ((Fraction(0), Fraction(0), Fraction(1)), Fraction(0)),
-            ((Fraction(0), Fraction(1), Fraction(0)), Fraction(1)),
-        ]
-        sliced = slice_variety(sphere, 2, seed=0, forms=forms)
+        # Explicit forms (the correspondence's) are cut as they are given.
+        forms = [(_q(0, 0, 1), Fraction(0)), (_q(0, 1, 0), Fraction(1))]
+        sliced = conormal._apply_slices(sphere, forms, None)
         assert sliced.spec.dimension == 0
         # x3 = 0 then x2 = 1 leaves x1^2 - 99.
         assert str(sliced.spec.generators[0]) == "x1^2 - 99"
+        assert conormal._apply_slices(sphere, [], None).spec is sphere
 
     def test_inconsistent_explicit_form(self):
         plane = VarietySpec.define(("x1", "x2", "x3"), ["x3"])
         with pytest.raises(DegenerateSlice):
-            slice_variety(
-                plane,
-                1,
-                seed=0,
-                forms=[((Fraction(0), Fraction(0), Fraction(1)), Fraction(5))],
-            )
+            conormal._apply_slices(plane, [(_q(0, 0, 1), Fraction(5))], None)
 
 
 class TestMultiplierSystem:
@@ -259,7 +244,7 @@ class TestRestrictBase:
             )
             count = rng.randrange(4)
             forms = [([rng.randrange(1, 50) for _ in range(4 - k)], rng.randrange(-9, 10)) for k in range(count)]
-            small, images, _ = solve_forms(ring, forms, width=4)
+            small, images = solve_forms(ring, forms, width=4)
 
             def expected(g):
                 total = small.zero()

@@ -844,10 +844,12 @@ class TestZeroDimensional:
             f = f * (x - a)
         assert count_points(Ideal.of(r, [f]), seed=77)[P1] == len(set(roots))
 
-    def test_count_rejects_primes_beyond_int64_products(self):
-        r = PolyRing(("x",), PrimeField(4294967291), GREVLEX)
-        with pytest.raises(ValueError, match="documented --prime range"):
-            count_points(Ideal.of(r, [r.parse("x^2 - 2")]), seed=1)
+    def test_count_beyond_int64_products(self):
+        # Above 2**32 a product of two residues no longer fits in an int64.
+        p = 4294967291
+        r = PolyRing(("x", "y"), PrimeField(p), GREVLEX)
+        ideal = Ideal.of(r, [r.parse("(x - 1)^2*(x - 2)*(x - 3)"), r.parse("y^2 - x")])
+        assert count_points(ideal, seed=1) == {p: 6}
 
     def test_characteristic_hazard_guard(self):
         # the check compares quotient dimension with p; simulate by a tiny
@@ -998,8 +1000,11 @@ class TestCharacteristicPolynomial:
 
 
 THREE_PRIMES = (P1, 2147483629, 1073741827)
-# The largest accepted prime: with it the product of three exceeds 2**63.
+# With 3037000493 the product of three exceeds 2**63.
 WIDE_PRIMES = (P1, 2147483629, 3037000493)
+# Each residue modulo 2**61 - 1 or 2**64 - 59 (the largest accepted prime)
+# overflows an int64 product.
+WORD_PRIMES = (P1, 2**61 - 1, 2**64 - 59)
 
 
 def split_basis(gb, p):
@@ -1088,7 +1093,9 @@ class TestSeveralPrimes:
             alone = Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens])
             assert count_points(alone, seed=seed) == {p: counts[p]}
 
-    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    @pytest.mark.parametrize(
+        "primes", [DEFAULT_PRIMES, WIDE_PRIMES, WORD_PRIMES], ids=["two", "three", "word"]
+    )
     def test_shared_tail_is_each_primes_tail(self, primes):
         rng = random.Random(f"tail:{len(primes)}")
         checked = 0
@@ -1099,7 +1106,9 @@ class TestSeveralPrimes:
                 checked += 1
         assert checked == sum(n + 1 for n in range(2, 6))
 
-    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
+    @pytest.mark.parametrize(
+        "primes", [DEFAULT_PRIMES, WIDE_PRIMES, WORD_PRIMES], ids=["two", "three", "word"]
+    )
     def test_shared_tail_with_a_term_vanishing_at_one_prime(self, primes):
         ring = PolyRing(("x", "y"), residue_ring(primes), GREVLEX)
         gens = [ring.parse(f"x - {P1}*y"), ring.parse("y^2 - 1")]

@@ -28,7 +28,7 @@ from lodeg.invariants import (
     verify_identities,
 )
 from lodeg.groebner import Ideal, buchberger, quotient_basis
-from lodeg.poly import QQ, PrimeField, ResidueRing, SplitModulus, fresh_name, residue_ring
+from lodeg.poly import QQ, InputError, PrimeField, ResidueRing, SplitModulus, fresh_name, residue_ring
 from lodeg.randomness import DEFAULT_PRIMES, SeedStream, derive_seed
 
 
@@ -166,6 +166,72 @@ class TestBidegrees:
             bidegrees(sphere, method="sorcery")
 
 
+class TestHandDerivedEntries:
+    """Bidegree entries of two determinantal cones, each derived by hand
+    rather than read from a lodeg run.
+
+    Entry i counts the critical points of a generic linear objective on X
+    cut by i generic affine hyperplanes (the paper's theorem).  For a cone
+    X in C^n, that section is the affine part of a section of the
+    projective variety P(X) by a generic linear space of dimension n - i - 1.
+    The conormal variety projects onto the affine cone over the dual
+    variety, of dimension e, so fewer than i = n - e point conditions leave
+    n - i > e generic dual conditions that miss it: b_i = 0 for i < n - e.
+    At i = n - e the dual conditions leave deg(dual) covectors, each normal
+    along a linear space of dimension i through the origin (the contact
+    locus), which the i point conditions cut in one point: b_{n-e} is the
+    degree of the dual variety.
+    """
+
+    @pytest.fixture(scope="class")
+    def sym3(self):
+        # [[a, b, c], [b, d, e], [c, e, f]]: n = 6, X of dimension 5.
+        return bidegrees(load_spec("sym3.json")).values
+
+    @pytest.fixture(scope="class")
+    def rank1_2x3(self):
+        # [[a, b, c], [d, e, f]] of rank at most 1: n = 6, X of dimension 4.
+        return bidegrees(load_spec("rank1_2x3.json")).values
+
+    def test_sym3_degree(self, sym3):
+        """b_5 is the number of points X cuts on a generic affine line in
+        C^6: the degree of the determinant, 3."""
+        assert sym3[5] == 3
+
+    def test_sym3_smooth_plane_cubic(self, sym3):
+        """At i = 4 the section is a plane cubic curve.  The singular locus
+        of P(X), symmetric matrices of rank 1, is the Veronese surface, which
+        a generic plane of P^5 misses, so the curve is smooth; its critical
+        points for a generic linear objective number its class,
+        D(D - 1) = 3 * 2 = 6."""
+        assert sym3[4] == 6
+
+    def test_sym3_veronese_dual(self, sym3):
+        """The dual of symmetric 3x3 matrices of rank at most 2 is the
+        symmetric matrices of rank at most 1 (Gelfand, Kapranov, Zelevinsky,
+        *Discriminants*, ch. 1): the Veronese surface v_2(P^2), of degree
+        2^2 = 4, whose affine cone has dimension e = 3.  So b_3 = 4, and
+        b_0 = b_1 = b_2 = 0.  Independently, the section at i = 3 is a
+        cubic surface that meets the Veronese surface in its 4 points, one
+        ordinary node each (Cayley's 4-nodal cubic): its class is
+        D(D - 1)^2 - 2 * 4 = 12 - 8 = 4."""
+        assert sym3[3] == 4
+        assert sym3[:3] == (0, 0, 0)
+
+    def test_rank1_2x3_segre_degree(self, rank1_2x3):
+        """P(X) is the Segre embedding of P^1 x P^2 in P^5, of degree
+        C(1 + 2, 1) = 3: b_4 = 3."""
+        assert rank1_2x3[4] == 3
+
+    def test_rank1_2x3_self_dual(self, rank1_2x3):
+        """The dual of m x n matrices of rank at most r (m <= n) is the
+        matrices of rank at most m - r (Gelfand, Kapranov, Zelevinsky,
+        ch. 1): here 2 - 1 = 1, so X is self-dual, its dual of degree 3 with
+        an affine cone of dimension e = 4.  So b_2 = 3, and b_0 = b_1 = 0."""
+        assert rank1_2x3[2] == 3
+        assert rank1_2x3[:2] == (0, 0)
+
+
 class TestSectional:
     def test_sphere(self, sphere):
         s = sectional_lo_degrees(sphere)
@@ -300,6 +366,19 @@ class TestTransforms:
         vec = DegreeVector("polar", (1, 1), 1, 2)
         with pytest.raises(ValueError):
             chern_mather_from_bidegrees(vec)
+
+    def test_empty_vector_is_refused(self):
+        with pytest.raises(InputError, match="empty bidegree vector"):
+            chern_mather_from_bidegrees([])
+        with pytest.raises(InputError, match="empty chern_mather vector"):
+            bidegrees_from_chern_mather([])
+
+    def test_ambient_below_the_dimension_is_refused(self):
+        with pytest.raises(InputError, match="ambient dimension 1 is below the dimension 2"):
+            bidegrees_from_chern_mather([1, 2, 3], n=1)
+        with pytest.raises(InputError, match="ambient dimension 1 is below the dimension 2"):
+            chern_mather_from_bidegrees([1, 2, 3], n=1)
+        assert bidegrees_from_chern_mather([1, 2, 3], n=2).ambient == 2
 
 
 class TestEulerObstruction:

@@ -46,7 +46,16 @@ class TestParsing:
         assert p.coefficient((1, 0, 0)) == Fraction(2, 3)
 
     def test_unary_minus_binds_the_whole_power(self, ring):
-        assert ring.parse("-x^2") == -(ring.gen(0) ** 2)
+        x, y = ring.gen(0), ring.gen(1)
+        assert ring.parse("-x^2") == -(x ** 2)
+        # After a product sign too: the sign applies to the power.
+        assert ring.parse("x*-y^2") == -(x * y ** 2)
+        assert ring.parse("x^2*-y^3") == -(x ** 2 * y ** 3)
+        assert ring.parse("x*-2^2") == -4 * x
+        # A unary plus changes nothing.
+        assert ring.parse("+x + y") == x + y
+        assert ring.parse("x + (+y)") == x + y
+        assert ring.parse("x - -y") == x + y
 
     def test_parenthesized_products(self, ring):
         p = ring.parse("(x + y)*(x - y)")
@@ -414,6 +423,13 @@ class TestFields:
             PrimeField(97)
         with pytest.raises(CoefficientError):
             PrimeField(2147483646)
+
+    def test_prime_field_fits_one_64_bit_word(self):
+        assert PrimeField(2**64 - 59).p == 18446744073709551557
+        # 2**64 + 13 is prime, but a residue modulo it is not one draw of
+        # a SeedStream.
+        with pytest.raises(CoefficientError, match="between 2\\*\\*30 and 2\\*\\*64"):
+            PrimeField(2**64 + 13)
 
     def test_prime_field_inverts(self):
         fld = PrimeField(2147483647)

@@ -33,6 +33,14 @@ def test_integers_fit_below_both_primes():
     assert COEFF_BOUND <= min(DEFAULT_PRIMES)
 
 
+def test_integer_span_fits_one_word():
+    # One 64-bit word draws any span up to 2**64, and no wider one: the
+    # rejection loop would then never accept a word.
+    assert 0 <= SeedStream(1).integer(0, 2**64) < 2**64
+    with pytest.raises(ValueError, match="wider than one 64-bit word"):
+        SeedStream(1).integer(1, 2**64 + 2)
+
+
 def test_residue_and_nonzero_residue():
     stream = SeedStream(13)
     p = DEFAULT_PRIMES[0]

@@ -21,9 +21,9 @@ REPORTS = os.path.join(ROOT, "tests", "data", "reports")
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
-    # twisted_cubic_cone has codimension 2 and three generators: its
-    # systems carry an excess multiplier.
-    for name in ("quadric_cone", "sphere", "twisted_cubic_cone"):
+    # twisted_cubic_cone and rank1_2x3 have codimension 2 and three
+    # generators: their systems carry an excess multiplier.
+    for name in ("quadric_cone", "sphere", "twisted_cubic_cone", "sym3", "rank1_2x3"):
         for command in COMMANDS:
             extra = ["--i", "1"] if command == "correspondence" else []
             cases[f"{name}.{command}"] = [command, f"tests/data/{name}.json"] + extra
@@ -31,13 +31,25 @@ def _cases() -> dict[str, list[str]]:
         "correspondence", "tests/data/sphere.json",
         "--i", "1", "--covector", "10,5,17", "--slice", "x3-6",
     ]
+    # Each at its last nonzero index below the degree: at rank1_2x3's the
+    # multiplier system restricted to the slice still has an excess.
+    cases["sym3.correspondence.i4"] = ["correspondence", "tests/data/sym3.json", "--i", "4"]
+    cases["rank1_2x3.correspondence.i3"] = [
+        "correspondence", "tests/data/rank1_2x3.json", "--i", "3",
+    ]
     cases["sphere.bidegrees.text"] = ["bidegrees", "tests/data/sphere.json", "--format", "text"]
     cases["quadric_cone.verify.text"] = ["verify", "tests/data/quadric_cone.json", "--format", "text"]
-    # Prime lists: three factors from the smallest to the largest accepted
-    # prime, one prime repeated, and one prime other than the defaults.
+    # Prime lists: three factors between 2**30 and 2**32, one prime
+    # repeated, one prime other than the defaults, and two primes whose
+    # residues overflow an int64 product: 2**61 - 1 and 2**64 - 59, the
+    # largest accepted prime.
     cases["sphere.bidegrees.three_primes"] = [
         "bidegrees", "tests/data/sphere.json",
         "--prime", "1073741827", "--prime", "2147483629", "--prime", "3037000493",
+    ]
+    cases["sphere.bidegrees.wide_primes"] = [
+        "bidegrees", "tests/data/sphere.json",
+        "--prime", "2305843009213693951", "--prime", "18446744073709551557",
     ]
     cases["quadric_cone.lodeg.repeated_prime"] = [
         "lodeg", "tests/data/quadric_cone.json", "--prime", "2147483647", "--prime", "2147483647",
