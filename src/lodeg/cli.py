@@ -57,7 +57,7 @@ FAILURES: tuple[tuple[tuple[type[Exception], ...], str, int], ...] = (
 
 
 def _load_variety(
-    path: str, primes: tuple[int, ...]
+    path: str, primes: tuple[int, ...], budget_secs: Optional[float]
 ) -> tuple[VarietySpec, dict[str, Any], list[str]]:
     try:
         with open(path, "rb") as fh:
@@ -80,7 +80,8 @@ def _load_variety(
     assumed = bool(doc.get("assumed_irreducible", True))
     try:
         spec = VarietySpec.define(
-            variables, polynomials, assumed_irreducible=assumed, primes=primes
+            variables, polynomials, assumed_irreducible=assumed, primes=primes,
+            budget_secs=budget_secs,
         )
     except ParseError as err:
         raise InputError(f"{path}: polynomial parse error: {err}") from err
@@ -272,7 +273,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             f"--budget-secs must be a positive number of seconds, got {args.budget_secs}"
         )
     policy = _policy_from_args(args)
-    spec, meta, warnings = _load_variety(args.input, policy.primes)
+    spec, meta, warnings = _load_variety(args.input, policy.primes, args.budget_secs)
     command = COMMANDS[args.command]
     start = time.perf_counter()
     value = command.call(spec, args, policy)

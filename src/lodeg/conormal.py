@@ -7,8 +7,8 @@ the rank-deficient locus: one builder does this for the affine variety and
 for its projective closure, which the irrelevant ideal then saturates too.
 The implicit one keeps Lagrange multipliers as honest variables and
 represents each dual coordinate as a polynomial in (point, multiplier)
-space; the counting routines slice that presentation directly, which keeps
-the variable count low.
+space, which keeps the variable count low.  The counting routines slice
+both alike, the explicit one in the same shape (:func:`_explicit_system`).
 
 Slicing, of the variety or of the base of a multiplier system, is one
 affine change of coordinates: :func:`solve_forms` solves all the affine
@@ -36,7 +36,6 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .groebner import (
-    DEFAULT_BUDGET_SECS,
     GroebnerBasis,
     Ideal,
     buchberger,
@@ -105,6 +104,7 @@ class VarietySpec:
         polynomials: Sequence[Union[str, Polynomial]],
         assumed_irreducible: bool = True,
         primes: Sequence[int] = DEFAULT_PRIMES,
+        budget_secs: Optional[float] = None,
     ) -> "VarietySpec":
         ring = PolyRing(tuple(variables), QQ, GREVLEX)
         moduli = [PrimeField(p).p for p in dict.fromkeys(primes)]  # each validated
@@ -122,7 +122,7 @@ class VarietySpec:
         if not gens:
             raise InvalidVariety("at least one generator is required")
         spec = VarietySpec(ring, tuple(gens), assumed_irreducible, tuple(primes))
-        if spec.dimension < 0:
+        if spec.dimension_within(budget_secs) < 0:
             raise InvalidVariety("generators have no common zero (unit ideal)")
         return spec
 
@@ -132,8 +132,8 @@ class VarietySpec:
 
     @property
     def dimension(self) -> int:
-        """Dimension of the vanishing locus (see :meth:`dimension_within`)."""
-        return self.dimension_within(DEFAULT_BUDGET_SECS)
+        """The dimension at the default budget (see :meth:`dimension_within`)."""
+        return self.dimension_within(None)
 
     def dimension_within(self, budget_secs: Optional[float]) -> int:
         """Dimension of the vanishing locus, computed once, with
@@ -330,7 +330,8 @@ class MultiplierSystem:
 
     ``covector[k]`` is the polynomial expressing the k-th dual coordinate as
     a multiplier combination of Jacobian entries; the dual coordinates are
-    never ring variables, which keeps slice-and-count systems small.
+    never ring variables, which keeps slice-and-count systems small.  An
+    explicit conormal ideal takes the same shape (:func:`_explicit_system`).
     """
 
     ring: PolyRing  # base variables first, multiplier variables last
@@ -416,7 +417,10 @@ def _assemble_multiplier_system(gens: list[Polynomial], codim: int) -> Multiplie
 def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> MultiplierSystem:
     """Solve affine forms on the base variables (see :func:`solve_forms`)
     and substitute the solution everywhere, multipliers included: one
-    :func:`~lodeg.poly.substitute` over the whole system."""
+    :func:`~lodeg.poly.substitute` over the whole system.  No forms leave
+    ``system`` as it is."""
+    if not forms:
+        return system
     ring, images = solve_forms(system.ring, forms, system.base_count)
     count = len(system.equations)
     polys = substitute(system.equations + system.covector, ring, images)
@@ -425,23 +429,17 @@ def restrict_base(system: MultiplierSystem, forms: Sequence[FormT]) -> Multiplie
     return MultiplierSystem(ring, base_count, equations, tuple(polys[count:]), system.excess)
 
 
-def multiplier_slack_forms(
-    system: MultiplierSystem, stream: SeedStream
-) -> list[Polynomial]:
-    """Random affine forms in the multiplier variables that cut the excess
-    multiplier directions down to points."""
-    nb, m = system.base_count, system.multiplier_count
-    return [_drawn_form(system.ring, nb, m, stream) for _ in range(system.excess)]
-
-
-def _drawn_form(
-    ring: PolyRing, first: int, count: int, stream: SeedStream, const: Optional[int] = None
-) -> Polynomial:
-    """``sum_k c_k * x_{first + k} - const`` over ``count`` variables, each
-    ``c_k`` drawn from ``stream`` after ``const`` when that is not given."""
-    form = {0: -(stream.integer() if const is None else const)}
-    form.update((x, stream.integer()) for x in ring.packing.variables[first:first + count])
-    return ring.from_dict(form)
+def multiplier_slack_forms(system: MultiplierSystem, stream: SeedStream) -> list[Polynomial]:
+    """Random affine forms ``sum_k c_k * lam_k - c`` in the multiplier
+    variables (``c``, then each ``c_k``, drawn from ``stream``) that cut the
+    excess multiplier directions down to points."""
+    lams = system.ring.packing.variables[system.base_count:]
+    forms = []
+    for _ in range(system.excess):
+        form = {0: -stream.integer()}
+        form.update((x, stream.integer()) for x in lams)
+        forms.append(system.ring.from_dict(form))
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +556,14 @@ def projective_conormal_ideal(
             {(seed, fld.p): mixed},
         )
     return _checked(sat, n + 1, "projective conormal cone")
+
+
+def _explicit_system(gb: GroebnerBasis, base_count: int) -> MultiplierSystem:
+    """The explicit conormal ideal ``gb`` as a :class:`MultiplierSystem`: the
+    dual variables after the base are its multipliers and its covector."""
+    ring = gb.ring
+    duals = tuple(ring.gen(k) for k in range(base_count, ring.nvars))
+    return MultiplierSystem(ring, base_count, gb.basis, duals, excess=0)
 
 
 def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:

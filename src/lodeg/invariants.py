@@ -12,11 +12,12 @@ protocol; reported integers are exact.  A grid callable takes a seed and
 the policy's primes, builds and counts its system once modulo their
 product (:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
 
-Every count by multipliers ends in :func:`_count_system`.  On a
-hypersurface (one multiplier ``lam``) it divides ``lam`` out of every dual
-equation but the first with a unit constant (:func:`_divided_duals`): the
-ideal is the same, so are its reduced basis and every count, and the
-generators are one degree lower.
+Every conormal count ends in :func:`_slice_count`, which cuts the
+multiplier system, or the explicit ideal (``method="conormal"``), by the
+same forms.  On a hypersurface (one multiplier ``lam``) it divides ``lam``
+out of every dual equation but the first with a unit constant
+(:func:`_divided_duals`): the ideal is the same, so are its reduced basis
+and every count, and the generators are one degree lower.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .conormal import (
     VarietySpec,
     _apply_slices,
     _draw_base_forms,
-    _drawn_form,
+    _explicit_system,
     affine_conormal_ideal,
     multiplier_slack_forms,
     multiplier_system,
@@ -164,22 +165,27 @@ def _require_objective(covector: Optional[Sequence[CoefT]]) -> None:
         raise InputError("covector has no nonzero entry: every point is critical for it")
 
 
-def _count_system(
+def _slice_count(
     system: MultiplierSystem,
-    extra: Sequence[Polynomial],
+    point_forms: Sequence[FormT],
+    dual_forms: Sequence[FormT],
     stream: SeedStream,
     count_seed: int,
     budget_secs: Optional[float],
 ) -> dict[int, int]:
-    """Point counts of a multiplier system cut by the dual equations
-    ``extra`` (and its slack forms), one per prime of the system's ring.
+    """Point counts of a conormal presentation cut by the affine
+    ``point_forms`` on its base (:func:`restrict_base`), the
+    ``dual_forms`` on its dual coordinates (:func:`_dual_form`) and its
+    slack forms, one per prime of the system's ring.
 
     With one multiplier the dual equations are first rewritten by
     :func:`_divided_duals`: the same ideal, from lower-degree generators."""
-    if system.multiplier_count == 1:
-        extra = _divided_duals(system, extra)
-    eqs = [*system.equations, *extra, *multiplier_slack_forms(system, stream)]
-    return count_points(Ideal.of(system.ring, eqs), seed=count_seed, budget_secs=budget_secs)
+    restricted = restrict_base(system, point_forms)
+    duals = [_dual_form(restricted, coeffs, const) for coeffs, const in dual_forms]
+    if restricted.multiplier_count == 1:
+        duals = _divided_duals(restricted, duals)
+    eqs = [*restricted.equations, *duals, *multiplier_slack_forms(restricted, stream)]
+    return count_points(Ideal.of(restricted.ring, eqs), seed=count_seed, budget_secs=budget_secs)
 
 
 def _divided_duals(system: MultiplierSystem, duals: Sequence[Polynomial]) -> list[Polynomial]:
@@ -254,8 +260,8 @@ def lo_degree(
         system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         u = list(covector) if covector is not None else stream.coefficients(n)
-        pins = [_dual_form(system, [int(j == k) for j in range(n)], u[k]) for k in range(n)]
-        return _count_system(system, pins, stream, derive_seed(child, 5), budget_secs)
+        pins = [([int(j == k) for j in range(n)], u[k]) for k in range(n)]
+        return _slice_count(system, [], pins, stream, derive_seed(child, 5), budget_secs)
 
     return agreed_value(computation, seed, policy, "critical point count")
 
@@ -270,9 +276,9 @@ def bidegrees(
     """Slice counts of the affine conormal variety.
 
     Entry i counts the points cut out by i generic affine forms on the
-    point factor and n-i on the dual factor.  ``method="conormal"`` slices
-    the explicit saturated conormal ideal instead of the multiplier
-    presentation; both agree and the latter is much faster.
+    point factor and n-i on the dual factor.  ``method="conormal"`` cuts
+    the explicit saturated conormal ideal by the same forms instead of the
+    multiplier presentation; both agree and the latter is much faster.
     """
     d, n = spec.dimension, spec.n
     values = []
@@ -287,9 +293,10 @@ def bidegrees(
         )
     lo = lo_degree(spec, derive_seed(seed, 7), policy=policy, budget_secs=budget_secs)
     if values[0] != lo:
+        agreed = {derive_seed(seed, 11): values[0], derive_seed(seed, 7): lo}
         raise Instability(
             "slice count at codimension 0 vs critical point count",
-            {(seed, 0): values[0], (seed, 1): lo},
+            {(s, p): v for s, v in agreed.items() for p in policy.primes},
         )
     return _counting_vector("bidegree", values, d, n)
 
@@ -298,34 +305,24 @@ def _bidegree_computation(
     spec: VarietySpec, i: int, budget_secs: Optional[float], method: str
 ):
     n = spec.n
+    if method not in ("multiplier", "conormal"):
+        raise ValueError(f"unknown bidegree method {method!r}")
 
-    def by_multiplier(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        system = multiplier_system(spec, residue_ring(primes))
+    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        if method == "multiplier":
+            system = multiplier_system(spec, residue_ring(primes))
+        else:
+            system = _explicit_system(affine_conormal_ideal(
+                spec, residue_ring(primes), derive_seed(child, 1), budget_secs
+            ), n)
         stream = SeedStream(child)
-        restricted = restrict_base(system, _draw_base_forms(stream, n, i, None))
-        duals = [
-            _dual_form(restricted, stream.coefficients(n), stream.integer())
-            for _ in range(n - i)
-        ]
-        return _count_system(restricted, duals, stream, derive_seed(child, 3), budget_secs)
-
-    def by_conormal(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        cono = affine_conormal_ideal(
-            spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
+        point_forms = _draw_base_forms(stream, n, i, None)
+        dual_forms = [(stream.coefficients(n), stream.integer()) for _ in range(n - i)]
+        return _slice_count(
+            system, point_forms, dual_forms, stream, derive_seed(child, 3), budget_secs
         )
-        stream = SeedStream(child)
-        ideal = Ideal.of(cono.ring, list(cono.basis) + [
-            _drawn_form(cono.ring, start, n, stream)
-            for start, count in ((0, i), (n, n - i))
-            for _ in range(count)
-        ])
-        return count_points(ideal, seed=derive_seed(child, 3), budget_secs=budget_secs)
 
-    if method == "multiplier":
-        return by_multiplier
-    if method == "conormal":
-        return by_conormal
-    raise ValueError(f"unknown bidegree method {method!r}")
+    return computation
 
 
 def sectional_lo_degrees(
@@ -400,42 +397,30 @@ def polar_degrees(
 def _polar_computation(
     spec: VarietySpec, i: int, budget_secs: Optional[float], method: str
 ):
-    n = spec.n
+    n, nb = spec.n, spec.n + 1
+    if method not in ("multiplier", "conormal"):
+        raise ValueError(f"unknown polar method {method!r}")
 
-    def by_multiplier(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        system = projective_multiplier_system(spec, residue_ring(primes), budget_secs=budget_secs)
+    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        if method == "multiplier":
+            system = projective_multiplier_system(spec, residue_ring(primes), budget_secs)
+        else:
+            system = _explicit_system(projective_conormal_ideal(
+                spec, residue_ring(primes), derive_seed(child, 1), budget_secs
+            ), nb)
         stream = SeedStream(child)
-        nb = system.base_count  # n + 1
         chart = _draw_base_forms(stream, nb, 1, 1)
         # A generic hyperplane of the point factor, written in the chart,
         # is an affine form with a generic nonzero constant; constant zero
         # would force it through the coordinate point the chart eliminated.
         hyperplanes = _draw_base_forms(stream, nb - 1, i, None)
-        restricted = restrict_base(system, chart + hyperplanes)
-        duals = [_dual_form(restricted, stream.coefficients(nb), 1)]
-        for _ in range(n - 1 - i):
-            duals.append(_dual_form(restricted, stream.coefficients(nb), 0))
-        return _count_system(restricted, duals, stream, derive_seed(child, 3), budget_secs)
-
-    def by_conormal(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        cono = projective_conormal_ideal(
-            spec, residue_ring(primes), seed=derive_seed(child, 1), budget_secs=budget_secs
+        # On the dual factor: the chart form (= 1), then hyperplanes through its origin.
+        dual_forms = [(stream.coefficients(nb), int(k == 0)) for k in range(n - i)]
+        return _slice_count(
+            system, chart + hyperplanes, dual_forms, stream, derive_seed(child, 3), budget_secs
         )
-        stream = SeedStream(child)
-        nb = n + 1
-        # Per factor one chart form (= 1), then hyperplanes through its origin.
-        ideal = Ideal.of(cono.ring, list(cono.basis) + [
-            _drawn_form(cono.ring, start, nb, stream, int(idx == 0))
-            for start, planes in ((0, i), (nb, n - 1 - i))
-            for idx in range(1 + planes)
-        ])
-        return count_points(ideal, seed=derive_seed(child, 3), budget_secs=budget_secs)
 
-    if method == "multiplier":
-        return by_multiplier
-    if method == "conormal":
-        return by_conormal
-    raise ValueError(f"unknown polar method {method!r}")
+    return computation
 
 
 def dual_contains_hyperplane_at_infinity(
@@ -618,10 +603,10 @@ def _correspondence_once(
 
     def count_conormal_comp(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         system = multiplier_system(spec, residue_ring(primes))
-        stream = SeedStream(child)
-        restricted = restrict_base(system, forms)
-        conditions = [_dual_form(restricted, w, c) for w, c in zip(kernel, pushed)]
-        return _count_system(restricted, conditions, stream, derive_seed(child, 5), budget_secs)
+        conditions = list(zip(kernel, pushed))
+        return _slice_count(
+            system, forms, conditions, SeedStream(child), derive_seed(child, 5), budget_secs
+        )
 
     count_conormal = agreed_value(
         count_conormal_comp, derive_seed(seed, 307), policy, "conormal fiber count"

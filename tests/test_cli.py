@@ -18,6 +18,7 @@ from lodeg.cli import (
     main,
 )
 from lodeg.poly import PACK_LIMIT
+from lodeg.randomness import DEFAULT_PRIMES, derive_seed
 
 from conftest import data_path
 
@@ -119,6 +120,47 @@ class TestReports:
         assert report["results"]["lo_degree"] == 2
         assert fields
         assert all(fld.p % 2147483647 for fld in fields)
+
+    def test_budget_reaches_the_input_dimension(self, monkeypatch, capsys):
+        from lodeg import conormal
+
+        real = conormal.krull_dimension
+        budgets = []
+
+        def spied(source, budget_secs=None):
+            budgets.append(budget_secs)
+            return real(source, budget_secs=budget_secs)
+
+        monkeypatch.setattr(conormal, "krull_dimension", spied)
+        code, report = run_json(
+            capsys, "sectional", data_path("sphere.json"), "--budget-secs", "7"
+        )
+        assert code == EXIT_OK
+        assert report["results"]["sectional"]["values"] == [2, 2, 2]
+        assert budgets and set(budgets) == {7.0}
+
+    def test_input_warnings(self, tmp_path, capsys):
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({
+            "variables": ["x", "y", "z"],
+            "polynomials": ["x^2 + y^2 - z^2"],
+            "homogeneous": False,
+            "assumed_irreducible": False,
+        }))
+        warnings = [
+            "generators are homogeneous although the file says otherwise",
+            "input declared possibly reducible; counts are reported without "
+            "irreducibility guarantees",
+        ]
+        code, report = run_json(capsys, "lodeg", str(cone))
+        assert code == EXIT_OK
+        assert report["warnings"] == warnings
+        code, out, err = run_cli(capsys, "lodeg", str(cone), "--format", "text")
+        assert code == EXIT_OK
+        assert err == ""
+        assert [line for line in out.splitlines() if line.startswith("warning: ")] == [
+            f"warning: {w}" for w in warnings
+        ]
 
     def test_double_star_powers(self, tmp_path, capsys):
         # ^ and ** both denote powers: the same input written with ** gives
@@ -309,6 +351,22 @@ class TestTextFormat:
         assert code == EXIT_OK
         assert out.count("[pass]") == 4
 
+    def test_correspondence_text(self, capsys):
+        code, out, err = run_cli(
+            capsys, "correspondence", data_path("sphere.json"), "--i", "1",
+            "--format", "text", "--no-timings",
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.splitlines()[3:] == [
+            "correspondence.i: 1",
+            "correspondence.seed: 0",
+            "correspondence.count_critical: 2",
+            "correspondence.count_conormal: 2",
+            "correspondence.generic: True",
+            "correspondence.expected: 2",
+        ]
+
 
 class TestFailures:
     def test_missing_file(self, capsys):
@@ -399,6 +457,69 @@ class TestFailures:
         assert "Traceback" not in err
         assert err.startswith("instability: saturation by random combinations")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "expected a JSON object"),
+            ({"variables": "x", "polynomials": ["x"]}, "'variables' must be a list of names"),
+            ({"variables": ["x"], "polynomials": [1]}, "'polynomials' must be a list of strings"),
+        ],
+        ids=["not-an-object", "variables", "polynomials"],
+    )
+    def test_json_shape(self, doc, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "bidegrees", str(bad))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"input error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "extra, start",
+        [
+            (["--covector", "1,x,3"], "input error: bad covector entry: "),
+            (["--covector", "1,1/0,3"], "input error: bad covector entry: "),
+            (["--slice", "5"], "input error: slice form '5' has no variable part\n"),
+            (["--slice", "x3+*"], "input error: bad slice form 'x3+*': "),
+        ],
+        ids=["covector-literal", "covector-zero-denominator", "slice-constant", "slice-parse"],
+    )
+    def test_bad_correspondence_data(self, extra, start, capsys):
+        code, out, err = run_cli(
+            capsys, "correspondence", data_path("sphere.json"), "--i", "1", *extra
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(start)
+        assert err.count("\n") == 1
+
+    def test_slice_that_leaves_the_dimension(self, tmp_path, capsys):
+        # x already vanishes on the z-axis, so the slice x = 0 cuts nothing.
+        axis = tmp_path / "axis.json"
+        axis.write_text(json.dumps({"variables": ["x", "y", "z"], "polynomials": ["x", "y"]}))
+        code, out, err = run_cli(
+            capsys, "correspondence", str(axis), "--i", "1", "--slice", "x", "--covector", "1,2,3"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: dimension 1 after cutting, expected 0\n"
+
+    def test_b0_against_the_critical_point_count(self, monkeypatch, capsys):
+        # Each value is keyed by the seed it was agreed from, at every prime.
+        real = invariants.lo_degree
+        monkeypatch.setattr(invariants, "lo_degree", lambda *a, **kw: real(*a, **kw) + 1)
+        code, out, err = run_cli(capsys, "bidegrees", data_path("sphere.json"))
+        assert code == EXIT_INSTABILITY
+        assert out == ""
+        observed = {(derive_seed(0, 11), p): 2 for p in DEFAULT_PRIMES}
+        observed.update({(derive_seed(0, 7), p): 3 for p in DEFAULT_PRIMES})
+        assert err == (
+            "instability: slice count at codimension 0 vs critical point count: "
+            "no agreement across trials: "
+            + ", ".join(f"(seed={s}, prime={p}) -> {v}" for (s, p), v in sorted(observed.items()))
+            + "\n"
+        )
 
     def test_covector_width(self, capsys):
         code, _, err = run_cli(

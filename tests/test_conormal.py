@@ -172,6 +172,38 @@ class TestSlicing:
         with pytest.raises(DegenerateSlice):
             conormal._apply_slices(plane, [(_q(0, 0, 1), Fraction(5))], None)
 
+    def test_failed_draws_are_redrawn(self, sphere, monkeypatch):
+        real = conormal._apply_slices
+        seen = []
+
+        def flaky(spec, forms, budget_secs):
+            seen.append(forms)
+            if len(seen) < 3:
+                raise DegenerateSlice("unlucky draw")
+            return real(spec, forms, budget_secs)
+
+        monkeypatch.setattr(conormal, "_apply_slices", flaky)
+        sliced = slice_variety(sphere, 1, seed=5)
+        assert len(seen) == 3
+        assert len({repr(forms) for forms in seen}) == 3
+        third = real(sphere, seen[2], None)
+        assert sliced.images == third.images
+        assert sliced.spec.generators == third.spec.generators
+
+    def test_four_failed_draws_raise(self, sphere, monkeypatch):
+        seen = []
+
+        def never(spec, forms, budget_secs):
+            seen.append(forms)
+            raise DegenerateSlice("unlucky draw")
+
+        monkeypatch.setattr(conormal, "_apply_slices", never)
+        with pytest.raises(
+            DegenerateSlice, match="^sections kept failing to drop the dimension: unlucky draw$"
+        ):
+            slice_variety(sphere, 1, seed=5)
+        assert len(seen) == 4
+
 
 class TestMultiplierSystem:
     def test_hypersurface_covector(self, sphere):
@@ -204,6 +236,19 @@ class TestMultiplierSystem:
         assert restricted.base_count == 2
         assert restricted.ring.nvars == 3
         assert len(restricted.covector) == 3
+
+    def test_restrict_base_by_no_forms_is_the_system(self, sphere):
+        system = multiplier_system(sphere, DEFAULT_PRIMES[0])
+        assert restrict_base(system, []) is system
+
+    def test_explicit_ideal_as_a_system(self, sphere):
+        # The dual variables are the multipliers and the covector.
+        gb = affine_conormal_ideal(sphere, DEFAULT_PRIMES[0])
+        system = conormal._explicit_system(gb, 3)
+        assert system.equations == gb.basis
+        assert system.multiplier_count == 3
+        assert system.covector == tuple(gb.ring.gen(k) for k in range(3, 6))
+        assert system.excess == 0
 
     def test_restrict_base_width_check(self, sphere):
         system = multiplier_system(sphere, DEFAULT_PRIMES[0])

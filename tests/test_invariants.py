@@ -166,6 +166,32 @@ class TestBidegrees:
             bidegrees(sphere, method="sorcery")
 
 
+class TestOneSlicePath:
+    """For one child seed, ``_slice_count`` receives the same point and dual
+    forms whichever presentation ``method`` builds: the explicit ideal is
+    cut by the multiplier route's own draws."""
+
+    @pytest.mark.parametrize("i", range(3))
+    @pytest.mark.parametrize(
+        "computation", [invariants._bidegree_computation, invariants._polar_computation]
+    )
+    def test_methods_share_the_forms(self, sphere, computation, i, monkeypatch):
+        seen = {}
+        for method in ("multiplier", "conormal"):
+            def recorded(system, point_forms, dual_forms, stream, count_seed, budget_secs):
+                seen[method] = (system, point_forms, dual_forms, count_seed)
+                return {}
+
+            monkeypatch.setattr(invariants, "_slice_count", recorded)
+            computation(sphere, i, None, method)(derive_seed(4, i), (DEFAULT_PRIMES[0],))
+        by_multiplier, by_conormal = seen["multiplier"], seen["conormal"]
+        assert by_multiplier[1:] == by_conormal[1:]
+        assert len(by_multiplier[1]) == i + (computation is invariants._polar_computation)
+        # One multiplier against one dual variable per coordinate.
+        assert by_multiplier[0].multiplier_count == 1
+        assert by_conormal[0].multiplier_count == by_conormal[0].base_count
+
+
 class TestHandDerivedEntries:
     """Bidegree entries of two determinantal cones, each derived by hand
     rather than read from a lodeg run.
@@ -672,8 +698,10 @@ class TestDividedDuals:
         seen = []
         monkeypatch.setattr(invariants, "count_points", lambda ideal, **kw: seen.append(ideal) or {})
         system = multiplier_system(spec, FIELDS["two-primes"])
-        duals = _pins(system, SeedStream(8).coefficients(3))
-        invariants._count_system(system, duals, SeedStream(9), 0, None)
+        u = SeedStream(8).coefficients(3)
+        pins = [([int(j == k) for j in range(3)], u[k]) for k in range(3)]
+        invariants._slice_count(system, [], pins, SeedStream(9), 0, None)
+        duals = _pins(system, u)
         start = len(system.equations)
         return system, duals, list(seen[0].generators[start:start + len(duals)])
 
