@@ -1,9 +1,11 @@
 """Exact critical-point counts of linear objectives on affine varieties.
 
-The public surface: build a :class:`VarietySpec` from variable names and
-polynomial strings, then ask for its invariants.  All randomized counts
-are seeded and cross-checked over the policy's primes before being
-reported.  The explicit conormal builders return a :class:`GroebnerBasis`.
+The public surface: build a :class:`VarietySpec` from variable names,
+polynomial strings and the primes to compute at, then ask for its
+invariants.  All randomized counts are seeded and cross-checked over the
+spec's primes before being reported.  ``with budget(secs):`` bounds each
+Groebner basis computed inside the block.  The explicit conormal builders
+return a :class:`GroebnerBasis`.
 """
 
 from .conormal import (
@@ -21,6 +23,7 @@ from .groebner import (
     Ideal,
     NotZeroDimensional,
     buchberger,
+    budget,
     count_points,
     eliminate,
     krull_dimension,
@@ -75,6 +78,7 @@ __all__ = [
     "bidegrees",
     "bidegrees_from_chern_mather",
     "buchberger",
+    "budget",
     "chern_mather_from_bidegrees",
     "count_points",
     "critical_correspondence",

@@ -35,7 +35,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import invariants
 from .conormal import DegenerateSlice, DimensionMismatch, VarietySpec
-from .groebner import BudgetExceeded, CharacteristicHazard
+from .groebner import BudgetExceeded, CharacteristicHazard, budget
 from .poly import InputError, ParseError, residue_ring
 from .randomness import DEFAULT_PRIMES, AgreementPolicy, Instability
 
@@ -56,9 +56,7 @@ FAILURES: tuple[tuple[tuple[type[Exception], ...], str, int], ...] = (
 )
 
 
-def _load_variety(
-    path: str, primes: tuple[int, ...], budget_secs: Optional[float]
-) -> tuple[VarietySpec, dict[str, Any], list[str]]:
+def _load_variety(path: str, primes: tuple[int, ...]) -> tuple[VarietySpec, dict[str, Any], list[str]]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -79,10 +77,7 @@ def _load_variety(
     warnings: list[str] = []
     assumed = bool(doc.get("assumed_irreducible", True))
     try:
-        spec = VarietySpec.define(
-            variables, polynomials, assumed_irreducible=assumed, primes=primes,
-            budget_secs=budget_secs,
-        )
+        spec = VarietySpec.define(variables, polynomials, assumed_irreducible=assumed, primes=primes)
     except ParseError as err:
         raise InputError(f"{path}: polynomial parse error: {err}") from err
     except InputError as err:
@@ -112,10 +107,15 @@ def _parse_covector(text: str, n: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise InputError(f"covector needs {n} entries, got {len(parts)}")
-    try:
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"bad covector entry: {err}") from err
+    entries = []
+    for part in parts:
+        try:
+            entries.append(Fraction(part))
+        except ValueError as err:
+            raise InputError(f"bad covector entry: {err}") from err
+        except ZeroDivisionError:
+            raise InputError(f"bad covector entry: zero denominator in {part!r}") from None
+    return entries
 
 
 def _parse_slice_form(text: str, spec: VarietySpec) -> tuple[list[Fraction], Fraction]:
@@ -136,20 +136,12 @@ def _parse_slice_form(text: str, spec: VarietySpec) -> tuple[list[Fraction], Fra
     return coeffs, -Fraction(poly.constant_coefficient())
 
 
-def _policy_from_args(args: argparse.Namespace) -> AgreementPolicy:
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
-    residue_ring(primes)  # each prime must be a valid characteristic
-    return AgreementPolicy(
-        seeds_per_trial=args.trials, primes=primes, max_retries=3
-    )
-
-
 # One row per subcommand: its help, its library call (given the parsed
-# input, the flags and the agreement policy), the builder of the report's
-# ``results`` block from the call's value, the command's own warnings and
-# its flags beyond the common ones.  Library functions are looked up when
-# a command runs, so wrappers installed on ``invariants`` (tracing, tests)
-# apply.
+# input, which carries the primes, the flags and the agreement policy), the
+# builder of the report's ``results`` block from the call's value, the
+# command's own warnings and its flags beyond the common ones.  Library
+# functions are looked up when a command runs, so wrappers installed on
+# ``invariants`` (tracing, tests) apply.
 Call = Callable[[VarietySpec, argparse.Namespace, AgreementPolicy], Any]
 Flag = tuple[str, dict[str, Any]]
 
@@ -164,10 +156,8 @@ class Command:
 
 
 def _counted(name: str) -> Call:
-    """The call ``invariants.<name>(spec, seed, policy=..., budget_secs=...)``."""
-    return lambda spec, args, policy: getattr(invariants, name)(
-        spec, args.seed, policy=policy, budget_secs=args.budget_secs
-    )
+    """The call ``invariants.<name>(spec, seed, policy=...)``."""
+    return lambda spec, args, policy: getattr(invariants, name)(spec, args.seed, policy=policy)
 
 
 def _covector(args: argparse.Namespace, spec: VarietySpec) -> Optional[list[Fraction]]:
@@ -192,8 +182,7 @@ COMMANDS: dict[str, Command] = {
     "lodeg": Command(
         "count critical points of a generic linear objective",
         lambda spec, args, policy: invariants.lo_degree(
-            spec, args.seed, covector=_covector(args, spec), policy=policy,
-            budget_secs=args.budget_secs,
+            spec, args.seed, covector=_covector(args, spec), policy=policy
         ),
         lambda value: {"lo_degree": value},
         warnings=lambda value, args: [
@@ -230,7 +219,7 @@ COMMANDS: dict[str, Command] = {
     "dual_infinity": Command(
         "does the dual variety contain the hyperplane at infinity",
         lambda spec, args, policy: invariants.dual_contains_hyperplane_at_infinity(
-            spec, policy.primes[0], seed=args.seed, budget_secs=args.budget_secs
+            spec, seed=args.seed
         ),
         lambda flag: {"dual_contains_hyperplane_at_infinity": flag},
     ),
@@ -243,7 +232,6 @@ COMMANDS: dict[str, Command] = {
             covector=_covector(args, spec),
             slices=[_parse_slice_form(s, spec) for s in args.slice] if args.slice else None,
             policy=policy,
-            budget_secs=args.budget_secs,
         ),
         lambda report: {"correspondence": asdict(report)},
         flags=(
@@ -272,19 +260,23 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         raise InputError(
             f"--budget-secs must be a positive number of seconds, got {args.budget_secs}"
         )
-    policy = _policy_from_args(args)
-    spec, meta, warnings = _load_variety(args.input, policy.primes, args.budget_secs)
+    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
+    residue_ring(primes)  # each prime must be a valid characteristic
+    policy = AgreementPolicy(seeds_per_trial=args.trials)
     command = COMMANDS[args.command]
-    start = time.perf_counter()
-    value = command.call(spec, args, policy)
-    elapsed = round(time.perf_counter() - start, 3)
+    # Each Groebner basis, the input's dimension included, gets the budget.
+    with budget(args.budget_secs):
+        spec, meta, warnings = _load_variety(args.input, primes)
+        start = time.perf_counter()
+        value = command.call(spec, args, policy)
+        elapsed = round(time.perf_counter() - start, 3)
     results = command.payload(value)
     report = {
         "command": args.command,
         "input": meta,
         "config": {
             "seed": args.seed,
-            "primes": list(policy.primes),
+            "primes": list(spec.primes),
             "trials": policy.seeds_per_trial,
             "budget_secs": args.budget_secs,
         },

@@ -89,8 +89,10 @@ class VarietySpec:
     The generators are assumed to cut the variety out generically
     transversally; irreducibility is assumed, not checked, and is recorded
     in ``assumed_irreducible`` so reports can warn when it was disclaimed.
-    The dimension is computed modulo ``primes`` (an agreement policy's), so
-    :meth:`define` refuses a generator that vanishes modulo one of them.
+    ``primes`` are the primes of every computation on the spec: its
+    dimension, every count of ``invariants`` and the explicit conormal
+    ideals' default.  :meth:`define` refuses an empty tuple, and a generator
+    that vanishes modulo one of them.  A sliced spec keeps them.
     """
 
     ring: PolyRing
@@ -104,8 +106,9 @@ class VarietySpec:
         polynomials: Sequence[Union[str, Polynomial]],
         assumed_irreducible: bool = True,
         primes: Sequence[int] = DEFAULT_PRIMES,
-        budget_secs: Optional[float] = None,
     ) -> "VarietySpec":
+        if not primes:
+            raise InvalidVariety("at least one prime is required")
         ring = PolyRing(tuple(variables), QQ, GREVLEX)
         moduli = [PrimeField(p).p for p in dict.fromkeys(primes)]  # each validated
         gens: list[Polynomial] = []
@@ -122,7 +125,7 @@ class VarietySpec:
         if not gens:
             raise InvalidVariety("at least one generator is required")
         spec = VarietySpec(ring, tuple(gens), assumed_irreducible, tuple(primes))
-        if spec.dimension_within(budget_secs) < 0:
+        if spec.dimension < 0:
             raise InvalidVariety("generators have no common zero (unit ideal)")
         return spec
 
@@ -132,12 +135,7 @@ class VarietySpec:
 
     @property
     def dimension(self) -> int:
-        """The dimension at the default budget (see :meth:`dimension_within`)."""
-        return self.dimension_within(None)
-
-    def dimension_within(self, budget_secs: Optional[float]) -> int:
-        """Dimension of the vanishing locus, computed once, with
-        ``budget_secs`` per Groebner basis, and then kept.
+        """Dimension of the vanishing locus, computed once and then kept.
 
         One basis modulo the product of ``primes`` has the leading
         monomials of the basis modulo each prime, so it gives the dimension
@@ -149,12 +147,9 @@ class VarietySpec:
             return known
         try:
             ideal = self.reduce_mod(residue_ring(self.primes))
-            known = krull_dimension(ideal, budget_secs=budget_secs)
+            known = krull_dimension(ideal)
         except SplitModulus:
-            found = {
-                p: krull_dimension(self.reduce_mod(p), budget_secs=budget_secs)
-                for p in dict.fromkeys(self.primes)
-            }
+            found = {p: krull_dimension(self.reduce_mod(p)) for p in dict.fromkeys(self.primes)}
             if len(set(found.values())) > 1:
                 # Keyed by (seed, prime); no seed is drawn here.
                 raise Instability(
@@ -270,22 +265,17 @@ class SlicedVariety:
     images: tuple[Polynomial, ...]
 
 
-def slice_variety(
-    spec: VarietySpec,
-    count: int,
-    seed: int,
-    budget_secs: Optional[float] = None,
-) -> SlicedVariety:
+def slice_variety(spec: VarietySpec, count: int, seed: int) -> SlicedVariety:
     """Cut ``spec`` by ``count`` seeded random affine forms (all
     coefficients nonzero), as by :func:`_apply_slices`, redrawn up to three
     times if the dimension fails to drop by exactly ``count``."""
-    dimension = spec.dimension_within(budget_secs)
+    dimension = spec.dimension
     if not 0 <= count <= dimension:
         raise InputError(f"cannot cut dimension {dimension} by {count} sections")
     for attempt in range(4):
         forms = _draw_base_forms(SeedStream(derive_seed(seed, attempt)), spec.n, count, None)
         try:
-            return _apply_slices(spec, forms, budget_secs)
+            return _apply_slices(spec, forms)
         except DegenerateSlice as err:
             last_error = err
     raise DegenerateSlice(
@@ -293,9 +283,7 @@ def slice_variety(
     )
 
 
-def _apply_slices(
-    spec: VarietySpec, forms: Sequence[FormT], budget_secs: Optional[float]
-) -> SlicedVariety:
+def _apply_slices(spec: VarietySpec, forms: Sequence[FormT]) -> SlicedVariety:
     """Cut ``spec`` by the affine ``forms``, solved as by
     :func:`solve_forms`; no forms leave ``spec`` as it is.
 
@@ -310,8 +298,8 @@ def _apply_slices(
     if not survivors or any(g.is_constant() for g in survivors):
         raise DegenerateSlice("sections made the system inconsistent or empty")
     new_spec = VarietySpec(ring, survivors, spec.assumed_irreducible, spec.primes)
-    expected = spec.dimension_within(budget_secs) - len(forms)
-    dimension = new_spec.dimension_within(budget_secs)
+    expected = spec.dimension - len(forms)
+    dimension = new_spec.dimension
     if dimension != expected:
         raise DegenerateSlice(
             f"dimension {dimension} after cutting, expected {expected}"
@@ -354,21 +342,16 @@ def multiplier_system(spec: VarietySpec, modulus: Modulus) -> MultiplierSystem:
     ))
 
 
-def projective_multiplier_system(
-    spec: VarietySpec,
-    modulus: Modulus,
-    budget_secs: Optional[float] = None,
-) -> MultiplierSystem:
+def projective_multiplier_system(spec: VarietySpec, modulus: Modulus) -> MultiplierSystem:
     """Multiplier presentation over the projective closure, built once per
-    (spec, modulus) and kept on the spec; ``budget_secs`` bounds the
-    Groebner basis of the first build.
+    (spec, modulus) and kept on the spec.
 
     A grevlex basis is homogenized generator-by-generator; for a graded
     order this yields the ideal of the closure with no spurious components
     at the hyperplane at infinity.
     """
     return _kept_system(spec, ("projective", _field(modulus)), lambda: _assemble_multiplier_system(
-        _homogenized_basis(spec, modulus, budget_secs), spec.codimension
+        _homogenized_basis(spec, modulus), spec.codimension
     ))
 
 
@@ -380,12 +363,10 @@ def _kept_system(spec: VarietySpec, key: tuple, build) -> MultiplierSystem:
     return kept[key]
 
 
-def _homogenized_basis(
-    spec: VarietySpec, modulus: Modulus, budget_secs: Optional[float]
-) -> list[Polynomial]:
+def _homogenized_basis(spec: VarietySpec, modulus: Modulus) -> list[Polynomial]:
     """The grevlex basis of ``spec`` modulo ``modulus``, homogenized by a
     fresh first variable: generators of the projective closure."""
-    gb = buchberger(spec.reduce_mod(modulus), budget_secs=budget_secs)
+    gb = buchberger(spec.reduce_mod(modulus))
     hname = fresh_name("p0", spec.ring.variables)
     hom = [g.homogenize(hname) for g in gb.basis]
     if not hom:
@@ -475,11 +456,7 @@ def _rank_minors(
 
 
 def _saturated_minors(
-    gens: Sequence[Polynomial],
-    codim: int,
-    prefix: str,
-    seed: int,
-    budget_secs: Optional[float],
+    gens: Sequence[Polynomial], codim: int, prefix: str, seed: int
 ) -> GroebnerBasis:
     """The conormal ideal of ``gens`` (codimension ``codim``), with one dual
     variable per variable of their ring appended, named from ``prefix``:
@@ -495,7 +472,7 @@ def _saturated_minors(
     minors = _rank_minors([dual_row] + jac, codim + 1, big)
     ideal = Ideal.of(big, [_lift(g, big) for g in gens] + minors)
     rank_locus = Ideal.of(big, _rank_minors(jac, codim, big))
-    return saturate_by_ideal(ideal, rank_locus, seed=seed, budget_secs=budget_secs)
+    return saturate_by_ideal(ideal, rank_locus, seed=seed)
 
 
 def _checked(gb: GroebnerBasis, expected: int, locus: str) -> GroebnerBasis:
@@ -509,39 +486,33 @@ def _checked(gb: GroebnerBasis, expected: int, locus: str) -> GroebnerBasis:
 
 
 def affine_conormal_ideal(
-    spec: VarietySpec,
-    prime: Optional[Modulus] = None,
-    seed: int = 0,
-    budget_secs: Optional[float] = None,
+    spec: VarietySpec, prime: Optional[Modulus] = None, seed: int = 0
 ) -> GroebnerBasis:
     """Closure of the conormal locus over the smooth points, with the dual
     coordinates as explicit trailing variables, as its reduced basis.  It
     must have dimension n (:class:`DimensionMismatch` if not).  ``prime``
-    defaults to the first default prime."""
-    gens = spec.reduce_mod(prime if prime is not None else DEFAULT_PRIMES[0]).generators
-    sat = _saturated_minors(gens, spec.codimension, "u", seed, budget_secs)
+    defaults to the spec's first prime."""
+    gens = spec.reduce_mod(prime if prime is not None else spec.primes[0]).generators
+    sat = _saturated_minors(gens, spec.codimension, "u", seed)
     return _checked(sat, spec.n, "conormal locus")
 
 
 def projective_conormal_ideal(
-    spec: VarietySpec,
-    prime: Optional[Modulus] = None,
-    seed: int = 0,
-    budget_secs: Optional[float] = None,
+    spec: VarietySpec, prime: Optional[Modulus] = None, seed: int = 0
 ) -> GroebnerBasis:
     """Conormal locus of the projective closure, in doubled projective
     coordinates, saturated by the rank-deficient locus and the irrelevant
     ideal of the point factor, as its reduced basis; the first n + 1
     variables are the point coordinates.  It must have dimension n + 1
-    (:class:`DimensionMismatch` if not).  ``prime`` defaults to the first
-    default prime."""
-    fld = _field(prime if prime is not None else DEFAULT_PRIMES[0])
+    (:class:`DimensionMismatch` if not).  ``prime`` defaults to the spec's
+    first prime."""
+    fld = _field(prime if prime is not None else spec.primes[0])
     n = spec.n
-    hom = _homogenized_basis(spec, fld, budget_secs)
-    sat = _saturated_minors(hom, spec.codimension, "y", seed, budget_secs)
+    hom = _homogenized_basis(spec, fld)
+    sat = _saturated_minors(hom, spec.codimension, "y", seed)
     big = sat.ring
     irrelevant = Ideal.of(big, [big.gen(k) for k in range(n + 1)])
-    sat = saturate_by_ideal(sat, irrelevant, seed=derive_seed(seed, 97), budget_secs=budget_secs)
+    sat = saturate_by_ideal(sat, irrelevant, seed=derive_seed(seed, 97))
     mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.basis)
     if mixed:
         if isinstance(fld, ResidueRing):

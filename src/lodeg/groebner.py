@@ -240,19 +240,24 @@ value, is harmless, or raises ``SplitModulus`` itself:
 The self-check of :func:`buchberger` runs mod ``N``: an input reduces to
 zero mod every ``p_i``, hence mod ``N``.
 
-Wall-clock budgets are first class: every basis computation takes a budget
-in seconds and raises :class:`BudgetExceeded` when it runs out.
+Wall-clock budgets: every basis computation gets the whole budget in force
+when it starts, and raises :class:`BudgetExceeded` when it runs out.  The
+budget is set for a block of calls by :func:`budget` (a context variable),
+and is ``DEFAULT_BUDGET_SECS`` outside any block; no function takes it as
+an argument.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .poly import (
     GREVLEX,
@@ -272,6 +277,10 @@ from .poly import (
 from .randomness import Instability, SeedStream, derive_seed
 
 DEFAULT_BUDGET_SECS = 120.0
+
+# Seconds of wall clock per basis computation; see :func:`budget`.
+_BUDGET: ContextVar[float] = ContextVar("budget", default=DEFAULT_BUDGET_SECS)
+
 
 class BudgetExceeded(RuntimeError):
     """A Groebner computation ran past its wall-clock budget."""
@@ -336,11 +345,25 @@ class GroebnerBasis:
         return tuple(g.leading_monomial() for g in self.basis)
 
 
+@contextmanager
+def budget(secs: Optional[float]) -> Iterator[None]:
+    """Give every Groebner basis computed inside the block ``secs``
+    seconds of wall clock, each its own; ``None`` is the default budget.
+    The budget in force before the block is restored when it ends."""
+    token = _BUDGET.set(DEFAULT_BUDGET_SECS if secs is None else secs)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
 class _Deadline:
+    """The budget in force (see :func:`budget`), counted from now."""
+
     __slots__ = ("limit", "budget", "context")
 
-    def __init__(self, budget_secs: Optional[float], context: str) -> None:
-        self.budget = budget_secs if budget_secs is not None else DEFAULT_BUDGET_SECS
+    def __init__(self, context: str) -> None:
+        self.budget = _BUDGET.get()
         self.limit = time.monotonic() + self.budget
         self.context = context
 
@@ -638,11 +661,7 @@ def _signature_index(
     return [(lm, tail) for lm, tail, _ in own]
 
 
-def buchberger(
-    ideal: Ideal,
-    order=None,
-    budget_secs: Optional[float] = None,
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order=None) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` in the ring's (or given) order.
 
     The result is canonical: monic generators, fully inter-reduced, sorted by
@@ -653,7 +672,7 @@ def buchberger(
     exponents.
     """
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
-    deadline = _Deadline(budget_secs, "buchberger")
+    deadline = _Deadline("buchberger")
     # Generators share the ideal's ring, so only the order may differ.
     polys = [dict(g.to_ring(ring).terms) for g in ideal.generators if not g.is_zero()]
     return _checked_basis(ring, polys, _signature_basis(polys, ring.packing, *_field_ops(ring), deadline))
@@ -712,16 +731,13 @@ def _min_hitting_set_size(supports: list[frozenset[int]]) -> int:
     return best[0]
 
 
-def krull_dimension(
-    source: Ideal | GroebnerBasis,
-    budget_secs: Optional[float] = None,
-) -> int:
+def krull_dimension(source: Ideal | GroebnerBasis) -> int:
     """Dimension of the vanishing locus, computed combinatorially from the
     leading-term ideal of a Groebner basis.
 
     Returns -1 for the unit ideal; the zero ideal has dimension ``nvars``.
     """
-    gb = source if isinstance(source, GroebnerBasis) else buchberger(source, budget_secs=budget_secs)
+    gb = source if isinstance(source, GroebnerBasis) else buchberger(source)
     n = gb.ring.nvars
     if not gb.basis:
         return n
@@ -738,7 +754,7 @@ def krull_dimension(
 # ---------------------------------------------------------------------------
 
 
-def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> GroebnerBasis:
+def eliminate(ideal: Ideal, k: int) -> GroebnerBasis:
     """Intersect with the subring spanned by all but the first ``k`` variables.
 
     Returns the reduced Groebner basis of the intersection in the smaller
@@ -747,11 +763,11 @@ def eliminate(ideal: Ideal, k: int, budget_secs: Optional[float] = None) -> Groe
     n = ideal.ring.nvars
     if not 1 <= k < n:
         raise ValueError(f"cannot eliminate {k} of {n} variables")
-    gb = buchberger(ideal, order=block_order(k), budget_secs=budget_secs)
-    return _eliminated(gb, k, ideal.ring.order, budget_secs)
+    gb = buchberger(ideal, order=block_order(k))
+    return _eliminated(gb, k, ideal.ring.order)
 
 
-def _eliminated(gb: GroebnerBasis, k: int, order, budget_secs: Optional[float]) -> GroebnerBasis:
+def _eliminated(gb: GroebnerBasis, k: int, order) -> GroebnerBasis:
     """The elements of ``gb`` (under ``block_order(k)``) free of the first
     ``k`` variables, as a reduced basis under ``order``.  The second block
     is grevlex, so only another order recomputes it."""
@@ -768,12 +784,10 @@ def _eliminated(gb: GroebnerBasis, k: int, order, budget_secs: Optional[float]) 
         kept.append(small.from_terms((m[k:], c) for m, c in terms.items()))
     if isinstance(order, Grevlex):
         return GroebnerBasis(small, tuple(kept))
-    return buchberger(Ideal.of(small, kept), budget_secs=budget_secs)
+    return buchberger(Ideal.of(small, kept))
 
 
-def saturate(
-    source: Ideal | GroebnerBasis, g: Polynomial, budget_secs: Optional[float] = None
-) -> GroebnerBasis:
+def saturate(source: Ideal | GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     """Saturation of an ideal, or of the ideal of a reduced basis, by ``g``
     (see "Saturation"), as a reduced Groebner basis in the original ring
     and order.  A basis over a grevlex ring is the prefix as it stands; any
@@ -785,7 +799,7 @@ def saturate(
         raise ValueError("cannot saturate by the zero polynomial")
     if not (isinstance(source, GroebnerBasis) and isinstance(ring.order, Grevlex)):
         gens = source.basis if isinstance(source, GroebnerBasis) else source.generators
-        source = buchberger(Ideal.of(ring, gens), order=GREVLEX, budget_secs=budget_secs)
+        source = buchberger(Ideal.of(ring, gens), order=GREVLEX)
     tname = fresh_name("t", ring.variables)
     big = PolyRing((tname,) + ring.variables, ring.field_, block_order(1))
 
@@ -794,18 +808,13 @@ def saturate(
 
     lifted = tuple(lift(p) for p in source.basis)
     polys = [dict(p.terms) for p in lifted + (big.gen(0) * lift(g) - big.one(),)]
-    deadline = _Deadline(budget_secs, "buchberger")
+    deadline = _Deadline("buchberger")
     prefix = GroebnerBasis(big, lifted).reducers()  # prepared in the t ring
     reduced = _signature_basis(polys[-1:], big.packing, *_field_ops(big), deadline, prefix)
-    return _eliminated(_checked_basis(big, polys, reduced), 1, ring.order, budget_secs)
+    return _eliminated(_checked_basis(big, polys, reduced), 1, ring.order)
 
 
-def saturate_by_ideal(
-    ideal: Ideal | GroebnerBasis,
-    other: Ideal,
-    seed: int,
-    budget_secs: Optional[float] = None,
-) -> GroebnerBasis:
+def saturate_by_ideal(ideal: Ideal | GroebnerBasis, other: Ideal, seed: int) -> GroebnerBasis:
     """Saturate ``ideal`` (or the ideal of a reduced basis) by a whole ideal.
 
     Saturate by a random linear combination of the generators of ``other``
@@ -822,7 +831,7 @@ def saturate_by_ideal(
     if not other.generators:
         raise ValueError("cannot saturate by the zero ideal")
     if isinstance(ideal, Ideal) and isinstance(ring.order, Grevlex):
-        ideal = buchberger(ideal, budget_secs=budget_secs)
+        ideal = buchberger(ideal)
 
     def combo(s: int) -> Polynomial:
         stream = SeedStream(s)
@@ -834,7 +843,7 @@ def saturate_by_ideal(
                 return acc
 
     seeds = (derive_seed(seed, 0), derive_seed(seed, 1))
-    first, second = (saturate(ideal, combo(s), budget_secs=budget_secs) for s in seeds)
+    first, second = (saturate(ideal, combo(s)) for s in seeds)
     if first != second:
         if isinstance(ring.field_, ResidueRing):
             # The answers differ modulo some prime; which one, and what the
@@ -1022,11 +1031,7 @@ def multiplication_matrix(gb: GroebnerBasis, qb: Sequence[int]) -> list[list[lis
     return tables
 
 
-def count_points(
-    ideal: Ideal,
-    seed: int,
-    budget_secs: Optional[float] = None,
-) -> dict[int, int]:
+def count_points(ideal: Ideal, seed: int) -> dict[int, int]:
     """Number of distinct solutions of a zero-dimensional system over the
     algebraic closure of GF(p), for each prime ``p`` of the ideal's field:
     ``{p: count}``.
@@ -1046,7 +1051,7 @@ def count_points(
     if not isinstance(fld, PrimeField):
         raise TypeError("count_points requires a prime-field ideal")
     primes = fld.primes if isinstance(fld, ResidueRing) else (fld.p,)
-    gb = buchberger(ideal, budget_secs=budget_secs)
+    gb = buchberger(ideal)
     if gb.is_unit():
         return {p: 0 for p in primes}
     qb = quotient_basis(gb)

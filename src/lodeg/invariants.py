@@ -8,9 +8,10 @@ into characteristic-class coefficients, and an alternating sum of them
 reads off the local Euler obstruction at the vertex of a cone.
 
 Every randomized count goes through the cross-seed, cross-prime agreement
-protocol; reported integers are exact.  A grid callable takes a seed and
-the policy's primes, builds and counts its system once modulo their
-product (:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
+protocol, at the spec's primes (a sliced spec keeps them); reported
+integers are exact.  A grid callable takes a seed and those primes, builds
+and counts its system once modulo their product
+(:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
 
 Every conormal count ends in :func:`_slice_count`, which cuts the
 multiplier system, or the explicit ideal (``method="conormal"``), by the
@@ -56,7 +57,6 @@ from .poly import (
 )
 from .randomness import (
     DEFAULT_POLICY,
-    DEFAULT_PRIMES,
     AgreementPolicy,
     Instability,
     SeedStream,
@@ -171,7 +171,6 @@ def _slice_count(
     dual_forms: Sequence[FormT],
     stream: SeedStream,
     count_seed: int,
-    budget_secs: Optional[float],
 ) -> dict[int, int]:
     """Point counts of a conormal presentation cut by the affine
     ``point_forms`` on its base (:func:`restrict_base`), the
@@ -185,7 +184,7 @@ def _slice_count(
     if restricted.multiplier_count == 1:
         duals = _divided_duals(restricted, duals)
     eqs = [*restricted.equations, *duals, *multiplier_slack_forms(restricted, stream)]
-    return count_points(Ideal.of(restricted.ring, eqs), seed=count_seed, budget_secs=budget_secs)
+    return count_points(Ideal.of(restricted.ring, eqs), seed=count_seed)
 
 
 def _divided_duals(system: MultiplierSystem, duals: Sequence[Polynomial]) -> list[Polynomial]:
@@ -243,7 +242,6 @@ def lo_degree(
     seed: int = 0,
     covector: Optional[Sequence[CoefT]] = None,
     policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
 ) -> int:
     """Number of critical points of a generic linear objective on the smooth
     locus.
@@ -261,16 +259,15 @@ def lo_degree(
         stream = SeedStream(child)
         u = list(covector) if covector is not None else stream.coefficients(n)
         pins = [([int(j == k) for j in range(n)], u[k]) for k in range(n)]
-        return _slice_count(system, [], pins, stream, derive_seed(child, 5), budget_secs)
+        return _slice_count(system, [], pins, stream, derive_seed(child, 5))
 
-    return agreed_value(computation, seed, policy, "critical point count")
+    return agreed_value(computation, seed, spec.primes, policy, "critical point count")
 
 
 def bidegrees(
     spec: VarietySpec,
     seed: int = 0,
     policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
     method: str = "multiplier",
 ) -> DegreeVector:
     """Slice counts of the affine conormal variety.
@@ -285,25 +282,24 @@ def bidegrees(
     for i in range(d + 1):
         values.append(
             agreed_value(
-                _bidegree_computation(spec, i, budget_secs, method),
+                _bidegree_computation(spec, i, method),
                 derive_seed(seed, 11 + i),
+                spec.primes,
                 policy,
                 f"conormal slice count at codimension {i}",
             )
         )
-    lo = lo_degree(spec, derive_seed(seed, 7), policy=policy, budget_secs=budget_secs)
+    lo = lo_degree(spec, derive_seed(seed, 7), policy=policy)
     if values[0] != lo:
         agreed = {derive_seed(seed, 11): values[0], derive_seed(seed, 7): lo}
         raise Instability(
             "slice count at codimension 0 vs critical point count",
-            {(s, p): v for s, v in agreed.items() for p in policy.primes},
+            {(s, p): v for s, v in agreed.items() for p in spec.primes},
         )
     return _counting_vector("bidegree", values, d, n)
 
 
-def _bidegree_computation(
-    spec: VarietySpec, i: int, budget_secs: Optional[float], method: str
-):
+def _bidegree_computation(spec: VarietySpec, i: int, method: str):
     n = spec.n
     if method not in ("multiplier", "conormal"):
         raise ValueError(f"unknown bidegree method {method!r}")
@@ -312,66 +308,47 @@ def _bidegree_computation(
         if method == "multiplier":
             system = multiplier_system(spec, residue_ring(primes))
         else:
-            system = _explicit_system(affine_conormal_ideal(
-                spec, residue_ring(primes), derive_seed(child, 1), budget_secs
-            ), n)
+            system = _explicit_system(
+                affine_conormal_ideal(spec, residue_ring(primes), derive_seed(child, 1)), n
+            )
         stream = SeedStream(child)
         point_forms = _draw_base_forms(stream, n, i, None)
         dual_forms = [(stream.coefficients(n), stream.integer()) for _ in range(n - i)]
-        return _slice_count(
-            system, point_forms, dual_forms, stream, derive_seed(child, 3), budget_secs
-        )
+        return _slice_count(system, point_forms, dual_forms, stream, derive_seed(child, 3))
 
     return computation
 
 
 def sectional_lo_degrees(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
+    spec: VarietySpec, seed: int = 0, policy: AgreementPolicy = DEFAULT_POLICY
 ) -> DegreeVector:
     """Critical point counts of the variety cut by 0, 1, ..., d generic
     affine hyperplanes."""
     d, n = spec.dimension, spec.n
     values = []
     for i in range(d + 1):
-        if i == 0:
-            target = spec
-        else:
-            target = slice_variety(
-                spec, i, derive_seed(seed, 31 + i), budget_secs=budget_secs
-            ).spec
-        values.append(
-            lo_degree(target, derive_seed(seed, 61 + i), policy=policy, budget_secs=budget_secs)
-        )
+        target = spec if i == 0 else slice_variety(spec, i, derive_seed(seed, 31 + i)).spec
+        values.append(lo_degree(target, derive_seed(seed, 61 + i), policy=policy))
     return _counting_vector("sectional", values, d, n)
 
 
 def variety_degree(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
+    spec: VarietySpec, seed: int = 0, policy: AgreementPolicy = DEFAULT_POLICY
 ) -> int:
     """Degree of the variety: points left after slicing down to dimension 0."""
     d = spec.dimension
-    target = spec if d == 0 else slice_variety(
-        spec, d, derive_seed(seed, 101), budget_secs=budget_secs
-    ).spec
+    target = spec if d == 0 else slice_variety(spec, d, derive_seed(seed, 101)).spec
 
     def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        ideal = target.reduce_mod(residue_ring(primes))
-        return count_points(ideal, seed=child, budget_secs=budget_secs)
+        return count_points(target.reduce_mod(residue_ring(primes)), seed=child)
 
-    return agreed_value(computation, seed, policy, "degree by slicing to points")
+    return agreed_value(computation, seed, spec.primes, policy, "degree by slicing to points")
 
 
 def polar_degrees(
     spec: VarietySpec,
     seed: int = 0,
     policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
     method: str = "multiplier",
 ) -> DegreeVector:
     """Slice counts of the conormal variety of the projective closure.
@@ -385,8 +362,9 @@ def polar_degrees(
     for i in range(d + 1):
         values.append(
             agreed_value(
-                _polar_computation(spec, i, budget_secs, method),
+                _polar_computation(spec, i, method),
                 derive_seed(seed, 131 + i),
+                spec.primes,
                 policy,
                 f"projective conormal slice count at codimension {i}",
             )
@@ -394,20 +372,18 @@ def polar_degrees(
     return _counting_vector("polar", values, d, n)
 
 
-def _polar_computation(
-    spec: VarietySpec, i: int, budget_secs: Optional[float], method: str
-):
+def _polar_computation(spec: VarietySpec, i: int, method: str):
     n, nb = spec.n, spec.n + 1
     if method not in ("multiplier", "conormal"):
         raise ValueError(f"unknown polar method {method!r}")
 
     def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         if method == "multiplier":
-            system = projective_multiplier_system(spec, residue_ring(primes), budget_secs)
+            system = projective_multiplier_system(spec, residue_ring(primes))
         else:
-            system = _explicit_system(projective_conormal_ideal(
-                spec, residue_ring(primes), derive_seed(child, 1), budget_secs
-            ), nb)
+            system = _explicit_system(
+                projective_conormal_ideal(spec, residue_ring(primes), derive_seed(child, 1)), nb
+            )
         stream = SeedStream(child)
         chart = _draw_base_forms(stream, nb, 1, 1)
         # A generic hyperplane of the point factor, written in the chart,
@@ -416,36 +392,27 @@ def _polar_computation(
         hyperplanes = _draw_base_forms(stream, nb - 1, i, None)
         # On the dual factor: the chart form (= 1), then hyperplanes through its origin.
         dual_forms = [(stream.coefficients(nb), int(k == 0)) for k in range(n - i)]
-        return _slice_count(
-            system, chart + hyperplanes, dual_forms, stream, derive_seed(child, 3), budget_secs
-        )
+        return _slice_count(system, chart + hyperplanes, dual_forms, stream, derive_seed(child, 3))
 
     return computation
 
 
-def dual_contains_hyperplane_at_infinity(
-    spec: VarietySpec,
-    prime: Optional[int] = None,
-    seed: int = 0,
-    budget_secs: Optional[float] = None,
-) -> bool:
-    """Whether the hyperplane at infinity is a point of the dual variety.
+def dual_contains_hyperplane_at_infinity(spec: VarietySpec, seed: int = 0) -> bool:
+    """Whether the hyperplane at infinity is a point of the dual variety,
+    decided at the spec's first prime.
 
     The dual coordinates are aligned so that the hyperplane at infinity is
     the first one; the projective conormal ideal is specialized there and
     the fiber is nonempty iff its affine cone has dimension at least 1.
     """
-    p = prime if prime is not None else DEFAULT_PRIMES[0]
-    cono = projective_conormal_ideal(
-        spec, p, seed=derive_seed(seed, 201), budget_secs=budget_secs
-    )
+    cono = projective_conormal_ideal(spec, spec.primes[0], seed=derive_seed(seed, 201))
     ring = cono.ring
     nb = spec.n + 1
     point_ring = PolyRing(ring.variables[:nb], ring.field_, ring.order)
     images = [point_ring.gen(k) for k in range(nb)]
     images += [point_ring.one()] + [point_ring.zero()] * (nb - 1)
     fiber = Ideal.of(point_ring, substitute(cono.basis, point_ring, images))
-    return krull_dimension(fiber, budget_secs=budget_secs) >= 1
+    return krull_dimension(fiber) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +477,7 @@ def _back_substitute(
 
 
 def euler_obstruction_with_bidegrees(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
+    spec: VarietySpec, seed: int = 0, policy: AgreementPolicy = DEFAULT_POLICY
 ) -> tuple[int, DegreeVector]:
     """The local Euler obstruction at the vertex of an affine cone, the
     alternating sum of the conormal slice counts, and the bidegrees it sums.
@@ -523,7 +487,7 @@ def euler_obstruction_with_bidegrees(
     """
     if not spec.is_homogeneous():
         raise NotACone("all generators must be homogeneous")
-    b = bidegrees(spec, seed, policy=policy, budget_secs=budget_secs)
+    b = bidegrees(spec, seed, policy=policy)
     value = b.alternating_sum()
     a = chern_mather_from_bidegrees(b)
     if value != a.values[0]:
@@ -543,7 +507,6 @@ def critical_correspondence(
     covector: Optional[Sequence[CoefT]] = None,
     slices: Optional[Sequence[FormT]] = None,
     policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
 ) -> CorrespondenceReport:
     """Compare two counts attached to one objective u and one affine slice L.
 
@@ -569,7 +532,7 @@ def critical_correspondence(
         ]
         forms = [([Fraction(c) for c in coeffs], Fraction(const)) for coeffs, const in drawn]
         try:
-            return _correspondence_once(spec, i, seed, u, forms, policy, budget_secs)
+            return _correspondence_once(spec, i, seed, u, forms, policy)
         except DegenerateSlice as err:
             if explicit:
                 raise
@@ -584,9 +547,8 @@ def _correspondence_once(
     u: list[Fraction],
     forms: list[tuple[list[Fraction], Fraction]],
     policy: AgreementPolicy,
-    budget_secs: Optional[float],
 ) -> CorrespondenceReport:
-    sliced = _apply_slices(spec, forms, budget_secs)
+    sliced = _apply_slices(spec, forms)
     # Column j of the images' linear parts is the direction of L along the
     # j-th variable left; these columns span L's directions, and u pushed
     # onto the slice is <w_j, u> for each column w_j.
@@ -597,22 +559,18 @@ def _correspondence_once(
     if not any(pushed):
         raise DegenerateSlice("the objective is constant on the sliced variety")
 
-    count_critical = lo_degree(
-        sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy, budget_secs=budget_secs
-    )
+    count_critical = lo_degree(sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy)
 
     def count_conormal_comp(child: int, primes: tuple[int, ...]) -> dict[int, int]:
         system = multiplier_system(spec, residue_ring(primes))
         conditions = list(zip(kernel, pushed))
-        return _slice_count(
-            system, forms, conditions, SeedStream(child), derive_seed(child, 5), budget_secs
-        )
+        return _slice_count(system, forms, conditions, SeedStream(child), derive_seed(child, 5))
 
     count_conormal = agreed_value(
-        count_conormal_comp, derive_seed(seed, 307), policy, "conormal fiber count"
+        count_conormal_comp, derive_seed(seed, 307), spec.primes, policy, "conormal fiber count"
     )
 
-    expected = bidegrees(spec, derive_seed(seed, 311), policy=policy, budget_secs=budget_secs).values[i]
+    expected = bidegrees(spec, derive_seed(seed, 311), policy=policy).values[i]
     generic = count_critical == expected and count_conormal == expected
     return CorrespondenceReport(i, seed, count_critical, count_conormal, generic, expected)
 
@@ -623,10 +581,7 @@ def _correspondence_once(
 
 
 def verify_identities(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    budget_secs: Optional[float] = None,
+    spec: VarietySpec, seed: int = 0, policy: AgreementPolicy = DEFAULT_POLICY
 ) -> tuple[list[VerificationReport], list[str]]:
     """Every identity check on one input, and the warnings of checks that do
     not apply.
@@ -642,14 +597,14 @@ def verify_identities(
     - the binomial transform round-trips them;
     - for a cone, their alternating sum equals the transform's 0th entry.
     """
-    b = bidegrees(spec, derive_seed(seed, 1), policy=policy, budget_secs=budget_secs)
+    b = bidegrees(spec, derive_seed(seed, 1), policy=policy)
     a = _back_substitute(b)
     back = bidegrees_from_chern_mather(a).values
     reports = [
-        _sectional_check(spec, b, seed, policy, budget_secs),
-        _polar_check(spec, b, seed, policy, budget_secs),
+        _sectional_check(spec, b, seed, policy),
+        _polar_check(spec, b, seed, policy),
         VerificationReport(
-            "binomial transform round-trip", back == b.values, b.values, back, seed, policy.primes
+            "binomial transform round-trip", back == b.values, b.values, back, seed, spec.primes
         ),
     ]
     if not spec.is_homogeneous():
@@ -657,32 +612,30 @@ def verify_identities(
     total = b.alternating_sum()
     reports.append(VerificationReport(
         "alternating sum equals transform's 0th entry",
-        total == a.values[0], (total,), (a.values[0],), seed, policy.primes,
+        total == a.values[0], (total,), (a.values[0],), seed, spec.primes,
     ))
     return reports, []
 
 
 def _sectional_check(
-    spec: VarietySpec, b: DegreeVector, seed: int, policy: AgreementPolicy, budget_secs: Optional[float]
+    spec: VarietySpec, b: DegreeVector, seed: int, policy: AgreementPolicy
 ) -> VerificationReport:
-    s = sectional_lo_degrees(spec, derive_seed(seed, 2), policy=policy, budget_secs=budget_secs)
+    s = sectional_lo_degrees(spec, derive_seed(seed, 2), policy=policy)
     return VerificationReport(
         "sectional counts match conormal slice counts",
         b.values == s.values,
         b.values,
         s.values,
         seed,
-        policy.primes,
+        spec.primes,
     )
 
 
 def _polar_check(
-    spec: VarietySpec, b: DegreeVector, seed: int, policy: AgreementPolicy, budget_secs: Optional[float]
+    spec: VarietySpec, b: DegreeVector, seed: int, policy: AgreementPolicy
 ) -> VerificationReport:
-    delta = polar_degrees(spec, derive_seed(seed, 2), policy=policy, budget_secs=budget_secs)
-    contained = dual_contains_hyperplane_at_infinity(
-        spec, policy.primes[0], seed=derive_seed(seed, 3), budget_secs=budget_secs
-    )
+    delta = polar_degrees(spec, derive_seed(seed, 2), policy=policy)
+    contained = dual_contains_hyperplane_at_infinity(spec, seed=derive_seed(seed, 3))
     matched = b.values == delta.values
     passed = matched != contained
     notes = [f"dual contains hyperplane at infinity: {contained}"]
@@ -700,6 +653,6 @@ def _polar_check(
         b.values,
         delta.values,
         seed,
-        policy.primes,
+        spec.primes,
         tuple(notes),
     )

@@ -11,12 +11,13 @@ reproducibility.  State update and output for a stream with state ``s``:
     output   <- z xor (z >> 31)
 
 Counts obtained from random data are only reported once they agree across
-every (seed, prime) pair demanded by an :class:`AgreementPolicy`; a
-disagreement after the configured retries raises :class:`Instability`
-carrying everything observed.
+every (seed, prime) pair of the grid: the seeds an :class:`AgreementPolicy`
+demands, and the primes its caller counts at (a variety's own, in
+``invariants``).  A disagreement after the configured retries raises
+:class:`Instability` carrying everything observed.
 
-The grid runs one computation per seed for all of the policy's primes at
-once, modulo their product (see "Several primes at once" in ``groebner``).
+The grid runs one computation per seed for all of the primes at once,
+modulo their product (see "Several primes at once" in ``groebner``).
 When that computation splits (``SplitModulus``: some prime would take
 another branch), the trial falls back to the same computation one prime at
 a time, so every observation is still that of one (seed, prime) pair.
@@ -115,14 +116,14 @@ class Instability(RuntimeError):
 
 @dataclass(frozen=True)
 class AgreementPolicy:
-    """How many independent recounts must agree before a value is reported."""
+    """How many independent recounts must agree before a value is reported;
+    the primes they run at are the caller's."""
 
     seeds_per_trial: int = 2
-    primes: tuple[int, ...] = DEFAULT_PRIMES
     max_retries: int = 3
 
     def __post_init__(self) -> None:
-        if self.seeds_per_trial < 1 or not self.primes or self.max_retries < 0:
+        if self.seeds_per_trial < 1 or self.max_retries < 0:
             raise InputError("degenerate agreement policy")
 
 
@@ -132,13 +133,14 @@ DEFAULT_POLICY = AgreementPolicy()
 def agreed_value(
     computation: Callable[[int, tuple[int, ...]], dict[int, int]],
     seed: int,
+    primes: tuple[int, ...],
     policy: AgreementPolicy = DEFAULT_POLICY,
     context: str = "randomized count",
 ) -> int:
     """Run ``computation(seed, primes)``, which returns ``{prime: value}``,
-    over the policy grid until agreement.
+    over the grid of the policy's seeds and ``primes`` until agreement.
 
-    Each seed gets one call with all of the policy's primes; if it raises
+    Each seed gets one call with all of ``primes``; if it raises
     ``SplitModulus``, one call per distinct prime, in order.  Every attempt
     uses fresh derived seeds; values must match exactly.  The callable may
     raise ``NotZeroDimensional`` or ``DegenerateSlice`` for an unlucky draw
@@ -157,12 +159,12 @@ def agreed_value(
             child = derive_seed(seed, attempt * policy.seeds_per_trial + s_index)
             try:
                 try:
-                    found = computation(child, policy.primes)
-                    observations.update(((child, p), found[p]) for p in policy.primes)
+                    found = computation(child, primes)
+                    observations.update(((child, p), found[p]) for p in primes)
                 except SplitModulus:
                     # One prime at a time; a degenerate draw at a later
                     # prime keeps the observations before it.
-                    for prime in dict.fromkeys(policy.primes):
+                    for prime in dict.fromkeys(primes):
                         observations[(child, prime)] = computation(child, (prime,))[prime]
             except (NotZeroDimensional, DegenerateSlice) as err:
                 degenerate = err

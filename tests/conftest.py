@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from lodeg import groebner
 from lodeg.conormal import VarietySpec
 from lodeg.poly import BlockOrder, Grevlex, Lex
 
@@ -37,6 +38,22 @@ def load_spec(name: str) -> VarietySpec:
         doc["polynomials"],
         assumed_irreducible=doc.get("assumed_irreducible", True),
     )
+
+
+@pytest.fixture
+def deadline_budgets(monkeypatch) -> list[float]:
+    """The budget of every Groebner deadline started while the test runs."""
+    budgets: list[float] = []
+
+    class Recorded(groebner._Deadline):
+        __slots__ = ()
+
+        def __init__(self, context: str) -> None:
+            super().__init__(context)
+            budgets.append(self.budget)
+
+    monkeypatch.setattr(groebner, "_Deadline", Recorded)
+    return budgets
 
 
 @pytest.fixture(scope="session")

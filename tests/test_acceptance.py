@@ -15,7 +15,7 @@ import pytest
 from conftest import load_spec
 
 from lodeg.conormal import VarietySpec, slice_variety
-from lodeg.groebner import BudgetExceeded, Ideal, count_points
+from lodeg.groebner import BudgetExceeded, Ideal, budget, count_points
 from lodeg.invariants import (
     bidegrees,
     bidegrees_from_chern_mather,
@@ -111,13 +111,12 @@ def test_acceptance_5_sphere_correspondence():
 def _det3_numbers():
     spec = load_spec("det3.json")
     try:
-        b = bidegrees(spec, budget_secs=STRETCH_BUDGET)
-        lo = lo_degree(spec, budget_secs=STRETCH_BUDGET)
-        sliced = slice_variety(
-            spec, 4, seed=derive_seed(0, 35), budget_secs=STRETCH_BUDGET
-        ).spec
-        s4 = lo_degree(sliced, derive_seed(0, 65), budget_secs=STRETCH_BUDGET)
-        delta = polar_degrees(spec, budget_secs=STRETCH_BUDGET)
+        with budget(STRETCH_BUDGET):
+            b = bidegrees(spec)
+            lo = lo_degree(spec)
+            sliced = slice_variety(spec, 4, seed=derive_seed(0, 35)).spec
+            s4 = lo_degree(sliced, derive_seed(0, 65))
+            delta = polar_degrees(spec)
     except BudgetExceeded:
         return None
     return {"b": b, "lo": lo, "s4": s4, "delta": delta}
@@ -198,8 +197,9 @@ def test_acceptance_7_property_suite():
         sphere = load_spec("sphere.json")
         assert bidegrees(sphere, seed=111).values == bidegrees(sphere, seed=222).values
         for prime in DEFAULT_PRIMES:
-            solo = AgreementPolicy(seeds_per_trial=1, primes=(prime,))
-            assert bidegrees(sphere, seed=9, policy=solo).values == (2, 2, 2)
+            solo = VarietySpec.define(sphere.ring.variables, sphere.generators, primes=(prime,))
+            one_seed = AgreementPolicy(seeds_per_trial=1)
+            assert bidegrees(solo, seed=9, policy=one_seed).values == (2, 2, 2)
 
         # Point counting matches the constructed distinct-root count on 50
         # univariate products of linear factors.

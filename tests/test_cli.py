@@ -108,9 +108,9 @@ class TestReports:
         real = conormal.krull_dimension
         fields = []
 
-        def spied(source, budget_secs=None):
+        def spied(source):
             fields.append(source.ring.field_)
-            return real(source, budget_secs=budget_secs)
+            return real(source)
 
         monkeypatch.setattr(conormal, "krull_dimension", spied)
         code, report = run_json(
@@ -121,23 +121,14 @@ class TestReports:
         assert fields
         assert all(fld.p % 2147483647 for fld in fields)
 
-    def test_budget_reaches_the_input_dimension(self, monkeypatch, capsys):
-        from lodeg import conormal
-
-        real = conormal.krull_dimension
-        budgets = []
-
-        def spied(source, budget_secs=None):
-            budgets.append(budget_secs)
-            return real(source, budget_secs=budget_secs)
-
-        monkeypatch.setattr(conormal, "krull_dimension", spied)
+    def test_budget_reaches_the_input_dimension(self, deadline_budgets, capsys):
+        # Every Groebner basis, the input's dimension first, gets the budget.
         code, report = run_json(
             capsys, "sectional", data_path("sphere.json"), "--budget-secs", "7"
         )
         assert code == EXIT_OK
         assert report["results"]["sectional"]["values"] == [2, 2, 2]
-        assert budgets and set(budgets) == {7.0}
+        assert deadline_budgets and set(deadline_budgets) == {7.0}
 
     def test_input_warnings(self, tmp_path, capsys):
         cone = tmp_path / "cone.json"
@@ -442,8 +433,8 @@ class TestFailures:
         real = groebner.saturate
         calls = []
 
-        def drifting(ideal, g, budget_secs=None):
-            out = real(ideal, g, budget_secs=budget_secs)
+        def drifting(ideal, g):
+            out = real(ideal, g)
             calls.append(out)
             if len(calls) % 2 == 0:
                 ring = out.ring
@@ -479,7 +470,7 @@ class TestFailures:
         "extra, start",
         [
             (["--covector", "1,x,3"], "input error: bad covector entry: "),
-            (["--covector", "1,1/0,3"], "input error: bad covector entry: "),
+            (["--covector", "1,1/0,3"], "input error: bad covector entry: zero denominator in '1/0'\n"),
             (["--slice", "5"], "input error: slice form '5' has no variable part\n"),
             (["--slice", "x3+*"], "input error: bad slice form 'x3+*': "),
         ],
@@ -676,6 +667,16 @@ class TestFailures:
         assert err.startswith("input error: ")
         assert "Jacobian of full rank" in err
         assert err.count("\n") == 1
+
+    def test_conormal_dimension_mismatch_is_an_input_error(self, tmp_path, capsys):
+        # Over the double line x^2 the rank-deficient locus is all of it, so
+        # the saturation leaves nothing.
+        bad = tmp_path / "double_line.json"
+        bad.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^2"]}))
+        code, out, err = run_cli(capsys, "dual_infinity", str(bad))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: projective conormal cone has dimension -1, expected 3\n"
 
     def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):

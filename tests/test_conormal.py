@@ -19,6 +19,7 @@ from lodeg.conormal import (
     solve_forms,
 )
 from lodeg.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension, normal_form
+from lodeg.invariants import polar_degrees
 from lodeg.poly import (
     GREVLEX,
     LEX,
@@ -27,6 +28,7 @@ from lodeg.poly import (
     DegreeLimitExceeded,
     PolyRing,
     PrimeField,
+    ResidueRing,
     SplitModulus,
     block_order,
     residue_ring,
@@ -53,6 +55,10 @@ class TestVarietySpec:
     def test_rejects_empty_generators(self):
         with pytest.raises(InvalidVariety):
             VarietySpec.define(("x", "y"), [])
+
+    def test_rejects_no_primes(self):
+        with pytest.raises(InvalidVariety, match="^at least one prime is required$"):
+            VarietySpec.define(("x", "y"), ["x*y - 1"], primes=())
 
     def test_rejects_unit_ideal(self):
         with pytest.raises(InvalidVariety, match="unit ideal"):
@@ -161,39 +167,39 @@ class TestSlicing:
     def test_explicit_forms_in_source_width(self, sphere):
         # Explicit forms (the correspondence's) are cut as they are given.
         forms = [(_q(0, 0, 1), Fraction(0)), (_q(0, 1, 0), Fraction(1))]
-        sliced = conormal._apply_slices(sphere, forms, None)
+        sliced = conormal._apply_slices(sphere, forms)
         assert sliced.spec.dimension == 0
         # x3 = 0 then x2 = 1 leaves x1^2 - 99.
         assert str(sliced.spec.generators[0]) == "x1^2 - 99"
-        assert conormal._apply_slices(sphere, [], None).spec is sphere
+        assert conormal._apply_slices(sphere, []).spec is sphere
 
     def test_inconsistent_explicit_form(self):
         plane = VarietySpec.define(("x1", "x2", "x3"), ["x3"])
         with pytest.raises(DegenerateSlice):
-            conormal._apply_slices(plane, [(_q(0, 0, 1), Fraction(5))], None)
+            conormal._apply_slices(plane, [(_q(0, 0, 1), Fraction(5))])
 
     def test_failed_draws_are_redrawn(self, sphere, monkeypatch):
         real = conormal._apply_slices
         seen = []
 
-        def flaky(spec, forms, budget_secs):
+        def flaky(spec, forms):
             seen.append(forms)
             if len(seen) < 3:
                 raise DegenerateSlice("unlucky draw")
-            return real(spec, forms, budget_secs)
+            return real(spec, forms)
 
         monkeypatch.setattr(conormal, "_apply_slices", flaky)
         sliced = slice_variety(sphere, 1, seed=5)
         assert len(seen) == 3
         assert len({repr(forms) for forms in seen}) == 3
-        third = real(sphere, seen[2], None)
+        third = real(sphere, seen[2])
         assert sliced.images == third.images
         assert sliced.spec.generators == third.spec.generators
 
     def test_four_failed_draws_raise(self, sphere, monkeypatch):
         seen = []
 
-        def never(spec, forms, budget_secs):
+        def never(spec, forms):
             seen.append(forms)
             raise DegenerateSlice("unlucky draw")
 
@@ -365,9 +371,9 @@ class TestConormalIdeals:
         # its own reduced basis, with no Buchberger run.
         handed = []
 
-        def spy(source, budget_secs=None):
+        def spy(source):
             handed.append(source)
-            return krull_dimension(source, budget_secs=budget_secs)
+            return krull_dimension(source)
 
         monkeypatch.setattr(conormal, "krull_dimension", spy)
         build_ideal = projective_conormal_ideal if build == "projective" else affine_conormal_ideal
@@ -378,11 +384,30 @@ class TestConormalIdeals:
 
     def test_projective_rejects_mixed_saturation(self, sphere, monkeypatch):
         # x1 - 1 mixes point-side degrees 1 and 0: only an unlucky random
-        # combination could leave it in the saturation.
-        def mixed(ideal, other, seed, budget_secs=None):
+        # combination could leave it in the saturation.  Over a residue
+        # ring, only one prime at a time tells which prime drew badly.
+        def mixed(ideal, other, seed):
             ring = ideal.ring
             return GroebnerBasis(ring, (ring.gen(0) - ring.one(),))
 
         monkeypatch.setattr(conormal, "saturate_by_ideal", mixed)
         with pytest.raises(Instability, match="bihomogeneity"):
             projective_conormal_ideal(sphere)
+        with pytest.raises(SplitModulus, match="not bihomogeneous"):
+            projective_conormal_ideal(sphere, residue_ring(DEFAULT_PRIMES))
+
+    def test_mixed_saturation_over_a_residue_ring_reruns_each_prime(self, sphere, monkeypatch):
+        # The check fails only over a residue ring: the grid's split
+        # fallback recounts one prime at a time, and the counts stand.
+        real = conormal._is_bihomogeneous
+        splits = []
+
+        def mixed_mod_n(poly, split):
+            if isinstance(poly.ring.field_, ResidueRing):
+                splits.append(poly.ring.field_)
+                return False
+            return real(poly, split)
+
+        monkeypatch.setattr(conormal, "_is_bihomogeneous", mixed_mod_n)
+        assert polar_degrees(sphere, method="conormal").values == (2, 2, 2)
+        assert splits

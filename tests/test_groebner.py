@@ -13,6 +13,7 @@ from lodeg.groebner import (
     Ideal,
     NotZeroDimensional,
     buchberger,
+    budget,
     count_points,
     eliminate,
     krull_dimension,
@@ -105,16 +106,31 @@ class TestBuchberger:
         check = r.parse("x^4 - x")
         assert normal_form(check, gb).is_zero()
 
-    def test_budget_exceeded(self):
+    @staticmethod
+    def cyclic4():
         r = qring("a", "b", "c", "d")
-        cyclic = [
-            r.parse("a+b+c+d"),
-            r.parse("a*b+b*c+c*d+d*a"),
-            r.parse("a*b*c+b*c*d+c*d*a+d*a*b"),
-            r.parse("a*b*c*d-1"),
-        ]
-        with pytest.raises(BudgetExceeded):
-            buchberger(Ideal.of(r, cyclic), budget_secs=1e-9)
+        cyclic = ["a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-1"]
+        return Ideal.of(r, [r.parse(g) for g in cyclic])
+
+    def test_budget_exceeded(self):
+        with budget(1e-9), pytest.raises(BudgetExceeded):
+            buchberger(self.cyclic4())
+
+    def test_nested_budgets_restore_the_outer_one(self):
+        def in_force():
+            return groebner._Deadline("probe").budget
+
+        assert in_force() == groebner.DEFAULT_BUDGET_SECS
+        with budget(30.0):
+            with budget(5.0):
+                assert in_force() == 5.0
+            assert in_force() == 30.0
+            with budget(None):
+                assert in_force() == groebner.DEFAULT_BUDGET_SECS
+            with pytest.raises(BudgetExceeded), budget(1e-9):
+                buchberger(self.cyclic4())
+            assert in_force() == 30.0
+        assert in_force() == groebner.DEFAULT_BUDGET_SECS
 
 
 def _plain_remainder(f, basis, key, p):
@@ -663,23 +679,27 @@ class TestEliminateAndSaturate:
     def test_saturate_by_ideal_raises_when_draws_disagree(self, monkeypatch):
         # Each random combination alone gives the saturation by the whole
         # ideal; two different answers mean an unlucky draw, not a result.
-        r = fring("x", "y", "z")
-        ideal = Ideal.of(r, [r.parse("x*y"), r.parse("x*z")])
-        other = Ideal.of(r, [r.parse("y"), r.parse("z")])
+        # Over a residue ring, which prime drew badly only one prime at a
+        # time tells.
         real = groebner.saturate
-        answers = []
+        cases = [(PrimeField(P1), Instability), (residue_ring(DEFAULT_PRIMES), SplitModulus)]
+        for field, error in cases:
+            r = PolyRing(("x", "y", "z"), field, GREVLEX)
+            ideal = Ideal.of(r, [r.parse("x*y"), r.parse("x*z")])
+            other = Ideal.of(r, [r.parse("y"), r.parse("z")])
+            answers = []
 
-        def drifting(ideal, g, budget_secs=None):
-            out = real(ideal, g, budget_secs=budget_secs)
-            answers.append(out)
-            if len(answers) == 2:
-                out = GroebnerBasis(r, out.basis + (r.parse("y^2"),))
-            return out
+            def drifting(ideal, g):
+                out = real(ideal, g)
+                answers.append(out)
+                if len(answers) == 2:
+                    out = GroebnerBasis(r, out.basis + (r.parse("y^2"),))
+                return out
 
-        monkeypatch.setattr(groebner, "saturate", drifting)
-        with pytest.raises(Instability, match="saturation by random combinations"):
-            saturate_by_ideal(ideal, other, seed=5)
-        assert len(answers) == 2
+            monkeypatch.setattr(groebner, "saturate", drifting)
+            with pytest.raises(error, match="saturations? by random combinations"):
+                saturate_by_ideal(ideal, other, seed=5)
+            assert len(answers) == 2
 
     @pytest.mark.parametrize(
         "as_basis, calls, indices", [(False, 1, 4), (True, 0, 2)], ids=["ideal", "grevlex-basis"]

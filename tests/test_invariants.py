@@ -27,7 +27,7 @@ from lodeg.invariants import (
     variety_degree,
     verify_identities,
 )
-from lodeg.groebner import Ideal, buchberger, quotient_basis
+from lodeg.groebner import Ideal, buchberger, budget, quotient_basis
 from lodeg.poly import QQ, InputError, PrimeField, ResidueRing, SplitModulus, fresh_name, residue_ring
 from lodeg.randomness import DEFAULT_PRIMES, SeedStream, derive_seed
 
@@ -55,6 +55,35 @@ def twisted_cubic_cone():
 def _sphere():
     # A fresh spec: the shared conftest fixtures keep the systems already built.
     return VarietySpec.define(("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 100"])
+
+
+class TestSpecPrimes:
+    """Every count runs at the primes its spec was defined and checked at."""
+
+    Q = 2147483587
+
+    def test_counts_run_at_the_spec_primes(self, monkeypatch):
+        spec = VarietySpec.define(
+            ("x1", "x2", "x3"), ["x1^2 + x2^2 + x3^2 - 100"], primes=(self.Q,)
+        )
+        real = invariants.count_points
+        fields = []
+
+        def spied(ideal, seed):
+            fields.append(ideal.ring.field_)
+            return real(ideal, seed=seed)
+
+        monkeypatch.setattr(invariants, "count_points", spied)
+        assert lo_degree(spec, 5) == 2
+        assert bidegrees(spec, 5).values == (2, 2, 2)
+        assert fields and set(fields) == {PrimeField(self.Q)}
+
+    def test_a_sphere_that_vanishes_at_the_prime_is_refused(self):
+        q = self.Q
+        with pytest.raises(InputError, match=f"vanishes modulo the prime {q}"):
+            VarietySpec.define(
+                ("x1", "x2", "x3"), [f"{q}*x1^2 + {q}*x2^2 + {q}*x3^2 - 100*{q}"], primes=(q,)
+            )
 
 
 class TestKeptSystems:
@@ -85,10 +114,10 @@ class TestKeptSystems:
     def test_per_prime_systems_after_a_split(self, built, monkeypatch):
         real = invariants.count_points
 
-        def splitting(ideal, seed, budget_secs=None):
+        def splitting(ideal, seed):
             if isinstance(ideal.ring.field_, ResidueRing):
                 raise SplitModulus("every trial splits")
-            return real(ideal, seed=seed, budget_secs=budget_secs)
+            return real(ideal, seed=seed)
 
         monkeypatch.setattr(invariants, "count_points", splitting)
         assert lo_degree(_sphere()) == 2
@@ -178,12 +207,12 @@ class TestOneSlicePath:
     def test_methods_share_the_forms(self, sphere, computation, i, monkeypatch):
         seen = {}
         for method in ("multiplier", "conormal"):
-            def recorded(system, point_forms, dual_forms, stream, count_seed, budget_secs):
+            def recorded(system, point_forms, dual_forms, stream, count_seed):
                 seen[method] = (system, point_forms, dual_forms, count_seed)
                 return {}
 
             monkeypatch.setattr(invariants, "_slice_count", recorded)
-            computation(sphere, i, None, method)(derive_seed(4, i), (DEFAULT_PRIMES[0],))
+            computation(sphere, i, method)(derive_seed(4, i), (DEFAULT_PRIMES[0],))
         by_multiplier, by_conormal = seen["multiplier"], seen["conormal"]
         assert by_multiplier[1:] == by_conormal[1:]
         assert len(by_multiplier[1]) == i + (computation is invariants._polar_computation)
@@ -271,19 +300,10 @@ class TestSectional:
         assert sectional_lo_degrees(twisted_cubic).values == (2, 3)
 
 
-    def test_slices_honour_the_budget(self, sphere, monkeypatch):
-        from lodeg import conormal
-
-        real = conormal.krull_dimension
-        budgets = []
-
-        def recorded(source, budget_secs=None):
-            budgets.append(budget_secs)
-            return real(source, budget_secs=budget_secs)
-
-        monkeypatch.setattr(conormal, "krull_dimension", recorded)
-        sectional_lo_degrees(sphere, seed=3, budget_secs=7.0)
-        assert budgets and set(budgets) == {7.0}
+    def test_slices_honour_the_budget(self, sphere, deadline_budgets):
+        with budget(7.0):
+            sectional_lo_degrees(sphere, seed=3)
+        assert deadline_budgets and set(deadline_budgets) == {7.0}
 
 
 class TestVarietyDegree:
@@ -477,11 +497,11 @@ class TestCorrespondenceRedraw:
         real = invariants._correspondence_once
         seen = []
 
-        def flaky(spec, i, seed, u, forms, policy, budget_secs):
+        def flaky(spec, i, seed, u, forms, policy):
             seen.append((u, forms))
             if len(seen) <= failures:
                 raise DegenerateSlice(f"degenerate draw {len(seen)}")
-            return real(spec, i, seed, u, forms, policy, budget_secs)
+            return real(spec, i, seed, u, forms, policy)
 
         monkeypatch.setattr(invariants, "_correspondence_once", flaky)
         return seen
@@ -700,7 +720,7 @@ class TestDividedDuals:
         system = multiplier_system(spec, FIELDS["two-primes"])
         u = SeedStream(8).coefficients(3)
         pins = [([int(j == k) for j in range(3)], u[k]) for k in range(3)]
-        invariants._slice_count(system, [], pins, SeedStream(9), 0, None)
+        invariants._slice_count(system, [], pins, SeedStream(9), 0)
         duals = _pins(system, u)
         start = len(system.equations)
         return system, duals, list(seen[0].generators[start:start + len(duals)])

@@ -55,25 +55,25 @@ def test_derive_seed_decorrelates():
 
 class TestAgreement:
     def test_constant_computation(self):
-        assert agreed_value(lambda s, primes: dict.fromkeys(primes, 7), seed=1) == 7
+        assert agreed_value(lambda s, primes: dict.fromkeys(primes, 7), 1, DEFAULT_PRIMES) == 7
 
     def test_policy_rejects_degenerate_settings(self):
         with pytest.raises(ValueError):
             AgreementPolicy(seeds_per_trial=0)
         with pytest.raises(ValueError):
-            AgreementPolicy(primes=())
+            AgreementPolicy(max_retries=-1)
 
     def test_disagreement_raises_with_observations(self):
         def flaky(seed, primes):
             return {prime: prime % 1000 for prime in primes}
 
         with pytest.raises(Instability) as exc:
-            agreed_value(flaky, seed=1, context="flaky count")
+            agreed_value(flaky, 1, DEFAULT_PRIMES, context="flaky count")
         assert exc.value.context == "flaky count"
         assert len(exc.value.observations) >= 2
 
     def test_degenerate_draws_are_retried(self):
-        policy = AgreementPolicy(seeds_per_trial=1, primes=(DEFAULT_PRIMES[0],))
+        policy = AgreementPolicy(seeds_per_trial=1)
         bad_child = derive_seed(5, 0)
 
         def sometimes_degenerate(seed, primes):
@@ -81,21 +81,21 @@ class TestAgreement:
                 raise NotZeroDimensional("unlucky slice")
             return dict.fromkeys(primes, 11)
 
-        assert agreed_value(sometimes_degenerate, seed=5, policy=policy) == 11
+        assert agreed_value(sometimes_degenerate, 5, DEFAULT_PRIMES[:1], policy) == 11
 
     def test_persistent_degeneracy_becomes_instability(self):
         def always_degenerate(seed, primes):
             raise NotZeroDimensional("never finite")
 
         with pytest.raises(Instability):
-            agreed_value(always_degenerate, seed=2)
+            agreed_value(always_degenerate, 2, DEFAULT_PRIMES)
 
     def test_only_degenerate_draws_are_named(self):
         def always_degenerate(seed, primes):
             raise NotZeroDimensional("never finite")
 
         with pytest.raises(Instability) as exc:
-            agreed_value(always_degenerate, seed=2, context="doomed count")
+            agreed_value(always_degenerate, 2, DEFAULT_PRIMES, context="doomed count")
         assert str(exc.value) == (
             "doomed count: every attempt was a degenerate draw (last: never finite)"
         )
@@ -103,7 +103,7 @@ class TestAgreement:
 
     def test_some_completed_attempt_reports_observations(self):
         # The first attempt disagrees, every later one is degenerate.
-        policy = AgreementPolicy(seeds_per_trial=1, primes=DEFAULT_PRIMES, max_retries=2)
+        policy = AgreementPolicy(seeds_per_trial=1, max_retries=2)
         first = derive_seed(3, 0)
 
         def mixed(seed, primes):
@@ -112,7 +112,7 @@ class TestAgreement:
             return {prime: prime % 1000 for prime in primes}
 
         with pytest.raises(Instability) as exc:
-            agreed_value(mixed, seed=3, policy=policy, context="mixed count")
+            agreed_value(mixed, 3, DEFAULT_PRIMES, policy, context="mixed count")
         assert str(exc.value).startswith("mixed count: no agreement across trials: (seed=")
         assert len(exc.value.observations) == 2
 
@@ -123,8 +123,7 @@ class TestAgreement:
             calls.extend((seed, prime) for prime in primes)
             return dict.fromkeys(primes, 1)
 
-        policy = AgreementPolicy(seeds_per_trial=2, primes=DEFAULT_PRIMES)
-        agreed_value(tracker, seed=8, policy=policy)
+        agreed_value(tracker, 8, DEFAULT_PRIMES, AgreementPolicy(seeds_per_trial=2))
         assert len(calls) == 4
         assert {p for _, p in calls} == set(DEFAULT_PRIMES)
         assert len({s for s, _ in calls}) == 2
@@ -132,7 +131,7 @@ class TestAgreement:
 
 class TestSplitFallback:
     """A trial whose computation modulo the product of the primes splits is
-    rerun one prime at a time, and observes what one-prime policies do."""
+    rerun one prime at a time, and observes what one-prime grids do."""
 
     def recorded(self, leading):
         # ``leading`` has the coefficient P of the first default prime, which
@@ -154,25 +153,24 @@ class TestSplitFallback:
         merged = {}
         for prime in DEFAULT_PRIMES:
             count, _, seen = self.recorded(leading)
-            solo = AgreementPolicy(policy.seeds_per_trial, (prime,), policy.max_retries)
-            agreed_value(count, seed=4, policy=solo)
+            agreed_value(count, 4, (prime,), policy)
             merged.update(seen)
         return merged
 
     def test_fallback_agrees_with_one_prime_policies(self):
         # Four points modulo either prime: x^2 = 2 / (P*y + 1) and y = +-1.
-        policy = AgreementPolicy(seeds_per_trial=2, primes=DEFAULT_PRIMES, max_retries=0)
+        policy = AgreementPolicy(seeds_per_trial=2, max_retries=0)
         count, calls, seen = self.recorded("x^2*y")
-        assert agreed_value(count, seed=4, policy=policy) == 4
+        assert agreed_value(count, 4, DEFAULT_PRIMES, policy) == 4
         assert calls == [DEFAULT_PRIMES, (DEFAULT_PRIMES[0],), (DEFAULT_PRIMES[1],)] * 2
         assert seen == self.one_prime_observations("x^2*y", policy)
 
     def test_fallback_disagreement_reports_one_prime_observations(self):
         # P*x^3 + x^2 - 2 has two roots modulo P and three modulo the other.
-        policy = AgreementPolicy(seeds_per_trial=2, primes=DEFAULT_PRIMES, max_retries=0)
+        policy = AgreementPolicy(seeds_per_trial=2, max_retries=0)
         count, _, _ = self.recorded("x^3")
         with pytest.raises(Instability) as exc:
-            agreed_value(count, seed=4, policy=policy)
+            agreed_value(count, 4, DEFAULT_PRIMES, policy)
         observations = self.one_prime_observations("x^3", policy)
         assert exc.value.observations == observations
         assert sorted(set(observations.values())) == [4, 6]
