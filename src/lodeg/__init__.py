@@ -5,7 +5,8 @@ polynomial strings and the primes to compute at, then ask for its
 invariants.  All randomized counts are seeded and cross-checked over the
 spec's primes before being reported.  ``with budget(secs):`` bounds each
 Groebner basis computed inside the block.  The explicit conormal builders
-return a :class:`GroebnerBasis`.
+return a :class:`GroebnerBasis`, whose :func:`multidegree` holds the
+bidegree or polar vector.
 """
 
 from .conormal import (
@@ -27,6 +28,7 @@ from .groebner import (
     count_points,
     eliminate,
     krull_dimension,
+    multidegree,
     normal_form,
     saturate,
 )
@@ -88,6 +90,7 @@ __all__ = [
     "euler_obstruction_with_bidegrees",
     "krull_dimension",
     "lo_degree",
+    "multidegree",
     "normal_form",
     "parse_polynomial",
     "polar_degrees",

@@ -26,7 +26,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -254,12 +253,6 @@ COMMANDS: dict[str, Command] = {
 
 
 def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    # NaN would never run out, and infinity neither; both print as invalid
-    # JSON in the report.
-    if args.budget_secs is not None and not 0 < args.budget_secs < math.inf:
-        raise InputError(
-            f"--budget-secs must be a positive number of seconds, got {args.budget_secs}"
-        )
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     residue_ring(primes)  # each prime must be a valid characteristic
     policy = AgreementPolicy(seeds_per_trial=args.trials)

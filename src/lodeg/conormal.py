@@ -5,10 +5,11 @@ adjoins a dual variable per point variable, cuts the locus where the dual
 row is a combination of Jacobian rows by rank minors, and saturates away
 the rank-deficient locus: one builder does this for the affine variety and
 for its projective closure, which the irrelevant ideal then saturates too.
+Both return a bihomogeneous basis in P^n x P^n, point side first, whose
+:func:`~lodeg.groebner.multidegree` holds the bidegrees or polar degrees.
 The implicit one keeps Lagrange multipliers as honest variables and
 represents each dual coordinate as a polynomial in (point, multiplier)
-space, which keeps the variable count low.  The counting routines slice
-both alike, the explicit one in the same shape (:func:`_explicit_system`).
+space, which keeps the variable count low; every count slices it.
 
 Slicing, of the variety or of the base of a multiplier system, is one
 affine change of coordinates: :func:`solve_forms` solves all the affine
@@ -38,8 +39,10 @@ from typing import Optional, Sequence, Union
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _is_bihomogeneous,
     buchberger,
     krull_dimension,
+    saturate,
     saturate_by_ideal,
 )
 from .poly import (
@@ -318,8 +321,7 @@ class MultiplierSystem:
 
     ``covector[k]`` is the polynomial expressing the k-th dual coordinate as
     a multiplier combination of Jacobian entries; the dual coordinates are
-    never ring variables, which keeps slice-and-count systems small.  An
-    explicit conormal ideal takes the same shape (:func:`_explicit_system`).
+    never ring variables, which keeps slice-and-count systems small.
     """
 
     ring: PolyRing  # base variables first, multiplier variables last
@@ -488,13 +490,23 @@ def _checked(gb: GroebnerBasis, expected: int, locus: str) -> GroebnerBasis:
 def affine_conormal_ideal(
     spec: VarietySpec, prime: Optional[Modulus] = None, seed: int = 0
 ) -> GroebnerBasis:
-    """Closure of the conormal locus over the smooth points, with the dual
-    coordinates as explicit trailing variables, as its reduced basis.  It
-    must have dimension n (:class:`DimensionMismatch` if not).  ``prime``
-    defaults to the spec's first prime."""
+    """Closure in P^n x P^n of the conormal locus over the smooth points, as
+    its reduced basis.  The affine locus, with the dual coordinates as
+    explicit variables after the point ones, is homogenized by a fresh
+    first variable, given a fresh last one for the dual side and saturated
+    by their product, so the first n + 1 variables are the point
+    coordinates.  It must have dimension n + 2 (:class:`DimensionMismatch`
+    if not).  ``prime`` defaults to the spec's first prime."""
     gens = spec.reduce_mod(prime if prime is not None else spec.primes[0]).generators
     sat = _saturated_minors(gens, spec.codimension, "u", seed)
-    return _checked(sat, spec.n, "conormal locus")
+    # The locus is a cone in the dual coordinates, so each element of its
+    # reduced basis is homogeneous in them: homogenizing by the total degree
+    # pads the point side only, and the dual side's variable is in none.
+    h0, h1 = fresh_names("h", 2, sat.ring.variables)
+    hom = [g.homogenize(h0) for g in sat.basis]
+    big = PolyRing(hom[0].ring.variables + (h1,), sat.ring.field_, sat.ring.order)
+    closure = saturate(Ideal.of(big, [_lift(g, big) for g in hom]), big.parse(f"{h0}*{h1}"))
+    return _checked(closure, spec.n + 2, "conormal closure")
 
 
 def projective_conormal_ideal(
@@ -527,16 +539,3 @@ def projective_conormal_ideal(
             {(seed, fld.p): mixed},
         )
     return _checked(sat, n + 1, "projective conormal cone")
-
-
-def _explicit_system(gb: GroebnerBasis, base_count: int) -> MultiplierSystem:
-    """The explicit conormal ideal ``gb`` as a :class:`MultiplierSystem`: the
-    dual variables after the base are its multipliers and its covector."""
-    ring = gb.ring
-    duals = tuple(ring.gen(k) for k in range(base_count, ring.nvars))
-    return MultiplierSystem(ring, base_count, gb.basis, duals, excess=0)
-
-
-def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:
-    degrees = {(sum(m[:split]), sum(m[split:])) for m in poly.as_dict()}
-    return len(degrees) <= 1

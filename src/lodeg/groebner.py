@@ -264,6 +264,7 @@ from .poly import (
     PACK_DIGIT_BITS,
     DegreeLimitExceeded,
     Grevlex,
+    InputError,
     Mono,
     PolyRing,
     Polynomial,
@@ -349,7 +350,11 @@ class GroebnerBasis:
 def budget(secs: Optional[float]) -> Iterator[None]:
     """Give every Groebner basis computed inside the block ``secs``
     seconds of wall clock, each its own; ``None`` is the default budget.
-    The budget in force before the block is restored when it ends."""
+    The budget in force before the block is restored when it ends.  NaN
+    and infinity would never run out and zero or less would at once, so
+    each raises :class:`InputError`."""
+    if secs is not None and not 0 < secs < float("inf"):
+        raise InputError(f"budget must be a positive number of seconds, got {secs}")
     token = _BUDGET.set(DEFAULT_BUDGET_SECS if secs is None else secs)
     try:
         yield
@@ -703,32 +708,41 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Krull dimension from leading terms
+# Krull dimension and multidegree from leading terms
 # ---------------------------------------------------------------------------
 
 
-def _min_hitting_set_size(supports: list[frozenset[int]]) -> int:
-    """Smallest number of variables meeting every support set."""
-    supports = sorted(set(supports), key=len)
+def _minimum_covers(gb: GroebnerBasis) -> list[frozenset[int]]:
+    """Every smallest set of variables meeting the support of each leading
+    monomial of ``gb``: the minimal primes of largest dimension of its
+    leading-term ideal.  Each branch takes a variable of the support with
+    fewest choices left and rules out those of the branches before it, so
+    each cover is reached once."""
+    supports = {frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()}
     pruned: list[frozenset[int]] = []
-    for s in supports:
+    for s in sorted(supports, key=len):
         if not any(t <= s for t in pruned):
             pruned.append(s)
+    # One variable of each support is a cover.
     best = [len(pruned)]
+    covers: list[frozenset[int]] = []
 
-    def search(remaining: list[frozenset[int]], used: set[int], size: int) -> None:
-        if size >= best[0]:
-            return
+    def search(remaining: list[frozenset[int]], used: frozenset[int], banned: frozenset[int]) -> None:
         live = [s for s in remaining if not (s & used)]
         if not live:
-            best[0] = size
+            if len(used) < best[0]:
+                best[0] = len(used)
+                covers.clear()
+            covers.append(used)
             return
-        pivot = min(live, key=len)
-        for v in sorted(pivot):
-            search(live, used | {v}, size + 1)
+        if len(used) >= best[0]:
+            return
+        choices = sorted(min((s - banned for s in live), key=len))
+        for k, v in enumerate(choices):
+            search(live, used | {v}, banned.union(choices[:k]))
 
-    search(pruned, set(), 0)
-    return best[0]
+    search(pruned, frozenset(), frozenset())
+    return covers
 
 
 def krull_dimension(source: Ideal | GroebnerBasis) -> int:
@@ -738,15 +752,38 @@ def krull_dimension(source: Ideal | GroebnerBasis) -> int:
     Returns -1 for the unit ideal; the zero ideal has dimension ``nvars``.
     """
     gb = source if isinstance(source, GroebnerBasis) else buchberger(source)
-    n = gb.ring.nvars
-    if not gb.basis:
-        return n
     if gb.is_unit():
         return -1
-    supports = [
-        frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()
-    ]
-    return n - _min_hitting_set_size(supports)
+    return gb.ring.nvars - len(_minimum_covers(gb)[0])
+
+
+def multidegree(gb: GroebnerBasis, split: int) -> dict[tuple[int, int], int]:
+    """The multidegree ``{(a, b): coefficient}``, for ``s^a t^b``, of the
+    ideal of a bihomogeneous reduced basis whose first ``split`` variables
+    have degree (1, 0) and the rest (0, 1).
+
+    A Groebner degeneration keeps it, and for the leading-term ideal M it
+    sums, over the minimum covers P, the product of P's degrees times the
+    length of M at P: the number of standard monomials of M with the
+    variables outside P set to 1 (Miller, Sturmfels, *Combinatorial
+    Commutative Algebra*, GTM 227, Cor. 8.47 and Thm 8.53)."""
+    if not all(_is_bihomogeneous(g, split) for g in gb.basis):
+        raise ValueError("multidegree of a basis that is not bihomogeneous")
+    if not gb.basis:
+        return {(0, 0): 1}  # the zero ideal
+    out: dict[tuple[int, int], int] = {}
+    for cover in _minimum_covers(gb):
+        kept = sorted(cover)
+        local = PolyRing(tuple(gb.ring.variables[v] for v in kept), gb.ring.field_, GREVLEX)
+        lms = (local.from_terms([(tuple(lm[v] for v in kept), 1)]) for lm in gb.leading_monomials())
+        key = (sum(v < split for v in kept), sum(v >= split for v in kept))
+        out[key] = out.get(key, 0) + len(quotient_basis(GroebnerBasis(local, tuple(lms))))
+    return out
+
+
+def _is_bihomogeneous(poly: Polynomial, split: int) -> bool:
+    degrees = {(sum(m[:split]), sum(m[split:])) for m in poly.as_dict()}
+    return len(degrees) <= 1
 
 
 # ---------------------------------------------------------------------------

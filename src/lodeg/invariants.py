@@ -13,12 +13,11 @@ integers are exact.  A grid callable takes a seed and those primes, builds
 and counts its system once modulo their product
 (:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
 
-Every conormal count ends in :func:`_slice_count`, which cuts the
-multiplier system, or the explicit ideal (``method="conormal"``), by the
-same forms.  On a hypersurface (one multiplier ``lam``) it divides ``lam``
-out of every dual equation but the first with a unit constant
-(:func:`_divided_duals`): the ideal is the same, so are its reduced basis
-and every count, and the generators are one degree lower.
+Every conormal count ends in :func:`_slice_count`, which cuts a
+multiplier system by its forms.  On a hypersurface (one multiplier
+``lam``) it divides ``lam`` out of every dual equation but the first with
+a unit constant (:func:`_divided_duals`): the ideal is the same, so are its
+reduced basis and every count, and the generators are one degree lower.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .conormal import (
     VarietySpec,
     _apply_slices,
     _draw_base_forms,
-    _explicit_system,
-    affine_conormal_ideal,
     multiplier_slack_forms,
     multiplier_system,
     projective_conormal_ideal,
@@ -265,24 +262,19 @@ def lo_degree(
 
 
 def bidegrees(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    method: str = "multiplier",
+    spec: VarietySpec, seed: int = 0, policy: AgreementPolicy = DEFAULT_POLICY
 ) -> DegreeVector:
     """Slice counts of the affine conormal variety.
 
     Entry i counts the points cut out by i generic affine forms on the
-    point factor and n-i on the dual factor.  ``method="conormal"`` cuts
-    the explicit saturated conormal ideal by the same forms instead of the
-    multiplier presentation; both agree and the latter is much faster.
+    point factor and n-i on the dual factor.
     """
     d, n = spec.dimension, spec.n
     values = []
     for i in range(d + 1):
         values.append(
             agreed_value(
-                _bidegree_computation(spec, i, method),
+                _bidegree_computation(spec, i),
                 derive_seed(seed, 11 + i),
                 spec.primes,
                 policy,
@@ -299,18 +291,11 @@ def bidegrees(
     return _counting_vector("bidegree", values, d, n)
 
 
-def _bidegree_computation(spec: VarietySpec, i: int, method: str):
+def _bidegree_computation(spec: VarietySpec, i: int):
     n = spec.n
-    if method not in ("multiplier", "conormal"):
-        raise ValueError(f"unknown bidegree method {method!r}")
 
     def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        if method == "multiplier":
-            system = multiplier_system(spec, residue_ring(primes))
-        else:
-            system = _explicit_system(
-                affine_conormal_ideal(spec, residue_ring(primes), derive_seed(child, 1)), n
-            )
+        system = multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         point_forms = _draw_base_forms(stream, n, i, None)
         dual_forms = [(stream.coefficients(n), stream.integer()) for _ in range(n - i)]
@@ -346,10 +331,7 @@ def variety_degree(
 
 
 def polar_degrees(
-    spec: VarietySpec,
-    seed: int = 0,
-    policy: AgreementPolicy = DEFAULT_POLICY,
-    method: str = "multiplier",
+    spec: VarietySpec, seed: int = 0, policy: AgreementPolicy = DEFAULT_POLICY
 ) -> DegreeVector:
     """Slice counts of the conormal variety of the projective closure.
 
@@ -362,7 +344,7 @@ def polar_degrees(
     for i in range(d + 1):
         values.append(
             agreed_value(
-                _polar_computation(spec, i, method),
+                _polar_computation(spec, i),
                 derive_seed(seed, 131 + i),
                 spec.primes,
                 policy,
@@ -372,18 +354,11 @@ def polar_degrees(
     return _counting_vector("polar", values, d, n)
 
 
-def _polar_computation(spec: VarietySpec, i: int, method: str):
+def _polar_computation(spec: VarietySpec, i: int):
     n, nb = spec.n, spec.n + 1
-    if method not in ("multiplier", "conormal"):
-        raise ValueError(f"unknown polar method {method!r}")
 
     def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        if method == "multiplier":
-            system = projective_multiplier_system(spec, residue_ring(primes))
-        else:
-            system = _explicit_system(
-                projective_conormal_ideal(spec, residue_ring(primes), derive_seed(child, 1)), nb
-            )
+        system = projective_multiplier_system(spec, residue_ring(primes))
         stream = SeedStream(child)
         chart = _draw_base_forms(stream, nb, 1, 1)
         # A generic hyperplane of the point factor, written in the chart,

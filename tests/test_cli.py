@@ -632,7 +632,7 @@ class TestFailures:
         code, out, err = run_cli(capsys, "lodeg", data_path("sphere.json"), "--budget-secs", value)
         assert code == EXIT_INPUT
         assert out == ""
-        assert err.startswith("input error: --budget-secs must be a positive number of seconds")
+        assert err.startswith("input error: budget must be a positive number of seconds")
         assert err.count("\n") == 1
 
     def test_budget_exhausted(self, capsys):

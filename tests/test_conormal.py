@@ -19,7 +19,6 @@ from lodeg.conormal import (
     solve_forms,
 )
 from lodeg.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension, normal_form
-from lodeg.invariants import polar_degrees
 from lodeg.poly import (
     GREVLEX,
     LEX,
@@ -28,7 +27,6 @@ from lodeg.poly import (
     DegreeLimitExceeded,
     PolyRing,
     PrimeField,
-    ResidueRing,
     SplitModulus,
     block_order,
     residue_ring,
@@ -247,15 +245,6 @@ class TestMultiplierSystem:
         system = multiplier_system(sphere, DEFAULT_PRIMES[0])
         assert restrict_base(system, []) is system
 
-    def test_explicit_ideal_as_a_system(self, sphere):
-        # The dual variables are the multipliers and the covector.
-        gb = affine_conormal_ideal(sphere, DEFAULT_PRIMES[0])
-        system = conormal._explicit_system(gb, 3)
-        assert system.equations == gb.basis
-        assert system.multiplier_count == 3
-        assert system.covector == tuple(gb.ring.gen(k) for k in range(3, 6))
-        assert system.excess == 0
-
     def test_restrict_base_width_check(self, sphere):
         system = multiplier_system(sphere, DEFAULT_PRIMES[0])
         with pytest.raises(ValueError):
@@ -346,15 +335,22 @@ class TestRestrictBase:
 
 class TestConormalIdeals:
     def test_affine_sphere(self, sphere):
+        # The closure in P^3 x P^3: a homogenizing variable, the point
+        # coordinates, the dual ones and the dual side's fresh variable.
         cono = affine_conormal_ideal(sphere)
-        assert cono.ring.variables[:3] == sphere.ring.variables
-        assert cono.ring.nvars == 6
+        assert cono.ring.variables == ("h0",) + sphere.ring.variables + ("u0", "u1", "u2", "h1")
         assert cono.ring.field_.p == DEFAULT_PRIMES[0]
+        assert krull_dimension(cono) == 5
+        for g in cono.basis:
+            bidegrees = {(sum(m[:4]), sum(m[4:])) for m in g.as_dict()}
+            assert len(bidegrees) == 1
         # The dual direction is parallel to the gradient, so the 2x2
         # cross terms between the point and the dual must vanish.
         gb = buchberger(Ideal.of(cono.ring, list(cono.basis)))
         cross = cono.ring.parse("x1*u1 - x2*u0")
         assert normal_form(cross, gb).is_zero()
+        # The sphere's equation, homogenized on the point side.
+        assert normal_form(cono.ring.parse("x1^2 + x2^2 + x3^2 - 100*h0^2"), gb).is_zero()
 
     def test_projective_sphere(self, sphere):
         cono = projective_conormal_ideal(sphere)
@@ -395,19 +391,3 @@ class TestConormalIdeals:
             projective_conormal_ideal(sphere)
         with pytest.raises(SplitModulus, match="not bihomogeneous"):
             projective_conormal_ideal(sphere, residue_ring(DEFAULT_PRIMES))
-
-    def test_mixed_saturation_over_a_residue_ring_reruns_each_prime(self, sphere, monkeypatch):
-        # The check fails only over a residue ring: the grid's split
-        # fallback recounts one prime at a time, and the counts stand.
-        real = conormal._is_bihomogeneous
-        splits = []
-
-        def mixed_mod_n(poly, split):
-            if isinstance(poly.ring.field_, ResidueRing):
-                splits.append(poly.ring.field_)
-                return False
-            return real(poly, split)
-
-        monkeypatch.setattr(conormal, "_is_bihomogeneous", mixed_mod_n)
-        assert polar_degrees(sphere, method="conormal").values == (2, 2, 2)
-        assert splits

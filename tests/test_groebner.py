@@ -17,6 +17,7 @@ from lodeg.groebner import (
     count_points,
     eliminate,
     krull_dimension,
+    multidegree,
     multiplication_matrix,
     normal_form,
     quotient_basis,
@@ -29,6 +30,7 @@ from lodeg.poly import (
     LEX,
     MAX_EXPONENT,
     PACK_LIMIT,
+    InputError,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -131,6 +133,15 @@ class TestBuchberger:
                 buchberger(self.cyclic4())
             assert in_force() == 30.0
         assert in_force() == groebner.DEFAULT_BUDGET_SECS
+
+    @pytest.mark.parametrize("secs", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_budget_must_be_a_positive_number_of_seconds(self, secs):
+        # NaN and infinity never run out; zero and negative budgets run out
+        # at once.  The refused budget is not put in force.
+        with pytest.raises(InputError, match="budget must be a positive number of seconds"):
+            with budget(secs):
+                pass
+        assert groebner._Deadline("probe").budget == groebner.DEFAULT_BUDGET_SECS
 
 
 def _plain_remainder(f, basis, key, p):
@@ -638,6 +649,70 @@ class TestDimension:
     def test_line_in_three_space(self):
         r = qring("x", "y", "z")
         assert krull_dimension(Ideal.of(r, [r.parse("x"), r.parse("y")])) == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_minimum_covers_against_every_subset(self, seed):
+        # Random monomial ideals in 6 variables: the search lists each
+        # smallest set of variables meeting every support exactly once.
+        rng = random.Random(seed)
+        r = qring(*(f"x{i}" for i in range(6)))
+        monos = [
+            tuple(rng.choice((0, 0, 1, 2)) for _ in range(6)) for _ in range(rng.randint(1, 5))
+        ]
+        monos = [m for m in monos if any(m)] or [(1, 0, 0, 0, 0, 0)]
+        gb = GroebnerBasis(r, tuple(r.from_terms([(m, 1)]) for m in monos))
+        supports = [{i for i, e in enumerate(m) if e} for m in monos]
+        found = groebner._minimum_covers(gb)
+        for size in range(7):
+            every = [
+                frozenset(c) for c in itertools.combinations(range(6), size)
+                if all(s & set(c) for s in supports)
+            ]
+            if every:
+                break
+        assert sorted(found, key=sorted) == sorted(every, key=sorted)
+        assert krull_dimension(gb) == 6 - size
+
+
+class TestMultidegree:
+    """Bigraded multidegrees, ``(a, b)`` standing for ``s^a t^b``, of ideals
+    in P^1 x P^1 and P^2 x P^2, each worked out by hand."""
+
+    @staticmethod
+    def p1p1(*gens):
+        r = qring("x0", "x1", "y0", "y1")
+        return buchberger(Ideal.of(r, [r.parse(g) for g in gens]))
+
+    def test_hypersurface_of_bidegree_2_3(self):
+        # A form of bidegree (a, b) has class a*s + b*t: each minimal prime
+        # of its leading term x0^2*y0^3 counts with its exponent.
+        gb = self.p1p1("x0^2*y0^3 + x1^2*y1^3")
+        assert multidegree(gb, 2) == {(1, 0): 2, (0, 1): 3}
+
+    def test_diagonal(self):
+        assert multidegree(self.p1p1("x0*y1 - x1*y0"), 2) == {(1, 0): 1, (0, 1): 1}
+
+    def test_point(self):
+        assert multidegree(self.p1p1("x1", "y1"), 2) == {(1, 1): 1}
+
+    def test_zero_and_unit(self):
+        r = qring("x0", "x1", "y0", "y1")
+        assert multidegree(GroebnerBasis(r, ()), 2) == {(0, 0): 1}
+        assert multidegree(self.p1p1("1"), 2) == {}
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(3)], ids=["grevlex", "lex", "block"])
+    def test_complete_intersection_in_every_order(self, order):
+        # Forms of bidegrees (1, 1) and (2, 1) meet in the class
+        # (s + t)(2s + t) = 2s^2 + 3st + t^2, whatever leading terms the
+        # order picks.
+        r = fring("x0", "x1", "x2", "y0", "y1", "y2")
+        forms = ["x0*y0 + 2*x1*y1 + 3*x2*y2 + 5*x0*y1", "x0^2*y2 + 7*x1^2*y0 + 11*x2^2*y1 + 13*x0*x1*y1"]
+        gb = buchberger(Ideal.of(r, [r.parse(f) for f in forms]), order=order)
+        assert multidegree(gb, 3) == {(2, 0): 2, (1, 1): 3, (0, 2): 1}
+
+    def test_refuses_a_basis_that_is_not_bihomogeneous(self):
+        with pytest.raises(ValueError, match="not bihomogeneous"):
+            multidegree(self.p1p1("x0*y0 - x1"), 2)
 
 
 class TestEliminateAndSaturate:

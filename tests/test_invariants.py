@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,9 @@ from lodeg import conormal, invariants
 from lodeg.conormal import (
     DegenerateSlice,
     VarietySpec,
+    affine_conormal_ideal,
     multiplier_system,
+    projective_conormal_ideal,
     projective_multiplier_system,
     slice_variety,
 )
@@ -27,7 +30,7 @@ from lodeg.invariants import (
     variety_degree,
     verify_identities,
 )
-from lodeg.groebner import Ideal, buchberger, budget, quotient_basis
+from lodeg.groebner import Ideal, buchberger, budget, multidegree, quotient_basis
 from lodeg.poly import QQ, InputError, PrimeField, ResidueRing, SplitModulus, fresh_name, residue_ring
 from lodeg.randomness import DEFAULT_PRIMES, SeedStream, derive_seed
 
@@ -37,13 +40,55 @@ def origin():
     return VarietySpec.define(("x1", "x2"), ["x1", "x2"])
 
 
+@functools.cache
+def _spec(name):
+    """The input ``name``, built once for the module."""
+    if name == "twisted_cubic":
+        # Three generators for a codimension-2 curve: one multiplier is excess.
+        return VarietySpec.define(("x", "y", "z"), ["y - x^2", "z - x*y", "x*z - y^2"])
+    return load_spec(f"{name}.json")
+
+
+# Both vectors, (bidegrees, polar), of every golden input but det3 (see
+# ``test_det3_multidegrees``) and of twisted_cubic.
+VECTORS = {
+    "sphere": ((2, 2, 2), (2, 2, 2)),
+    "affine_cubic": ((2, 4, 3), (4, 6, 3)),
+    "cubic_binomial": ((1, 4, 5, 3), (3, 6, 6, 3)),
+    "space_curve": ((6, 4), (8, 4)),
+    "quadric_cone": ((0, 2, 2), (0, 2, 2)),
+    "twisted_cubic_cone": ((0, 4, 3), (0, 4, 3)),
+    "rank1_2x3": ((0, 0, 3, 4, 3), (0, 0, 3, 4, 3)),
+    "sym3": ((0, 0, 0, 4, 6, 3), (0, 0, 0, 4, 6, 3)),
+    "twisted_cubic": ((2, 3), (4, 3)),
+}
+
+
+@functools.cache
+def _counted(vector, name):
+    """``vector`` (``bidegrees`` or ``polar_degrees``) of the input
+    ``name``, counted once for the module."""
+    return vector(_spec(name))
+
+
+@functools.cache
+def _read_off(build, name):
+    """The vector read off the multidegree of the explicit conormal ideal
+    ``build`` makes of the input ``name``, over the residue ring of its
+    primes: entry i is the coefficient whose point-side exponent is n - i.
+    Every coefficient falls at some entry."""
+    spec = _spec(name)
+    n, d = spec.n, spec.dimension
+    degrees = multidegree(build(spec, residue_ring(spec.primes)), n + 1)
+    by_point = {a: c for (a, _), c in degrees.items()}
+    assert len(by_point) == len(degrees)
+    assert set(by_point) <= {n - i for i in range(d + 1)}
+    return tuple(by_point.get(n - i, 0) for i in range(d + 1))
+
+
 @pytest.fixture(scope="module")
 def twisted_cubic():
-    # Three generators for a codimension-2 curve: one multiplier is excess.
-    return VarietySpec.define(
-        ("x", "y", "z"),
-        ["y - x^2", "z - x*y", "x*z - y^2"],
-    )
+    return _spec("twisted_cubic")
 
 
 @pytest.fixture(scope="module")
@@ -187,38 +232,29 @@ class TestBidegrees:
     def test_redundant_generators(self, twisted_cubic):
         assert bidegrees(twisted_cubic).values == (2, 3)
 
-    def test_conormal_method_agrees(self, sphere):
-        assert bidegrees(sphere, method="conormal").values == (2, 2, 2)
 
-    def test_unknown_method(self, sphere):
-        with pytest.raises(ValueError):
-            bidegrees(sphere, method="sorcery")
-
-
-class TestOneSlicePath:
-    """For one child seed, ``_slice_count`` receives the same point and dual
-    forms whichever presentation ``method`` builds: the explicit ideal is
-    cut by the multiplier route's own draws."""
+class TestSliceForms:
+    """At codimension i, ``_slice_count`` cuts the multiplier system by i
+    point forms, after one chart form on the closure, and by n - i forms
+    on the dual coordinates."""
 
     @pytest.mark.parametrize("i", range(3))
     @pytest.mark.parametrize(
         "computation", [invariants._bidegree_computation, invariants._polar_computation]
     )
-    def test_methods_share_the_forms(self, sphere, computation, i, monkeypatch):
-        seen = {}
-        for method in ("multiplier", "conormal"):
-            def recorded(system, point_forms, dual_forms, stream, count_seed):
-                seen[method] = (system, point_forms, dual_forms, count_seed)
-                return {}
+    def test_forms_per_codimension(self, sphere, computation, i, monkeypatch):
+        seen = []
 
-            monkeypatch.setattr(invariants, "_slice_count", recorded)
-            computation(sphere, i, method)(derive_seed(4, i), (DEFAULT_PRIMES[0],))
-        by_multiplier, by_conormal = seen["multiplier"], seen["conormal"]
-        assert by_multiplier[1:] == by_conormal[1:]
-        assert len(by_multiplier[1]) == i + (computation is invariants._polar_computation)
-        # One multiplier against one dual variable per coordinate.
-        assert by_multiplier[0].multiplier_count == 1
-        assert by_conormal[0].multiplier_count == by_conormal[0].base_count
+        def recorded(system, point_forms, dual_forms, stream, count_seed):
+            seen.append((system, point_forms, dual_forms))
+            return {}
+
+        monkeypatch.setattr(invariants, "_slice_count", recorded)
+        computation(sphere, i)(derive_seed(4, i), (DEFAULT_PRIMES[0],))
+        ((system, point_forms, dual_forms),) = seen
+        assert len(point_forms) == i + (computation is invariants._polar_computation)
+        assert len(dual_forms) == 3 - i
+        assert system.multiplier_count == 1
 
 
 class TestHandDerivedEntries:
@@ -241,12 +277,12 @@ class TestHandDerivedEntries:
     @pytest.fixture(scope="class")
     def sym3(self):
         # [[a, b, c], [b, d, e], [c, e, f]]: n = 6, X of dimension 5.
-        return bidegrees(load_spec("sym3.json")).values
+        return _counted(bidegrees, "sym3").values
 
     @pytest.fixture(scope="class")
     def rank1_2x3(self):
         # [[a, b, c], [d, e, f]] of rank at most 1: n = 6, X of dimension 4.
-        return bidegrees(load_spec("rank1_2x3.json")).values
+        return _counted(bidegrees, "rank1_2x3").values
 
     def test_sym3_degree(self, sym3):
         """b_5 is the number of points X cuts on a generic affine line in
@@ -285,6 +321,98 @@ class TestHandDerivedEntries:
         an affine cone of dimension e = 4.  So b_2 = 3, and b_0 = b_1 = 0."""
         assert rank1_2x3[2] == 3
         assert rank1_2x3[:2] == (0, 0)
+
+    @pytest.mark.parametrize("build", [affine_conormal_ideal, projective_conormal_ideal])
+    def test_det3_multidegrees(self, build):
+        """det3 is the 3x3 determinant: n = 9, X of dimension 8, and P(X) a
+        cubic hypersurface in P^8 singular along the rank-1 matrices, the
+        Segre P^2 x P^2, of dimension 4 and degree C(4, 2) = 6.
+
+        - b_8 = 3, the degree of the determinant.
+        - The dual of rank at most 2 is rank at most 1 (Gelfand, Kapranov,
+          Zelevinsky, ch. 1): the Segre P^2 x P^2, whose affine cone has
+          dimension e = 5.  So b_4 = 6, and b_0 = ... = b_3 = 0.
+        - At i = 7, 6, 5 the section is a cubic hypersurface in P^k,
+          k = 9 - i, whose class is D(D - 1)^(k - 1) less 2 per ordinary
+          node.  A generic P^2 or P^3 misses the Segre variety, so b_7 =
+          3 * 2 = 6 and b_6 = 3 * 4 = 12.  A generic P^4 meets it in its 6
+          points, each an ordinary node (across the rank-1 locus the
+          determinant is a 2x2 determinant, a quadric of rank 4): b_5 =
+          3 * 8 - 2 * 6 = 12.
+
+        X is a cone, so every hyperplane tangent to its closure passes
+        through the vertex, the origin, and the hyperplane at infinity is
+        not in the dual variety: the polar vector equals the affine one
+        (the dichotomy ``verify`` checks).  Neither vector is counted here:
+        both are read off one reduced basis of the explicit conormal ideal,
+        with no multiplier system.
+        """
+        assert _read_off(build, "det3") == (0, 0, 0, 0, 6, 12, 12, 6, 3)
+
+
+class TestMultidegree:
+    """Both vectors of each input of ``VECTORS``, counted on the multiplier
+    systems and read off the multidegree of one reduced basis of the
+    explicit conormal ideal, against their pinned values.  The two routes
+    share no slicing and no count.  det3's multidegrees are pinned by
+    ``test_det3_multidegrees``, and its counts by acceptance 6 and its
+    report snapshots, so they are not counted a third time here."""
+
+    @pytest.mark.parametrize(
+        "vector, build, name",
+        [
+            pytest.param(vector, build, name, id=f"{vector.__name__}-{name}")
+            for vector, build in [
+                (bidegrees, affine_conormal_ideal),
+                (polar_degrees, projective_conormal_ideal),
+            ]
+            for name in VECTORS
+        ],
+    )
+    def test_routes_agree(self, vector, build, name):
+        pinned = VECTORS[name][vector is polar_degrees]
+        assert _read_off(build, name) == _counted(vector, name).values == pinned
+
+
+class TestEulerOracles:
+    """Euler characteristics and obstructions derived by hand, against the
+    Chern-Mather entry a_0, which is the alternating sum of the bidegrees."""
+
+    @pytest.mark.parametrize(
+        "name, euler", [("sphere", 2), ("affine_cubic", 1), ("space_curve", -2)]
+    )
+    def test_chern_mather_a0_is_the_euler_characteristic(self, name, euler):
+        """For a smooth X the Chern-Mather class is the
+        Chern-Schwartz-MacPherson class, so a_0 = chi(X).
+
+        - sphere, x1^2 + x2^2 + x3^2 = 100: its closure is a smooth quadric
+          surface in P^3 (chi = 4) less the smooth conic at infinity
+          (chi = 2), so chi = 2.
+        - affine_cubic, 1 + x1 + x2^2 + x3^3 = 0: the graph of x1 over the
+          (x2, x3) plane, so X is C^2 and chi = 1.
+        - space_curve, x^2 + y^2 + z^2 = 1 and y = x^2: its closure is the
+          intersection of two quadrics whose pencil has determinant
+          (s - t) * s * (-s^2 - t^2/4), with 4 distinct roots, so it is a
+          smooth curve of genus 1 (chi = 0).  At infinity x = 0 and
+          y^2 + z^2 = 0: 2 points, so chi = -2.
+        """
+        assert chern_mather_from_bidegrees(_counted(bidegrees, name)).values[0] == euler
+
+    @pytest.mark.parametrize(
+        "name, euler", [("quadric_cone", 0), ("twisted_cubic_cone", -1), ("rank1_2x3", 2)]
+    )
+    def test_euler_obstruction_of_a_cone(self, name, euler):
+        """For the cone over a smooth projective V with hyperplane class h,
+        Eu(0) = the integral over V of c(TV) (1 + h)^(-1)
+        (Gonzalez-Sprinberg, "L'obstruction locale d'Euler et le theoreme
+        de MacPherson", 1981); for a curve, chi(V) - deg V.
+
+        - quadric_cone, over a conic: 2 - 2 = 0.
+        - twisted_cubic_cone, over the twisted cubic: 2 - 3 = -1.
+        - rank1_2x3, over P^1 x P^2 with c(TV) = (1 + a)^2 (1 + b)^3 and
+          h = a + b: c_3 - c_2 h + c_1 h^2 - h^3 = 6 - 9 + 8 - 3 = 2.
+        """
+        assert _counted(bidegrees, name).alternating_sum() == euler
 
 
 class TestSectional:
@@ -335,36 +463,6 @@ class TestPolar:
     def test_hyperplane(self):
         plane = VarietySpec.define(("x1", "x2", "x3"), ["x3"])
         assert polar_degrees(plane).values == (0, 0, 1)
-
-    def test_conormal_method_agrees(self, sphere):
-        assert polar_degrees(sphere, method="conormal").values == (2, 2, 2)
-
-
-class TestConormalMethodBeyondTheSphere:
-    """The explicit conormal ideals against the multiplier counts on a
-    hypersurface in more variables, on two curves of codimension 2 and on a
-    surface of codimension 2; the curve twisted_cubic and the surface
-    twisted_cubic_cone have an excess multiplier."""
-
-    @pytest.mark.parametrize(
-        "vector, name, values",
-        [
-            pytest.param(vector, name, values, id=f"{vector.__name__}-{name}")
-            for vector, name, values in [
-                (bidegrees, "affine_cubic", (2, 4, 3)),
-                (bidegrees, "space_curve", (6, 4)),
-                (bidegrees, "twisted_cubic", (2, 3)),
-                (polar_degrees, "affine_cubic", (4, 6, 3)),
-                (polar_degrees, "space_curve", (8, 4)),
-                (polar_degrees, "twisted_cubic", (4, 3)),
-                (bidegrees, "twisted_cubic_cone", (0, 4, 3)),
-                (polar_degrees, "twisted_cubic_cone", (0, 4, 3)),
-            ]
-        ],
-    )
-    def test_conormal_method_agrees(self, vector, name, values, request):
-        spec = request.getfixturevalue(name)
-        assert vector(spec).values == vector(spec, method="conormal").values == values
 
 
 class TestDualAtInfinity:

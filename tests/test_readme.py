@@ -13,3 +13,4 @@ def test_library_example_runs():
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["b"].values == (2, 2, 2)
     assert namespace["sphere"].primes == (2147483647, 2147483629)
+    assert namespace["m"] == {(3, 0): 2, (2, 1): 2, (1, 2): 2}
