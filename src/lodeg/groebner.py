@@ -76,6 +76,17 @@ finished basis travel inside its :class:`GroebnerBasis`, so
 :func:`normal_form`, :func:`quotient_basis` and
 :func:`multiplication_matrix` reduce with them.
 
+A regular reduction of the signature loop (see "The loop") reduces by the
+earlier basis ``G`` and by the elements of its own index, but by the own
+elements only until the first term goes to the remainder; the terms after
+it are reduced by ``G`` alone.  Up to that term the run is the full
+regular reduction's, so the result has its leading monomial, leading
+coefficient and signature, which are all that the criteria read.  Its
+tail may keep terms that own elements would reduce; the inter-reduction
+at the end of the index reduces every added element fully, so the reduced
+basis is the same.  ``G`` still reduces the tail: tails reduced by nothing
+grow, and every later reduction by the element pays for them.
+
 Every list that a divisor is searched in is kept by increasing packed
 monomial: the reducers, the own elements of an index, the leading
 monomials of the earlier basis, the signatures of the criteria.  Packing
@@ -123,9 +134,10 @@ dropped when its signature ``u`` is
 
 A popped pair is reduced regularly: a reducer from ``G`` always applies,
 an element ``g`` of index ``i`` only as ``t*g`` with ``t*sig(g) < u``, so
-the result keeps the signature ``u``.  Every nonzero result joins the
-basis, including one whose leading term only a same-signature multiple
-could reduce (singular top-reducible): discarding those under add-order
+the result keeps the signature ``u``, and only while no term has gone to
+the remainder (see "Reduction").  Every nonzero result joins the basis,
+including one whose leading term only a same-signature multiple could
+reduce (singular top-reducible): discarding those under add-order
 rewriting can lose a needed element.  When the queue is empty, the elements
 and ``G`` are minimalized and inter-reduced into the next ``G``.
 
@@ -164,6 +176,22 @@ below).  So :func:`saturate` lifts such a basis into the ``t`` ring and
 runs only the index of ``t*g - 1``, and :func:`saturate_by_ideal` computes
 the basis once for both of its draws.  Each draw reduces the S-pairs it
 would reduce after the prefix, so every basis is the same.
+
+Into the ``t`` ring and out of it, a polynomial moves by a shift of its
+packed terms (see "Packed monomials"), with no exponent tuple.  Take
+``block_order(k)`` on ``k + n`` variables and a monomial ``m`` free of the
+first ``k``.  Its exponent digits ``0 .. k-1`` are zero, and the other
+``n`` sit at digits ``k .. k+n-1``.  The weight rows of the first block
+are the top ``k`` digits, zero; those of the second block, a grevlex block
+of the other variables, sit at digits ``k+n .. k+2n-1``.  The grevlex ring
+of those ``n`` variables keeps the same exponents at digits ``0 .. n-1``
+and the same rows at ``n .. 2n-1``.  So every digit is ``k`` places up:
+the packing of ``m`` is its grevlex packing shifted left by
+``k*PACK_DIGIT_BITS``.  With ``k = 1`` that lifts a ``t``-free grevlex
+polynomial into the ring of ``(t, x)``; shifted right, the elements of an
+eliminating basis that are free of the block (their low ``k`` digits are
+zero) return to the grevlex ring of the rest.  A shift keeps the order of
+the terms, and each digit's value, so the width guard holds as before.
 
 Several primes at once
 ----------------------
@@ -218,6 +246,10 @@ value, is harmless, or raises ``SplitModulus`` itself:
   :func:`multiplication_matrix` cross the same test; they end in a
   remainder, never a reducer, so nothing is inverted and a coefficient
   zero mod ``p_i`` only stays in the table as a zero mod ``p_i``.
+  ``if not out`` stops the own elements of an index once a term has gone
+  to the remainder.  That first term is the remainder's leading term: if
+  it is zero mod ``p_i`` only, the remainder splits when it joins the
+  basis, and otherwise the run mod ``p_i`` takes the same branch.
 - ``conormal.restrict_base`` drops a vanishing equation, and
   ``conormal._rank_minors`` a vanishing minor, through
   ``Polynomial.vanishes``, which raises for one that vanishes mod some
@@ -446,7 +478,9 @@ def _reduce_full(
 
     There ``reducers`` (the earlier inputs' basis) always reduce, and an
     element ``(lm, tail, s)`` of ``own`` reduces ``m`` only if ``(m - lm) +
-    s < sig``, keeping the signature.
+    s < sig``, keeping the signature, and only while no term has gone to
+    the remainder: the leading term is the full regular reduction's, and
+    the tail is reduced by ``reducers`` alone (see "Reduction").
     """
     guard, over = pk.guard, pk.over
     work = dict(target)
@@ -473,12 +507,13 @@ def _reduce_full(
                 tail = t
                 break
         if tail is None:
-            for lm, t, s in own:
-                if lm > m:
-                    break
-                if (guarded - lm) & guard == guard and m - lm + s < sig:
-                    tail = t
-                    break
+            if not out:
+                for lm, t, s in own:
+                    if lm > m:
+                        break
+                    if (guarded - lm) & guard == guard and m - lm + s < sig:
+                        tail = t
+                        break
             if tail is None:
                 out[m] = c
                 continue
@@ -515,7 +550,10 @@ def _reduced_basis(
     An element of ``old`` that stays in the minimal basis keeps its tail
     unless a new leading monomial that stays divides one of its terms.  That
     is exact: the tail is irreducible by the old leading monomials, and a
-    normal form modulo the minimal basis is unique."""
+    normal form modulo the minimal basis is unique.  Every element of
+    ``added`` that stays has its tail reduced here in full: the signature
+    loop reduced it by ``old`` alone, and its own index may divide its
+    terms (see "Reduction")."""
     guard = pk.guard
     # Minimalize: drop members whose leading monomial another one divides.
     minimal: list[tuple[int, tuple]] = []
@@ -806,29 +844,36 @@ def eliminate(ideal: Ideal, k: int) -> GroebnerBasis:
 
 def _eliminated(gb: GroebnerBasis, k: int, order) -> GroebnerBasis:
     """The elements of ``gb`` (under ``block_order(k)``) free of the first
-    ``k`` variables, as a reduced basis under ``order``.  The second block
-    is grevlex, so only another order recomputes it."""
-    small = PolyRing(tuple(gb.ring.variables[k:]), gb.ring.field_, order)
+    ``k`` variables, as a reduced basis under ``order``.
+
+    Such an element's terms enter the grevlex ring of the other variables
+    by a right shift of ``k`` digits (see "Saturation"), so the test and
+    the move read packed ints alone.  The second block is grevlex, so only
+    another order recomputes the basis."""
+    small = PolyRing(tuple(gb.ring.variables[k:]), gb.ring.field_, GREVLEX)
+    shift = k * PACK_DIGIT_BITS
+    block = (1 << shift) - 1  # the exponent digits of the first k variables
     kept = []
     for g in gb.basis:
-        if any(g.leading_monomial()[:k]):
+        if g.terms[0][0] & block:
             continue
         # Under a block order a leading monomial free of the eliminated
         # block forces the whole polynomial to be free of it.
-        terms = g.as_dict()
-        if any(any(m[:k]) for m in terms):
+        if any(m & block for m, _ in g.terms):
             raise RuntimeError(f"eliminated variables left in {g}")
-        kept.append(small.from_terms((m[k:], c) for m, c in terms.items()))
+        kept.append(Polynomial(small, tuple((m >> shift, c) for m, c in g.terms)))
     if isinstance(order, Grevlex):
         return GroebnerBasis(small, tuple(kept))
-    return buchberger(Ideal.of(small, kept))
+    return buchberger(Ideal.of(small, kept), order=order)
 
 
 def saturate(source: Ideal | GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     """Saturation of an ideal, or of the ideal of a reduced basis, by ``g``
     (see "Saturation"), as a reduced Groebner basis in the original ring
     and order.  A basis over a grevlex ring is the prefix as it stands; any
-    other source is first computed into its reduced grevlex basis."""
+    other source is first computed into its reduced grevlex basis, and
+    ``g`` is moved to grevlex too.  Both enter the ``t`` ring by a shift of
+    their packed terms, one digit up."""
     ring = source.ring
     if g.ring != ring:
         raise ValueError("saturating polynomial lives in a different ring")
@@ -841,10 +886,12 @@ def saturate(source: Ideal | GroebnerBasis, g: Polynomial) -> GroebnerBasis:
     big = PolyRing((tname,) + ring.variables, ring.field_, block_order(1))
 
     def lift(p: Polynomial) -> Polynomial:
-        return big.from_terms(((0,) + m, c) for m, c in p.as_dict().items())
+        # A t-free monomial of the t ring is its grevlex packing one digit up.
+        return Polynomial(big, tuple((m << PACK_DIGIT_BITS, c) for m, c in p.terms))
 
     lifted = tuple(lift(p) for p in source.basis)
-    polys = [dict(p.terms) for p in lifted + (big.gen(0) * lift(g) - big.one(),)]
+    rabinowitsch = big.gen(0) * lift(g.to_ring(source.ring)) - big.one()
+    polys = [dict(p.terms) for p in lifted + (rabinowitsch,)]
     deadline = _Deadline("buchberger")
     prefix = GroebnerBasis(big, lifted).reducers()  # prepared in the t ring
     reduced = _signature_basis(polys[-1:], big.packing, *_field_ops(big), deadline, prefix)

@@ -29,6 +29,7 @@ from lodeg.poly import (
     GREVLEX,
     LEX,
     MAX_EXPONENT,
+    PACK_DIGIT_BITS,
     PACK_LIMIT,
     InputError,
     PolyRing,
@@ -144,29 +145,70 @@ class TestBuchberger:
         assert groebner._Deadline("probe").budget == groebner.DEFAULT_BUDGET_SECS
 
 
-def _plain_remainder(f, basis, key, p):
-    """Textbook division mod p: cancel the largest term some leading
-    monomial divides, keep the others; basis elements are term dicts."""
-    heads = [(max(g, key=key), g) for g in basis]
+def _plain_division(f, pick, key, p):
+    """Textbook division mod p of the term dict ``f``: its largest term
+    ``m`` is cancelled by the term dict ``pick(m, rem)`` or, when that is
+    None, goes to the remainder ``rem``."""
     f = dict(f)
     rem = {}
     while f:
         m = max(f, key=key)
         c = f.pop(m)
-        for lm, g in heads:
-            if all(a <= b for a, b in zip(lm, m)):
-                factor = c * pow(g[lm], -1, p) % p
-                shift = tuple(a - b for a, b in zip(m, lm))
-                for gm, gc in g.items():
-                    if gm != lm:
-                        mm = tuple(a + b for a, b in zip(shift, gm))
-                        f[mm] = (f.get(mm, 0) - factor * gc) % p
-                        if not f[mm]:
-                            del f[mm]
-                break
-        else:
+        g = pick(m, rem)
+        if g is None:
             rem[m] = c
+            continue
+        lm = max(g, key=key)
+        factor = c * pow(g[lm], -1, p) % p
+        shift = tuple(a - b for a, b in zip(m, lm))
+        for gm, gc in g.items():
+            if gm != lm:
+                mm = tuple(a + b for a, b in zip(shift, gm))
+                f[mm] = (f.get(mm, 0) - factor * gc) % p
+                if not f[mm]:
+                    del f[mm]
     return rem
+
+
+def _first_divisor(m, heads):
+    return next((g for lm, g in heads if mono_divides(lm, m)), None)
+
+
+def _plain_remainder(f, basis, key, p, top=()):
+    """Division by the first element of ``basis`` whose leading monomial
+    divides a term; the elements of ``top`` divide too, after those of
+    ``basis``, but only while no term has gone to the remainder."""
+    heads = [(max(g, key=key), g) for g in basis]
+    top_heads = [(max(g, key=key), g) for g in top]
+
+    def pick(m, rem):
+        g = _first_divisor(m, heads)
+        return _first_divisor(m, top_heads) if g is None and not rem else g
+
+    return _plain_division(f, pick, key, p)
+
+
+def _plain_regular_remainder(f, basis, own, sig, key, p):
+    """The full regular normal form below the signature ``sig``: an element
+    of ``basis`` divides every term, an element ``(g, s)`` of ``own``, of
+    signature ``s``, divides a term ``m`` only while ``(m / lm(g)) * s``
+    lies below ``sig``."""
+    heads = [(max(g, key=key), g) for g in basis]
+    own_heads = [(max(g, key=key), g, s) for g, s in own]
+
+    def pick(m, rem):
+        g = _first_divisor(m, heads)
+        if g is None:
+            regular = (
+                h
+                for lm, h, s in own_heads
+                if mono_divides(lm, m)
+                and key(tuple(a - b + c for a, b, c in zip(m, lm, s))) < key(sig)
+            )
+            g = next(regular, None)
+        return g
+
+    return _plain_division(f, pick, key, p)
 
 
 def _plain_spoly(f, g, key, p):
@@ -277,7 +319,9 @@ class TestReducerAgainstPlainDivision:
     def test_own_elements_sharing_a_leading_monomial(self, order):
         # Of two own elements with one leading monomial, only the one of
         # signature 1 may reduce below the signature x^5: the scan must pass
-        # over the other, in either order, to the divisor after it.
+        # over the other, in either order, to the divisor after it.  Own
+        # elements reduce only until the first term goes to the remainder;
+        # the terms after it are reduced by the earlier basis alone.
         rng = random.Random(f"shared:{order!r}")
         ring = PolyRing(("x", "y", "z"), PrimeField(P1), order)
         key, pk = order_key(order), ring.packing
@@ -300,7 +344,7 @@ class TestReducerAgainstPlainDivision:
             allowed = groebner._reducer(dict(g.terms), normalize, invert) + (0,)
             for _ in range(4):
                 target = _random_generators(rng, ring, 1, 4, 6)[0]
-                want = _plain_remainder(target.as_dict(), earlier + [g.as_dict()], key, P1)
+                want = _plain_remainder(target.as_dict(), earlier, key, P1, [g.as_dict()])
                 for own in ([blocked, allowed], [allowed, blocked]):
                     got = groebner._reduce_full(
                         dict(target.terms), earlier_gb.reducers(), pk, normalize, None, sig, own
@@ -308,6 +352,64 @@ class TestReducerAgainstPlainDivision:
                     assert ring.from_dict(got).as_dict() == want
                 used += want != _plain_remainder(target.as_dict(), earlier, key, P1)
         assert used
+
+    @pytest.mark.parametrize("order", [GREVLEX, block_order(1)], ids=["grevlex", "block1"])
+    def test_regular_reductions_keep_their_leading_terms(self, order, monkeypatch):
+        # Own elements reduce only until the first term goes to the
+        # remainder.  Beside each regular reduction of the loop runs the
+        # full one, by plain division: own elements reduce every term they
+        # regularly can.  Both must give the same leading monomial and
+        # coefficient, so no criterion of the loop decides otherwise.
+        rng = random.Random(f"decisions:{order!r}")
+        fld = PrimeField(P1)
+        ring = PolyRing(("x", "y", "z"), fld, order)
+        t_ring = PolyRing(("t", "x", "y", "z"), fld, block_order(1))
+        # A source off grevlex enters saturation through its grevlex basis.
+        rings = [ring.with_order(GREVLEX), ring, t_ring]
+        keys = {r.packing: order_key(r.order) for r in rings}
+        real = groebner._reduce_full
+        checked = dict.fromkeys(keys, 0)
+        shorter = 0
+
+        def spy(target, reducers, pk, normalize, deadline=None, sig=0, own=()):
+            nonlocal shorter
+            out = real(target, reducers, pk, normalize, deadline, sig, own)
+            if not own:
+                return out
+            key, unpack = keys[pk], pk.unpack
+
+            def element(lm, tail):
+                return {unpack(lm): 1, **{unpack(m): -t % P1 for m, t in tail}}
+
+            full = _plain_regular_remainder(
+                {unpack(m): c % P1 for m, c in target.items() if c % P1},
+                [element(lm, tail) for lm, tail in reducers],
+                [(element(lm, tail), unpack(s)) for lm, tail, s in own],
+                unpack(sig),
+                key,
+                P1,
+            )
+            got = {unpack(m): c for m, c in out.items()}
+            assert bool(got) == bool(full)
+            if full:
+                lead = next(iter(got))
+                assert lead == max(full, key=key)
+                assert got[lead] == full[lead]
+            checked[pk] += 1
+            shorter += got != full
+            return out
+
+        monkeypatch.setattr(groebner, "_reduce_full", spy)
+        # Square ideals, then more generators than variables.
+        for count, degree in [(3, 2), (3, 2), (3, 3), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)]:
+            buchberger(Ideal.of(ring, _random_generators(rng, ring, count, degree, 4)))
+        # The index of t*g - 1 in saturation, always under block_order(1).
+        for count in (1, 2, 2, 2, 3, 3):
+            ideal = Ideal.of(ring, _random_generators(rng, ring, count, 2, 4))
+            saturate(ideal, _random_generators(rng, ring, 1, 1, 2)[0])
+        assert checked[ring.packing] > 50 and checked[t_ring.packing] > 10
+        # Some tail was left to the earlier basis alone.
+        assert shorter
 
 
 class TestTwoLoops:
@@ -595,6 +697,21 @@ class TestPackedMonomials:
                 m[b - 1] = PACK_LIMIT - 1
                 assert pk.unpack(pk.pack(tuple(m))) == tuple(m)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_free_of_the_first_block_is_grevlex_shifted_up(self, n, k):
+        # Under block_order(k), a monomial free of the first k variables
+        # packs as its grevlex packing in the other n, k digits up: with
+        # k = 1, pack((0,) + m) == pack(m) << PACK_DIGIT_BITS lifts into the
+        # t ring of saturation; the shift down leaves an elimination.
+        rng = random.Random(f"shifted:{n}:{k}")
+        small = PolyRing(tuple(f"x{i}" for i in range(n)), QQ, GREVLEX).packing
+        names = tuple(f"t{i}" for i in range(k)) + tuple(f"x{i}" for i in range(n))
+        big = PolyRing(names, QQ, block_order(k)).packing
+        for _ in range(200):
+            m = _random_monomial(rng, n, [(0, n)], PACK_LIMIT)
+            assert big.pack((0,) * k + m) == small.pack(m) << (k * PACK_DIGIT_BITS)
+
 
 class TestWidthGuard:
     """Degrees past the packed-digit bound (far below poly.MAX_EXPONENT)
@@ -817,12 +934,12 @@ class TestEliminateAndSaturate:
         assert [str(g) for g in out.basis] == ["x^2 + 1"]
 
     @staticmethod
-    def seeded_cases(order):
+    def seeded_cases(order, fld=PrimeField(P1)):
         # Eight seeded ideals with integer data, in two and three
         # variables, each with a seeded polynomial to saturate by.
         rng = random.Random(f"saturate:{order.name}")
         for n in (2, 3):
-            ring = PolyRing(tuple(f"x{i}" for i in range(n)), PrimeField(P1), order)
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), fld, order)
             monos = [m for m in itertools.product(range(3), repeat=n) if sum(m) <= 2]
             for _ in range(4):
                 gens = [
@@ -849,6 +966,46 @@ class TestEliminateAndSaturate:
         # through the loop.  Either way the saturation is the ideal's.
         for ideal, g in self.seeded_cases(order):
             assert saturate(buchberger(ideal), g) == saturate(ideal, g)
+
+    @staticmethod
+    def tuple_route(gb, k, ring):
+        # The elements of a block_order(k) basis free of the first k
+        # variables, moved into ``ring`` through exponent tuples.
+        kept = [
+            ring.from_terms((m[k:], c) for m, c in g.as_dict().items())
+            for g in gb.basis
+            if not any(g.leading_monomial()[:k])
+        ]
+        return buchberger(Ideal.of(ring, kept))
+
+    @pytest.mark.parametrize(
+        "order, fld",
+        [
+            (LEX, PrimeField(P1)),
+            (GREVLEX, residue_ring(DEFAULT_PRIMES)),
+            (LEX, residue_ring(DEFAULT_PRIMES)),
+        ],
+        ids=["lex", "two_primes-grevlex", "two_primes-lex"],
+    )
+    def test_digit_shifts_agree_with_the_tuple_route(self, order, fld):
+        # Saturation enters the t ring and both leave the eliminated block
+        # by shifting packed terms; moving exponent tuples gives the same
+        # bases.
+        for ideal, g in self.seeded_cases(order, fld):
+            ring = ideal.ring
+            for k in range(1, ring.nvars):
+                small = PolyRing(ring.variables[k:], fld, order)
+                want = self.tuple_route(buchberger(ideal, order=block_order(k)), k, small)
+                assert eliminate(ideal, k) == want
+            big = PolyRing(("t",) + ring.variables, fld, block_order(1))
+
+            def lift(p):
+                return big.from_terms(((0,) + m, c) for m, c in p.as_dict().items())
+
+            lifted = [lift(f) for f in ideal.generators] + [big.gen(0) * lift(g) - big.one()]
+            want = self.tuple_route(buchberger(Ideal.of(big, lifted)), 1, ring)
+            assert saturate(ideal, g) == want
+            assert saturate(buchberger(ideal), g) == want
 
     @pytest.mark.parametrize("order, calls", [(GREVLEX, 1), (LEX, 2)], ids=["grevlex", "lex"])
     def test_saturate_recomputes_only_off_grevlex(self, order, calls, monkeypatch):
