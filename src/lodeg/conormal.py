@@ -33,6 +33,7 @@ primes would branch apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -136,7 +137,7 @@ class VarietySpec:
     def n(self) -> int:
         return self.ring.nvars
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         """Dimension of the vanishing locus, computed once and then kept.
 
@@ -145,12 +146,8 @@ class VarietySpec:
         at every prime.  After a split, the dimension is computed prime by
         prime, and the primes must agree (:class:`Instability` if not).
         """
-        known = self.__dict__.get("_dimension")
-        if known is not None:
-            return known
         try:
-            ideal = self.reduce_mod(residue_ring(self.primes))
-            known = krull_dimension(ideal)
+            return krull_dimension(self.reduce_mod(residue_ring(self.primes)))
         except SplitModulus:
             found = {p: krull_dimension(self.reduce_mod(p)) for p in dict.fromkeys(self.primes)}
             if len(set(found.values())) > 1:
@@ -158,13 +155,15 @@ class VarietySpec:
                 raise Instability(
                     "dimension of the vanishing locus", {(0, p): d for p, d in found.items()}
                 ) from None
-            known = found[self.primes[0]]
-        object.__setattr__(self, "_dimension", known)
-        return known
+            return found[self.primes[0]]
 
     @property
     def codimension(self) -> int:
         return self.n - self.dimension
+
+    @cached_property
+    def _systems(self) -> dict[tuple, MultiplierSystem]:
+        return {}
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
@@ -358,11 +357,10 @@ def projective_multiplier_system(spec: VarietySpec, modulus: Modulus) -> Multipl
 
 
 def _kept_system(spec: VarietySpec, key: tuple, build) -> MultiplierSystem:
-    """``build()``, run once per ``key`` and kept on the spec."""
-    kept = spec.__dict__.setdefault("_systems", {})
-    if key not in kept:
-        kept[key] = build()
-    return kept[key]
+    """``build()``, run once per ``key`` (a kind and a field) and kept on the spec."""
+    if key not in spec._systems:
+        spec._systems[key] = build()
+    return spec._systems[key]
 
 
 def _homogenized_basis(spec: VarietySpec, modulus: Modulus) -> list[Polynomial]:

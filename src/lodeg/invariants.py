@@ -13,11 +13,14 @@ integers are exact.  A grid callable takes a seed and those primes, builds
 and counts its system once modulo their product
 (:func:`~lodeg.poly.residue_ring`) and returns ``{prime: count}``.
 
-Every conormal count ends in :func:`_slice_count`, which cuts a
-multiplier system by its forms.  On a hypersurface (one multiplier
-``lam``) it divides ``lam`` out of every dual equation but the first with
-a unit constant (:func:`_divided_duals`): the ideal is the same, so are its
-reduced basis and every count, and the generators are one degree lower.
+Every conormal count is one :func:`_agreed_slice_count`, counted at
+``derive_seed(child, 3)`` for a bidegree or polar entry (agreed at
+``derive_seed(seed, 11 + i)`` or ``131 + i``) and ``5`` otherwise.  It ends
+in :func:`_slice_count`, which cuts a multiplier system by its forms.  On a
+hypersurface (one multiplier ``lam``) it divides ``lam`` out of every dual
+equation but the first with a unit constant (:func:`_divided_duals`): the
+ideal is the same, so are its reduced basis and every count, and the
+generators are one degree lower.
 """
 
 from __future__ import annotations
@@ -121,20 +124,24 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def _counting_vector(kind: str, values: Sequence[int], d: int, n: int) -> DegreeVector:
-    """Wrap computed counts, enforcing the sign facts true of genuine counts."""
-    vec = DegreeVector(kind, tuple(int(v) for v in values), d, n)
+def _counting_vector(kind: str, values: Sequence[int], spec: VarietySpec) -> DegreeVector:
+    """Wrap the counts on ``spec``, enforcing the sign facts of genuine counts."""
+    vec = DegreeVector(kind, tuple(int(v) for v in values), spec.dimension, spec.n)
     if any(v < 0 for v in vec.values):
         raise RuntimeError(f"{kind} counts came out negative: {vec.values}")
-    if vec.values[-1] < 1:
-        # The top entry counts the points of a generic section of
-        # codimension d, which is deg X >= 1; it is 0 when the Jacobian of
-        # the generators has rank below the codimension along X.
+    _require_degree(kind, vec.values[-1])
+    return vec
+
+
+def _require_degree(kind: str, top: int) -> None:
+    """Refuse a top count below 1.  The top entry counts the points of a
+    generic section of codimension d, which is deg X >= 1; it is 0 when the
+    Jacobian of the generators has rank below the codimension along X."""
+    if top < 1:
         raise DegenerateJacobian(
-            f"{kind} top count is {vec.values[-1]}, not deg X >= 1: the generators "
+            f"{kind} top count is {top}, not deg X >= 1: the generators "
             "must cut X out with a Jacobian of full rank along it (for example, not x^2)"
         )
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +236,20 @@ def _is_unit(fld: FieldT, c: CoefT) -> bool:
     return gcd(c, fld.p) == 1 if isinstance(fld, PrimeField) else c != 0
 
 
+def _agreed_slice_count(
+    build, spec: VarietySpec, draw, count_at: int, seed: int, policy: AgreementPolicy, what: str
+) -> int:
+    """The agreed count of ``build(spec, ...)`` cut by the forms ``draw`` takes
+    from each child seed's stream, counted at ``derive_seed(child, count_at)``."""
+
+    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
+        system = build(spec, residue_ring(primes))
+        stream = SeedStream(child)
+        return _slice_count(system, *draw(stream), stream, derive_seed(child, count_at))
+
+    return agreed_value(computation, seed, spec.primes, policy, what)
+
+
 # ---------------------------------------------------------------------------
 # The invariants
 # ---------------------------------------------------------------------------
@@ -251,14 +272,13 @@ def lo_degree(
     n = spec.n
     _require_objective(covector)
 
-    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        system = multiplier_system(spec, residue_ring(primes))
-        stream = SeedStream(child)
+    def draw(stream: SeedStream) -> tuple[list[FormT], list[FormT]]:
         u = list(covector) if covector is not None else stream.coefficients(n)
-        pins = [([int(j == k) for j in range(n)], u[k]) for k in range(n)]
-        return _slice_count(system, [], pins, stream, derive_seed(child, 5))
+        return [], [([int(j == k) for j in range(n)], u[k]) for k in range(n)]
 
-    return agreed_value(computation, seed, spec.primes, policy, "critical point count")
+    return _agreed_slice_count(
+        multiplier_system, spec, draw, 5, seed, policy, "critical point count"
+    )
 
 
 def bidegrees(
@@ -269,18 +289,7 @@ def bidegrees(
     Entry i counts the points cut out by i generic affine forms on the
     point factor and n-i on the dual factor.
     """
-    d, n = spec.dimension, spec.n
-    values = []
-    for i in range(d + 1):
-        values.append(
-            agreed_value(
-                _bidegree_computation(spec, i),
-                derive_seed(seed, 11 + i),
-                spec.primes,
-                policy,
-                f"conormal slice count at codimension {i}",
-            )
-        )
+    values = _entries(_bidegree_entry, spec, seed, policy)
     lo = lo_degree(spec, derive_seed(seed, 7), policy=policy)
     if values[0] != lo:
         agreed = {derive_seed(seed, 11): values[0], derive_seed(seed, 7): lo}
@@ -288,20 +297,21 @@ def bidegrees(
             "slice count at codimension 0 vs critical point count",
             {(s, p): v for s, v in agreed.items() for p in spec.primes},
         )
-    return _counting_vector("bidegree", values, d, n)
+    return _counting_vector("bidegree", values, spec)
 
 
-def _bidegree_computation(spec: VarietySpec, i: int):
+def _bidegree_entry(spec: VarietySpec, i: int, seed: int, policy: AgreementPolicy) -> int:
+    """Entry i of ``bidegrees(spec, seed, policy)``, counted alone."""
     n = spec.n
 
-    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        system = multiplier_system(spec, residue_ring(primes))
-        stream = SeedStream(child)
+    def draw(stream: SeedStream) -> tuple[list[FormT], list[FormT]]:
         point_forms = _draw_base_forms(stream, n, i, None)
-        dual_forms = [(stream.coefficients(n), stream.integer()) for _ in range(n - i)]
-        return _slice_count(system, point_forms, dual_forms, stream, derive_seed(child, 3))
+        return point_forms, [(stream.coefficients(n), stream.integer()) for _ in range(n - i)]
 
-    return computation
+    return _agreed_slice_count(
+        multiplier_system, spec, draw, 3, derive_seed(seed, 11 + i), policy,
+        f"conormal slice count at codimension {i}",
+    )
 
 
 def sectional_lo_degrees(
@@ -309,12 +319,11 @@ def sectional_lo_degrees(
 ) -> DegreeVector:
     """Critical point counts of the variety cut by 0, 1, ..., d generic
     affine hyperplanes."""
-    d, n = spec.dimension, spec.n
     values = []
-    for i in range(d + 1):
+    for i in range(spec.dimension + 1):
         target = spec if i == 0 else slice_variety(spec, i, derive_seed(seed, 31 + i)).spec
         values.append(lo_degree(target, derive_seed(seed, 61 + i), policy=policy))
-    return _counting_vector("sectional", values, d, n)
+    return _counting_vector("sectional", values, spec)
 
 
 def variety_degree(
@@ -339,37 +348,31 @@ def polar_degrees(
     one chart form per factor is set to 1, then i point-side and n-1-i
     dual-side hyperplanes through the origin of the chart are imposed.
     """
-    d, n = spec.dimension, spec.n
-    values = []
-    for i in range(d + 1):
-        values.append(
-            agreed_value(
-                _polar_computation(spec, i),
-                derive_seed(seed, 131 + i),
-                spec.primes,
-                policy,
-                f"projective conormal slice count at codimension {i}",
-            )
-        )
-    return _counting_vector("polar", values, d, n)
+    return _counting_vector("polar", _entries(_polar_entry, spec, seed, policy), spec)
 
 
-def _polar_computation(spec: VarietySpec, i: int):
+def _polar_entry(spec: VarietySpec, i: int, seed: int, policy: AgreementPolicy) -> int:
+    """Entry i of ``polar_degrees(spec, seed, policy)``, counted alone."""
     n, nb = spec.n, spec.n + 1
 
-    def computation(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        system = projective_multiplier_system(spec, residue_ring(primes))
-        stream = SeedStream(child)
+    def draw(stream: SeedStream) -> tuple[list[FormT], list[FormT]]:
         chart = _draw_base_forms(stream, nb, 1, 1)
         # A generic hyperplane of the point factor, written in the chart,
         # is an affine form with a generic nonzero constant; constant zero
         # would force it through the coordinate point the chart eliminated.
         hyperplanes = _draw_base_forms(stream, nb - 1, i, None)
         # On the dual factor: the chart form (= 1), then hyperplanes through its origin.
-        dual_forms = [(stream.coefficients(nb), int(k == 0)) for k in range(n - i)]
-        return _slice_count(system, chart + hyperplanes, dual_forms, stream, derive_seed(child, 3))
+        return chart + hyperplanes, [(stream.coefficients(nb), int(k == 0)) for k in range(n - i)]
 
-    return computation
+    return _agreed_slice_count(
+        projective_multiplier_system, spec, draw, 3, derive_seed(seed, 131 + i), policy,
+        f"projective conormal slice count at codimension {i}",
+    )
+
+
+def _entries(entry, spec: VarietySpec, seed: int, policy: AgreementPolicy) -> list[int]:
+    """Entries 0..d of the vector whose single entries ``entry`` counts."""
+    return [entry(spec, i, seed, policy) for i in range(spec.dimension + 1)]
 
 
 def dual_contains_hyperplane_at_infinity(spec: VarietySpec, seed: int = 0) -> bool:
@@ -535,17 +538,15 @@ def _correspondence_once(
         raise DegenerateSlice("the objective is constant on the sliced variety")
 
     count_critical = lo_degree(sliced.spec, derive_seed(seed, 303), covector=pushed, policy=policy)
-
-    def count_conormal_comp(child: int, primes: tuple[int, ...]) -> dict[int, int]:
-        system = multiplier_system(spec, residue_ring(primes))
-        conditions = list(zip(kernel, pushed))
-        return _slice_count(system, forms, conditions, SeedStream(child), derive_seed(child, 5))
-
-    count_conormal = agreed_value(
-        count_conormal_comp, derive_seed(seed, 307), spec.primes, policy, "conormal fiber count"
+    count_conormal = _agreed_slice_count(
+        multiplier_system, spec, lambda stream: (forms, list(zip(kernel, pushed))), 5,
+        derive_seed(seed, 307), policy, "conormal fiber count",
     )
-
-    expected = bidegrees(spec, derive_seed(seed, 311), policy=policy).values[i]
+    # Entry d refuses a degenerate Jacobian, as the top check of bidegrees would.
+    d, vector_seed = spec.dimension, derive_seed(seed, 311)
+    expected = _bidegree_entry(spec, i, vector_seed, policy)
+    top = expected if i == d else _bidegree_entry(spec, d, vector_seed, policy)
+    _require_degree("bidegree", top)
     generic = count_critical == expected and count_conormal == expected
     return CorrespondenceReport(i, seed, count_critical, count_conormal, generic, expected)
 

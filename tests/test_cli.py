@@ -654,13 +654,24 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert "duplicate variable names" in err
 
-    @pytest.mark.parametrize("command", ["bidegrees", "sectional", "polar", "chern_mather"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bidegrees"],
+            ["sectional"],
+            ["polar"],
+            ["chern_mather"],
+            ["correspondence", "--i", "0"],
+            ["correspondence", "--i", "1"],
+        ],
+        ids=" ".join,
+    )
     def test_degenerate_jacobian_is_an_input_error(self, tmp_path, capsys, command):
         # x^2 cuts out the line x = 0 with a zero Jacobian there, so the
         # top count, deg X, comes out 0.
         bad = tmp_path / "double_line.json"
         bad.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^2"]}))
-        code, out, err = run_cli(capsys, command, str(bad))
+        code, out, err = run_cli(capsys, command[0], str(bad), *command[1:])
         assert code == EXIT_INPUT
         assert out == ""
         assert "Traceback" not in err

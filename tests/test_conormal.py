@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -78,6 +79,18 @@ class TestVarietySpec:
         assert VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[1:]).dimension == 0
         with pytest.raises(Instability, match="dimension of the vanishing locus"):
             VarietySpec.define(("x", "y"), gens)
+
+    def test_an_unstable_dimension_is_not_kept(self):
+        # The same generators at both primes, built around define's check:
+        # every look at the dimension computes it again and raises again.
+        gens = [f"{DEFAULT_PRIMES[0]}*x + y", "y"]
+        spec = dataclasses.replace(
+            VarietySpec.define(("x", "y"), gens, primes=DEFAULT_PRIMES[1:]), primes=DEFAULT_PRIMES
+        )
+        for _ in range(2):
+            with pytest.raises(Instability, match="dimension of the vanishing locus"):
+                spec.dimension
+        assert "dimension" not in vars(spec)
 
     def test_rejects_a_generator_vanishing_modulo_a_prime(self):
         # Modulo the first default prime this line would be the whole plane.

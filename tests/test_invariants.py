@@ -32,7 +32,7 @@ from lodeg.invariants import (
 )
 from lodeg.groebner import Ideal, buchberger, budget, multidegree, quotient_basis
 from lodeg.poly import QQ, InputError, PrimeField, ResidueRing, SplitModulus, fresh_name, residue_ring
-from lodeg.randomness import DEFAULT_PRIMES, SeedStream, derive_seed
+from lodeg.randomness import DEFAULT_POLICY, DEFAULT_PRIMES, SeedStream, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -239,20 +239,23 @@ class TestSliceForms:
     on the dual coordinates."""
 
     @pytest.mark.parametrize("i", range(3))
-    @pytest.mark.parametrize(
-        "computation", [invariants._bidegree_computation, invariants._polar_computation]
-    )
-    def test_forms_per_codimension(self, sphere, computation, i, monkeypatch):
+    @pytest.mark.parametrize("entry", [invariants._bidegree_entry, invariants._polar_entry])
+    def test_forms_per_codimension(self, sphere, entry, i, monkeypatch):
         seen = []
 
         def recorded(system, point_forms, dual_forms, stream, count_seed):
             seen.append((system, point_forms, dual_forms))
             return {}
 
+        def once(computation, seed, primes, policy, what):
+            computation(seed, primes[:1])
+            return 0
+
         monkeypatch.setattr(invariants, "_slice_count", recorded)
-        computation(sphere, i)(derive_seed(4, i), (DEFAULT_PRIMES[0],))
+        monkeypatch.setattr(invariants, "agreed_value", once)
+        entry(sphere, i, 4, DEFAULT_POLICY)
         ((system, point_forms, dual_forms),) = seen
-        assert len(point_forms) == i + (computation is invariants._polar_computation)
+        assert len(point_forms) == i + (entry is invariants._polar_entry)
         assert len(dual_forms) == 3 - i
         assert system.multiplier_count == 1
 
@@ -584,6 +587,35 @@ class TestCorrespondence:
             critical_correspondence(
                 sphere, 2, covector=(1, 2, 3), slices=[((0, 0, 1), 6)]
             )
+
+
+class TestCorrespondenceExpected:
+    """``expected`` is bidegree entry i, counted alone at the seed the whole
+    vector would use, with entry d counted too for the degree check."""
+
+    def test_counts_two_entries(self, monkeypatch):
+        real, seen = invariants.agreed_value, []
+
+        def spied(computation, seed, primes, policy, what):
+            seen.append((what, seed))
+            return real(computation, seed, primes, policy, what)
+
+        monkeypatch.setattr(invariants, "agreed_value", spied)
+        critical_correspondence(_spec("sym3"), 4)
+        vector_seed = derive_seed(0, 311)
+        assert seen == [
+            ("critical point count", derive_seed(0, 303)),
+            ("conormal fiber count", derive_seed(0, 307)),
+            ("conormal slice count at codimension 4", derive_seed(vector_seed, 15)),
+            ("conormal slice count at codimension 5", derive_seed(vector_seed, 16)),
+        ]
+
+    @pytest.mark.parametrize("name", ["sphere", "sym3"])
+    def test_expected_is_the_vector_entry(self, name):
+        spec, seed = _spec(name), 6
+        vector = bidegrees(spec, derive_seed(seed, 311)).values
+        expected = [critical_correspondence(spec, i, seed).expected for i in range(len(vector))]
+        assert expected == list(vector)
 
 
 class TestCorrespondenceRedraw:
