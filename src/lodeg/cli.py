@@ -73,8 +73,11 @@ def _load_variety(path: str, primes: tuple[int, ...]) -> tuple[VarietySpec, dict
         raise InputError(f"{path}: 'variables' must be a list of names")
     if not isinstance(polynomials, list) or not all(isinstance(p, str) for p in polynomials):
         raise InputError(f"{path}: 'polynomials' must be a list of strings")
+    for key in ("assumed_irreducible", "homogeneous"):
+        if key in doc and not isinstance(doc[key], bool):
+            raise InputError(f"{path}: {key!r} must be true or false")
     warnings: list[str] = []
-    assumed = bool(doc.get("assumed_irreducible", True))
+    assumed = doc.get("assumed_irreducible", True)
     try:
         spec = VarietySpec.define(variables, polynomials, assumed_irreducible=assumed, primes=primes)
     except ParseError as err:
@@ -82,7 +85,7 @@ def _load_variety(path: str, primes: tuple[int, ...]) -> tuple[VarietySpec, dict
     except InputError as err:
         raise InputError(f"{path}: {err}") from err
     if "homogeneous" in doc:
-        declared = bool(doc["homogeneous"])
+        declared = doc["homogeneous"]
         actual = spec.is_homogeneous()
         if declared and not actual:
             raise InputError(f"{path}: declared homogeneous but generators are not")

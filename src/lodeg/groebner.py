@@ -228,9 +228,13 @@ every prime, so :func:`count_points` runs its tail once over ``Z/N`` too:
   read mod ``p_i``, is the normal form mod ``p_i``.  No ``SplitModulus``
   can arise in the tail.
 
-Only the matrix mod ``p_i`` of a random form and its characteristic
-polynomial, by reduction to Hessenberg form in Python ints, are built once
-per prime.
+The random form whose matrix :func:`count_points` builds is drawn once,
+with integer coefficients in ``[1, COEFF_BOUND)``, nonzero modulo every
+prime, like every other draw (see ``randomness``).  So the matrix mod
+``N``, read mod ``p_i``, is the matrix of the run mod ``p_i``, the form
+included.  Only its characteristic polynomial, by reduction to Hessenberg
+form in Python ints, and that polynomial's squarefree degree are computed
+once per prime.
 
 Every zero test crossed mod ``N`` is followed by an inversion of the same
 value, is harmless, or raises ``SplitModulus`` itself:
@@ -245,7 +249,7 @@ value, is harmless, or raises ``SplitModulus`` itself:
   a limit on degrees that the counts stay far below.  The normal forms of
   :func:`multiplication_matrix` cross the same test; they end in a
   remainder, never a reducer, so nothing is inverted and a coefficient
-  zero mod ``p_i`` only stays in the table as a zero mod ``p_i``.
+  zero mod ``p_i`` only adds a zero mod ``p_i`` to the matrix.
   ``if not out`` stops the own elements of an index once a term has gone
   to the remainder.  That first term is the remainder's leading term: if
   it is zero mod ``p_i`` only, the remainder splits when it joins the
@@ -987,8 +991,6 @@ def _poly_trim(f: list[int]) -> list[int]:
 
 
 def _poly_monic(f: list[int], p: int) -> list[int]:
-    if not f:
-        return f
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
 
@@ -1020,16 +1022,10 @@ def _poly_deriv(f: list[int], p: int) -> list[int]:
 
 
 def _squarefree_degree(f: list[int], p: int) -> int:
-    """Number of distinct roots of ``f`` in an algebraic closure: the
-    degree of ``f`` over ``gcd(f, f')``."""
-    f = _poly_trim(f[:])
-    if len(f) <= 1:
-        return 0
-    df = _poly_deriv(f, p)
-    if not df:
-        # Only possible for constants at these degrees (deg f < p).
-        return 0
-    return len(f) - len(_poly_gcd(f, df, p))
+    """Number of distinct roots of a monic ``f`` of degree ``1 <= d < p``
+    in an algebraic closure: the degree of ``f`` over ``gcd(f, f')``.
+    As ``d < p``, ``f'`` has degree ``d - 1`` and is nonzero."""
+    return len(f) - len(_poly_gcd(f, _poly_deriv(f, p), p))
 
 
 def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
@@ -1075,34 +1071,34 @@ def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
     return chars[n]
 
 
-def multiplication_matrix(gb: GroebnerBasis, qb: Sequence[int]) -> list[list[list[int]]]:
-    """Multiplication by each variable on the quotient algebra.
+def multiplication_matrix(
+    gb: GroebnerBasis, qb: Sequence[int], coeffs: Sequence[int]
+) -> list[list[int]]:
+    """Multiplication by the linear form ``sum(coeffs[i] * x_i)`` on the
+    quotient algebra of a basis over a prime field.
 
-    Returns nested lists ``tables[i][row][col]``: ``tables[i]`` has in
-    column ``j`` the normal form of ``m_j * x_i``, ``m_j`` the ``j``-th
-    packed standard monomial of ``qb``, as Python ints reduced modulo the
-    field's modulus (which may exceed 64 bits over a
-    :class:`~lodeg.poly.ResidueRing`).
-    Multiplication by ``sum(c_i * x_i)`` is ``sum(c_i * tables[i])``.
+    Returns the nested lists ``mat[row][col]``: column ``j`` holds the
+    normal form of the form times ``m_j``, the ``j``-th packed standard
+    monomial of ``qb``, as Python ints reduced modulo the field's modulus
+    (which may exceed 64 bits over a :class:`~lodeg.poly.ResidueRing`).
+    The normal form of each product ``m_j * x_i`` is computed once and
+    added in scaled by ``coeffs[i]``.
     """
     ring = gb.ring
-    if not isinstance(ring.field_, PrimeField):
-        raise TypeError("multiplication matrices are built over prime fields only")
-    n = ring.nvars
     pk = ring.packing
     index = {m: i for i, m in enumerate(qb)}
     dim = len(index)
-    tables = [[[0] * dim for _ in range(dim)] for _ in range(n)]
+    mat = [[0] * dim for _ in range(dim)]
     normalize, _ = _field_ops(ring)
     reducers = gb.reducers()
     lms = [lm for lm, _ in reducers]
     nf_cache: dict[int, dict] = {}
     for col, m in enumerate(index):
-        for table, x in zip(tables, pk.variables):
+        for c, x in zip(coeffs, pk.variables):
             sm = m + x
             row = index.get(sm)
             if row is not None:
-                table[row][col] = 1
+                mat[row][col] += c
                 continue
             nf = nf_cache.get(sm)
             if nf is None:
@@ -1111,8 +1107,8 @@ def multiplication_matrix(gb: GroebnerBasis, qb: Sequence[int]) -> list[list[lis
                 nf = _reduce_full({sm: 1}, reducers, pk, normalize)
                 nf_cache[sm] = nf
             for mm, cc in nf.items():
-                table[index[mm]][col] = cc
-    return tables
+                mat[index[mm]][col] += c * cc
+    return [[normalize(e) for e in row] for row in mat]
 
 
 def count_points(ideal: Ideal, seed: int) -> dict[int, int]:
@@ -1120,16 +1116,19 @@ def count_points(ideal: Ideal, seed: int) -> dict[int, int]:
     algebraic closure of GF(p), for each prime ``p`` of the ideal's field:
     ``{p: count}``.
 
-    One Buchberger basis, one quotient basis and one set of normal forms
+    The count is the number of distinct eigenvalues of a random linear
+    form acting on the quotient algebra (Cox, Little, O'Shea, GTM 185,
+    ch. 2): the squarefree part of its characteristic polynomial has one
+    root per solution once the form separates the points.  The form's
+    coefficients are drawn once, ``SeedStream(seed).coefficients(nvars)``:
+    integers in ``[1, COEFF_BOUND)``, the same nonzero element modulo every
+    prime, so a run over one prime alone uses the same form.  One
+    Buchberger basis, one quotient basis and one matrix of the form
     (:func:`multiplication_matrix`) are computed over the field, a
     :class:`~lodeg.poly.ResidueRing` of several primes included; read
     modulo each prime they are that prime's own (see "Several primes at
-    once").  Then, per prime, the count is the number of distinct
-    eigenvalues of a seeded random linear form acting on the quotient
-    algebra (Cox, Little, O'Shea, GTM 185, ch. 2): the squarefree part of
-    its characteristic polynomial has one root per solution once the form
-    separates the points.  Each prime draws its form from a fresh
-    ``SeedStream(seed)``.
+    once").  Only the characteristic polynomial and its squarefree degree
+    are computed per prime.
     """
     fld = ideal.ring.field_
     if not isinstance(fld, PrimeField):
@@ -1145,17 +1144,5 @@ def count_points(ideal: Ideal, seed: int) -> dict[int, int]:
             raise CharacteristicHazard(
                 f"quotient dimension {dim} is not far below characteristic {p}"
             )
-    tables = multiplication_matrix(gb, qb)
-    return {p: _count_modulo(tables, p, seed) for p in primes}
-
-
-def _count_modulo(tables: list[list[list[int]]], p: int, seed: int) -> int:
-    """The point count of :func:`count_points` at the prime ``p`` from the
-    tables of :func:`multiplication_matrix`."""
-    stream = SeedStream(seed)
-    coeffs = [stream.nonzero_residue(p) for _ in tables]
-    mat = [
-        [sum(c * e for c, e in zip(coeffs, entries)) % p for entries in zip(*rows)]
-        for rows in zip(*tables)
-    ]
-    return _squarefree_degree(_charpoly_mod(mat, p), p)
+    mat = multiplication_matrix(gb, qb, SeedStream(seed).coefficients(ideal.ring.nvars))
+    return {p: _squarefree_degree(_charpoly_mod(mat, p), p) for p in primes}

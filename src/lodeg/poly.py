@@ -127,8 +127,9 @@ class PrimeField:
 
     Residues are always reduced to ``[0, p)``.  The lower bound keeps
     Schwartz-Zippel failure probabilities negligible for the seeded random
-    evaluations performed elsewhere in the package; the upper one lets a
-    residue be drawn from one 64-bit word of a ``SeedStream``.
+    evaluations performed elsewhere in the package; the upper one keeps
+    :func:`is_probable_prime`, a deterministic Miller-Rabin for word-sized
+    integers, exact.
     """
 
     p: int

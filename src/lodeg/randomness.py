@@ -35,9 +35,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 DEFAULT_PRIMES = (2147483647, 2147483629)
 
-# Random integer coefficients live in [1, 2**30): below both default
-# characteristics, so one draw denotes the same field element modulo every
-# configured prime and cross-prime runs recount the same geometric data.
+# Random integer coefficients live in [1, 2**30): below every accepted
+# characteristic, so one draw denotes the same nonzero field element modulo
+# every configured prime and cross-prime runs recount the same geometric
+# data.  That holds for every draw: slices, dual and slack forms, and the
+# separating form whose eigenvalues groebner.count_points counts.
 COEFF_BOUND = 1 << 30
 
 
@@ -78,13 +80,6 @@ class SeedStream:
             word = self.next_u64()
             if word < limit:
                 return low + word % span
-
-    def residue(self, p: int) -> int:
-        """Field residue in ``[0, p)``."""
-        return self.integer(0, p)
-
-    def nonzero_residue(self, p: int) -> int:
-        return self.integer(1, p)
 
     def coefficients(self, count: int) -> list[int]:
         """Nonzero integer coefficients shared meaningfully by all primes."""

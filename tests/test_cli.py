@@ -449,14 +449,34 @@ class TestFailures:
         assert err.startswith("instability: saturation by random combinations")
         assert err.count("\n") == 1
 
+    def test_characteristic_hazard_is_instability(self, monkeypatch, capsys):
+        # A quotient dimension of 2**31 reaches the first default prime.
+        monkeypatch.setattr(groebner, "quotient_basis", lambda gb: range(2**31))
+        code, out, err = run_cli(capsys, "lodeg", data_path("sphere.json"))
+        assert code == EXIT_INSTABILITY == 2
+        assert out == ""
+        assert err.startswith("instability: quotient dimension ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "doc, message",
         [
             ([1, 2], "expected a JSON object"),
             ({"variables": "x", "polynomials": ["x"]}, "'variables' must be a list of names"),
             ({"variables": ["x"], "polynomials": [1]}, "'polynomials' must be a list of strings"),
+        ]
+        # Only JSON booleans: the string "false" would read as true.
+        + [
+            ({"variables": ["x"], "polynomials": ["x"], key: value}, f"{key!r} must be true or false")
+            for key in ("assumed_irreducible", "homogeneous")
+            for value in ("false", 0, None)
         ],
-        ids=["not-an-object", "variables", "polynomials"],
+        ids=["not-an-object", "variables", "polynomials"]
+        + [
+            f"{key}-{kind}"
+            for key in ("assumed_irreducible", "homogeneous")
+            for kind in ("string", "zero", "null")
+        ],
     )
     def test_json_shape(self, doc, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -41,7 +41,7 @@ from lodeg.poly import (
     block_order,
     residue_ring,
 )
-from lodeg.randomness import COEFF_BOUND, DEFAULT_PRIMES, Instability
+from lodeg.randomness import COEFF_BOUND, DEFAULT_PRIMES, Instability, SeedStream
 
 from conftest import order_key
 
@@ -567,7 +567,8 @@ class TestAscendingScans:
                 if fld is not QQ and krull_dimension(gb) == 0:
                     qb = quotient_basis(hand)
                     assert qb == quotient_basis(gb)
-                    assert multiplication_matrix(hand, qb) == multiplication_matrix(gb, qb)
+                    coeffs = [rng.randrange(1, COEFF_BOUND) for _ in range(3)]
+                    assert multiplication_matrix(hand, qb, coeffs) == multiplication_matrix(gb, qb, coeffs)
                     tails += 1
         assert tails or fld is QQ
 
@@ -1041,17 +1042,23 @@ class TestZeroDimensional:
     def test_quotient_basis_is_the_sorted_staircase(self, order):
         # Every monomial no leading monomial divides, found by brute force
         # in the box below the pure powers, in increasing monomial order.
+        # The unit ideal (basis 1) has none.
         r = PolyRing(("x", "y", "z"), PrimeField(P1), order)
-        gens = ["x^2 + y*z - 3", "y^2 - x*z + 2*x", "z^3 - x*y + y - 1"]
-        gb = buchberger(Ideal.of(r, [r.parse(g) for g in gens]))
-        lms = gb.leading_monomials()
-        top = max(max(lm) for lm in lms)
-        staircase = [
-            m for m in itertools.product(range(top), repeat=3)
-            if not any(mono_divides(lm, m) for lm in lms)
+        systems = [
+            ["x^2 + y*z - 3", "y^2 - x*z + 2*x", "z^3 - x*y + y - 1"],
+            ["x*y - 1", "x"],
         ]
-        monomials = tuple(map(r.packing.unpack, quotient_basis(gb)))
-        assert monomials == tuple(sorted(staircase, key=order_key(order)))
+        for gens in systems:
+            gb = buchberger(Ideal.of(r, [r.parse(g) for g in gens]))
+            lms = gb.leading_monomials()
+            top = max(max(lm) for lm in lms)
+            staircase = [
+                m for m in itertools.product(range(top), repeat=3)
+                if not any(mono_divides(lm, m) for lm in lms)
+            ]
+            monomials = tuple(map(r.packing.unpack, quotient_basis(gb)))
+            assert monomials == tuple(sorted(staircase, key=order_key(order)))
+        assert quotient_basis(gb) == ()
 
     def test_quotient_basis_rejects_curves(self):
         r = fring("x", "y")
@@ -1063,7 +1070,7 @@ class TestZeroDimensional:
         r = fring("x")
         gb = buchberger(Ideal.of(r, [r.parse("x^2 - 2")]))
         qb = quotient_basis(gb)
-        (mat,) = multiplication_matrix(gb, qb)
+        mat = multiplication_matrix(gb, qb, [1])
         # basis (1, x): multiplying by x sends 1 -> x and x -> 2
         assert mat == [[0, 2], [1, 0]]
 
@@ -1103,11 +1110,18 @@ class TestZeroDimensional:
         ideal = Ideal.of(r, [r.parse("(x - 1)^2*(x - 2)*(x - 3)"), r.parse("y^2 - x")])
         assert count_points(ideal, seed=1) == {p: 6}
 
-    def test_characteristic_hazard_guard(self):
-        # the check compares quotient dimension with p; simulate by a tiny
-        # stand-in ring is impossible (primes must exceed 2^30), so assert
-        # the exception type exists and derives from RuntimeError
-        assert issubclass(CharacteristicHazard, RuntimeError)
+    def test_characteristic_hazard_guard(self, monkeypatch):
+        # A quotient dimension of 2**31 reaches the first default prime,
+        # and the guard raises before any matrix is built.
+        def never(*args):
+            raise AssertionError("multiplication matrix built past the guard")
+
+        monkeypatch.setattr(groebner, "quotient_basis", lambda gb: range(2**31))
+        monkeypatch.setattr(groebner, "multiplication_matrix", never)
+        ring = PolyRing(("x", "y"), residue_ring(DEFAULT_PRIMES), GREVLEX)
+        ideal = Ideal.of(ring, [ring.parse("x^2 + y^2 - 1"), ring.parse("y - x^2")])
+        with pytest.raises(CharacteristicHazard, match=f"^quotient dimension {2**31} "):
+            count_points(ideal, seed=1)
 
 
 def det_mod(mat, p):
@@ -1328,19 +1342,20 @@ class TestSeveralPrimes:
 
     @staticmethod
     def assert_shared_tail(ring, gens, seed):
-        """The ring's quotient basis, tables and counts, read modulo each
+        """The ring's quotient basis, matrix and counts, read modulo each
         prime, are that prime's own."""
         gb = buchberger(Ideal.of(ring, gens))
         qb = quotient_basis(gb)
-        tables = multiplication_matrix(gb, qb)
+        coeffs = SeedStream(seed).coefficients(ring.nvars)
+        mat = multiplication_matrix(gb, qb, coeffs)
         counts = count_points(Ideal.of(ring, gens), seed=seed)
         assert list(counts) == list(ring.field_.primes)
         for p in ring.field_.primes:
             own = split_basis(gb, p)
             own_qb = quotient_basis(own)
             assert own_qb == qb
-            modulo_p = [[[c % p for c in row] for row in table] for table in tables]
-            assert modulo_p == multiplication_matrix(own, own_qb)
+            modulo_p = [[c % p for c in row] for row in mat]
+            assert modulo_p == multiplication_matrix(own, own_qb, coeffs)
             ring_p = ring.with_field(PrimeField(p))
             alone = Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens])
             assert count_points(alone, seed=seed) == {p: counts[p]}
@@ -1387,6 +1402,28 @@ class TestSeveralPrimes:
         ideal = Ideal.of(ring, [ring.parse("x^2 + y^2 - 1"), ring.parse("y - x^2")])
         assert count_points(ideal, seed=12345) == {p: 4 for p in primes}
         assert calls == {"quotient_basis": 1, "multiplication_matrix": 1}
+
+    def test_one_form_for_every_prime(self, monkeypatch):
+        # The run over both primes and the run at each prime alone build
+        # the matrix of one form, drawn below every prime.
+        seen = []
+        real = groebner.multiplication_matrix
+
+        def spy(gb, qb, coeffs):
+            seen.append(list(coeffs))
+            return real(gb, qb, coeffs)
+
+        monkeypatch.setattr(groebner, "multiplication_matrix", spy)
+        ring = PolyRing(("x", "y"), residue_ring(DEFAULT_PRIMES), GREVLEX)
+        gens = [ring.parse("x^2 + y^2 - 1"), ring.parse("y - x^2")]
+        counts = count_points(Ideal.of(ring, gens), seed=12345)
+        for p in DEFAULT_PRIMES:
+            ring_p = ring.with_field(PrimeField(p))
+            alone = Ideal.of(ring_p, [g.to_ring(ring_p) for g in gens])
+            assert count_points(alone, seed=12345) == {p: counts[p]}
+        assert len(seen) == 3
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) == 2 and all(1 <= c < COEFF_BOUND for c in seen[0])
 
     @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, WIDE_PRIMES], ids=["two", "three"])
     def test_count_unit_ideal_is_zero_at_every_prime(self, primes):

@@ -41,13 +41,6 @@ def test_integer_span_fits_one_word():
         SeedStream(1).integer(1, 2**64 + 2)
 
 
-def test_residue_and_nonzero_residue():
-    stream = SeedStream(13)
-    p = DEFAULT_PRIMES[0]
-    assert 0 <= stream.residue(p) < p
-    assert 1 <= stream.nonzero_residue(p) < p
-
-
 def test_derive_seed_decorrelates():
     children = {derive_seed(99, i) for i in range(100)}
     assert len(children) == 100
