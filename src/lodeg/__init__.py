@@ -50,7 +50,7 @@ from .invariants import (
     variety_degree,
     verify_identities,
 )
-from .poly import GREVLEX, LEX, PolyRing, Polynomial, PrimeField, QQ, parse_polynomial
+from .poly import GREVLEX, PolyRing, Polynomial, PrimeField, QQ, parse_polynomial
 from .randomness import AgreementPolicy, Instability, SeedStream, derive_seed
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "Ideal",
     "Instability",
     "InvalidVariety",
-    "LEX",
     "NotACone",
     "NotZeroDimensional",
     "PolyRing",

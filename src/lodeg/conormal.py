@@ -22,11 +22,10 @@ accumulate on the packed monomials of the system's polynomials, one dict
 per result; exponent tuples appear only where a polynomial moves into a
 ring of other variables (the lifts into the multiplier and dual rings).
 
-The builders take the coefficient ring as a *modulus*: a prime, a
-:class:`PrimeField`, or the internal :class:`~lodeg.poly.ResidueRing` of
-several primes that the agreement grid computes over (see "Several primes
-at once" in ``groebner``).  Every zero test they branch on is
-:meth:`Polynomial.vanishes`, which raises ``SplitModulus`` where the
+The builders take the :class:`PrimeField` to compute over: one prime, or
+the several primes that the agreement grid computes over at once (see
+"Several primes at once" in ``groebner``).  Every zero test they branch on
+is :meth:`Polynomial.vanishes`, which raises ``SplitModulus`` where the
 primes would branch apart.
 """
 
@@ -55,7 +54,6 @@ from .poly import (
     Polynomial,
     PrimeField,
     QQ,
-    ResidueRing,
     SplitModulus,
     fresh_name,
     fresh_names,
@@ -76,14 +74,6 @@ class DimensionMismatch(RuntimeError):
 
 class DegenerateSlice(RuntimeError):
     """Random affine sections failed to cut the dimension as expected."""
-
-
-# A prime, or the field (or residue ring) to compute over.
-Modulus = Union[int, PrimeField]
-
-
-def _field(modulus: Modulus) -> PrimeField:
-    return modulus if isinstance(modulus, PrimeField) else PrimeField(modulus)
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,9 @@ class VarietySpec:
         try:
             return krull_dimension(self.reduce_mod(residue_ring(self.primes)))
         except SplitModulus:
-            found = {p: krull_dimension(self.reduce_mod(p)) for p in dict.fromkeys(self.primes)}
+            found = {
+                p: krull_dimension(self.reduce_mod(PrimeField(p))) for p in dict.fromkeys(self.primes)
+            }
             if len(set(found.values())) > 1:
                 # Keyed by (seed, prime); no seed is drawn here.
                 raise Instability(
@@ -168,10 +160,9 @@ class VarietySpec:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
 
-    def reduce_mod(self, modulus: Modulus) -> Ideal:
-        """The generator ideal modulo a prime (or over a field or residue
-        ring)."""
-        target = self.ring.with_field(_field(modulus))
+    def reduce_mod(self, fld: PrimeField) -> Ideal:
+        """The generator ideal over ``fld``, modulo its primes."""
+        target = self.ring.with_field(fld)
         return Ideal.of(target, [g.to_ring(target) for g in self.generators])
 
 
@@ -334,25 +325,24 @@ class MultiplierSystem:
         return self.ring.nvars - self.base_count
 
 
-def multiplier_system(spec: VarietySpec, modulus: Modulus) -> MultiplierSystem:
+def multiplier_system(spec: VarietySpec, fld: PrimeField) -> MultiplierSystem:
     """Multiplier presentation of the conormal directions of ``spec``,
-    built once per (spec, modulus) and kept on the spec."""
-    fld = _field(modulus)
+    built once per (spec, field) and kept on the spec."""
     return _kept_system(spec, ("affine", fld), lambda: _assemble_multiplier_system(
         [g.to_ring(spec.ring.with_field(fld)) for g in spec.generators], spec.codimension
     ))
 
 
-def projective_multiplier_system(spec: VarietySpec, modulus: Modulus) -> MultiplierSystem:
+def projective_multiplier_system(spec: VarietySpec, fld: PrimeField) -> MultiplierSystem:
     """Multiplier presentation over the projective closure, built once per
-    (spec, modulus) and kept on the spec.
+    (spec, field) and kept on the spec.
 
     A grevlex basis is homogenized generator-by-generator; for a graded
     order this yields the ideal of the closure with no spurious components
     at the hyperplane at infinity.
     """
-    return _kept_system(spec, ("projective", _field(modulus)), lambda: _assemble_multiplier_system(
-        _homogenized_basis(spec, modulus), spec.codimension
+    return _kept_system(spec, ("projective", fld), lambda: _assemble_multiplier_system(
+        _homogenized_basis(spec, fld), spec.codimension
     ))
 
 
@@ -363,10 +353,10 @@ def _kept_system(spec: VarietySpec, key: tuple, build) -> MultiplierSystem:
     return spec._systems[key]
 
 
-def _homogenized_basis(spec: VarietySpec, modulus: Modulus) -> list[Polynomial]:
-    """The grevlex basis of ``spec`` modulo ``modulus``, homogenized by a
-    fresh first variable: generators of the projective closure."""
-    gb = buchberger(spec.reduce_mod(modulus))
+def _homogenized_basis(spec: VarietySpec, fld: PrimeField) -> list[Polynomial]:
+    """The grevlex basis of ``spec`` over ``fld``, homogenized by a fresh
+    first variable: generators of the projective closure."""
+    gb = buchberger(spec.reduce_mod(fld))
     hname = fresh_name("p0", spec.ring.variables)
     hom = [g.homogenize(hname) for g in gb.basis]
     if not hom:
@@ -486,7 +476,7 @@ def _checked(gb: GroebnerBasis, expected: int, locus: str) -> GroebnerBasis:
 
 
 def affine_conormal_ideal(
-    spec: VarietySpec, prime: Optional[Modulus] = None, seed: int = 0
+    spec: VarietySpec, prime: Optional[PrimeField] = None, seed: int = 0
 ) -> GroebnerBasis:
     """Closure in P^n x P^n of the conormal locus over the smooth points, as
     its reduced basis.  The affine locus, with the dual coordinates as
@@ -494,8 +484,9 @@ def affine_conormal_ideal(
     first variable, given a fresh last one for the dual side and saturated
     by their product, so the first n + 1 variables are the point
     coordinates.  It must have dimension n + 2 (:class:`DimensionMismatch`
-    if not).  ``prime`` defaults to the spec's first prime."""
-    gens = spec.reduce_mod(prime if prime is not None else spec.primes[0]).generators
+    if not).  ``prime``, the field, defaults to that of the spec's first
+    prime."""
+    gens = spec.reduce_mod(prime or PrimeField(spec.primes[0])).generators
     sat = _saturated_minors(gens, spec.codimension, "u", seed)
     # The locus is a cone in the dual coordinates, so each element of its
     # reduced basis is homogeneous in them: homogenizing by the total degree
@@ -508,15 +499,15 @@ def affine_conormal_ideal(
 
 
 def projective_conormal_ideal(
-    spec: VarietySpec, prime: Optional[Modulus] = None, seed: int = 0
+    spec: VarietySpec, prime: Optional[PrimeField] = None, seed: int = 0
 ) -> GroebnerBasis:
     """Conormal locus of the projective closure, in doubled projective
     coordinates, saturated by the rank-deficient locus and the irrelevant
     ideal of the point factor, as its reduced basis; the first n + 1
     variables are the point coordinates.  It must have dimension n + 1
-    (:class:`DimensionMismatch` if not).  ``prime`` defaults to the spec's
-    first prime."""
-    fld = _field(prime if prime is not None else spec.primes[0])
+    (:class:`DimensionMismatch` if not).  ``prime``, the field, defaults to
+    that of the spec's first prime."""
+    fld = prime or PrimeField(spec.primes[0])
     n = spec.n
     hom = _homogenized_basis(spec, fld)
     sat = _saturated_minors(hom, spec.codimension, "y", seed)
@@ -525,7 +516,7 @@ def projective_conormal_ideal(
     sat = saturate_by_ideal(sat, irrelevant, seed=derive_seed(seed, 97))
     mixed = sum(not _is_bihomogeneous(g, n + 1) for g in sat.basis)
     if mixed:
-        if isinstance(fld, ResidueRing):
+        if len(fld.primes) > 1:
             # Terms of different bidegrees may vanish modulo different
             # primes: only one prime at a time tells.
             raise SplitModulus("projective conormal saturation not bihomogeneous")

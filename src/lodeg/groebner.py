@@ -25,8 +25,7 @@ changes, parsing, printing and the tuple-valued queries (see ``poly``).
   equal degree, comparing the degree without ``x_{n-1}`` compares
   ``-e_{n-1}``, so these rows order exactly as the degree followed by the
   negated exponents from the last variable.  ``block_order(k)`` is two
-  blocks, the first ``k`` variables and the rest.  Lex is one block per
-  variable, so its rows are the exponents.
+  blocks, the first ``k`` variables and the rest.
 
 Every digit is a nonnegative sum of exponents.  So, while no digit
 overflows:
@@ -61,8 +60,7 @@ a product of two checked monomials, whose digits are at most the sum of
 two checked digits, below ``2 * PACK_LIMIT``, the guard bit.  Each digit
 is at most the degree of a variable block, so the limit reads: total
 degree below ``PACK_LIMIT`` under grevlex, each block's degree under a
-block order, each exponent under lex.  So an input beyond it is refused
-when it is parsed.
+block order.  So an input beyond it is refused when it is parsed.
 
 Reduction
 ---------
@@ -198,13 +196,14 @@ Several primes at once
 The agreement grid counts every trial modulo each of a policy's primes
 ``p_1, ..., p_k``.  Its integer data are the same modulo each, so one
 computation over ``Z/N``, ``N = p_1*...*p_k`` (a
-:class:`~lodeg.poly.ResidueRing`), does the work of ``k``, in the style of
-the D5 principle (Della Dora, Dicrescenzo, Duval, EUROCAL 1985) and of
-modular Groebner bases (Arnold, JSC 35, 2003).  By the Chinese remainder
-theorem a residue mod ``N`` is its ``k`` residues mod the ``p_i``, and ring
-operations act on each alone.  So the run mod ``N``, read mod ``p_i``, is
-the run mod ``p_i``, up to terms whose coefficient is zero mod ``p_i`` and
-not mod ``N``, until a branch depends on such a coefficient.
+:class:`~lodeg.poly.PrimeField` whose ``primes`` are the ``p_i``), does
+the work of ``k``, in the style of the D5 principle (Della Dora,
+Dicrescenzo, Duval, EUROCAL 1985) and of modular Groebner bases (Arnold,
+JSC 35, 2003).  By the Chinese remainder theorem a residue mod ``N`` is
+its ``k`` residues mod the ``p_i``, and ring operations act on each
+alone.  So the run mod ``N``, read mod ``p_i``, is the run mod ``p_i``, up
+to terms whose coefficient is zero mod ``p_i`` and not mod ``N``, until a
+branch depends on such a coefficient.
 
 - As a tail term, such a coefficient is harmless: it reduces or stays in a
   remainder, and mod ``p_i`` the step adds nothing.
@@ -305,7 +304,6 @@ from .poly import (
     PolyRing,
     Polynomial,
     PrimeField,
-    ResidueRing,
     SplitModulus,
     _Packing,
     block_order,
@@ -933,7 +931,7 @@ def saturate_by_ideal(ideal: Ideal | GroebnerBasis, other: Ideal, seed: int) -> 
     seeds = (derive_seed(seed, 0), derive_seed(seed, 1))
     first, second = (saturate(ideal, combo(s)) for s in seeds)
     if first != second:
-        if isinstance(ring.field_, ResidueRing):
+        if len(getattr(ring.field_, "primes", ())) > 1:
             # The answers differ modulo some prime; which one, and what the
             # runs before it did, only one prime at a time tells.
             raise SplitModulus("saturations by random combinations differ")
@@ -1080,7 +1078,7 @@ def multiplication_matrix(
     Returns the nested lists ``mat[row][col]``: column ``j`` holds the
     normal form of the form times ``m_j``, the ``j``-th packed standard
     monomial of ``qb``, as Python ints reduced modulo the field's modulus
-    (which may exceed 64 bits over a :class:`~lodeg.poly.ResidueRing`).
+    (which may exceed 64 bits over several primes).
     The normal form of each product ``m_j * x_i`` is computed once and
     added in scaled by ``coeffs[i]``.
     """
@@ -1124,16 +1122,15 @@ def count_points(ideal: Ideal, seed: int) -> dict[int, int]:
     integers in ``[1, COEFF_BOUND)``, the same nonzero element modulo every
     prime, so a run over one prime alone uses the same form.  One
     Buchberger basis, one quotient basis and one matrix of the form
-    (:func:`multiplication_matrix`) are computed over the field, a
-    :class:`~lodeg.poly.ResidueRing` of several primes included; read
-    modulo each prime they are that prime's own (see "Several primes at
-    once").  Only the characteristic polynomial and its squarefree degree
-    are computed per prime.
+    (:func:`multiplication_matrix`) are computed over the field, one of
+    several primes included; read modulo each prime they are that prime's
+    own (see "Several primes at once").  Only the characteristic
+    polynomial and its squarefree degree are computed per prime.
     """
     fld = ideal.ring.field_
     if not isinstance(fld, PrimeField):
         raise TypeError("count_points requires a prime-field ideal")
-    primes = fld.primes if isinstance(fld, ResidueRing) else (fld.p,)
+    primes = fld.primes
     gb = buchberger(ideal)
     if gb.is_unit():
         return {p: 0 for p in primes}

@@ -383,7 +383,7 @@ def dual_contains_hyperplane_at_infinity(spec: VarietySpec, seed: int = 0) -> bo
     the first one; the projective conormal ideal is specialized there and
     the fiber is nonempty iff its affine cone has dimension at least 1.
     """
-    cono = projective_conormal_ideal(spec, spec.primes[0], seed=derive_seed(seed, 201))
+    cono = projective_conormal_ideal(spec, PrimeField(spec.primes[0]), seed=derive_seed(seed, 201))
     ring = cono.ring
     nb = spec.n + 1
     point_ring = PolyRing(ring.variables[:nb], ring.field_, ring.order)

@@ -23,9 +23,9 @@ whose result has a digit at or above it raises
 guard bit, so a product of two polynomials never wraps a digit before it is
 checked.
 
-Internally, a :class:`ResidueRing` stands for several prime fields at once:
-the integers modulo the product of distinct primes (see "Several primes at
-once" in ``groebner``).
+A :class:`PrimeField` of several primes stands for their fields at once:
+the integers modulo the product of the distinct primes (see "Several primes
+at once" in ``groebner``).
 """
 
 from __future__ import annotations
@@ -123,34 +123,53 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Integers modulo an odd prime larger than 2**30 and smaller than 2**64.
+    """Integers modulo ``p``: an odd prime larger than 2**30 and smaller
+    than 2**64, or the product of distinct such primes ``primes``
+    (``(p,)`` by default), each validated alike.
 
     Residues are always reduced to ``[0, p)``.  The lower bound keeps
     Schwartz-Zippel failure probabilities negligible for the seeded random
     evaluations performed elsewhere in the package; the upper one keeps
     :func:`is_probable_prime`, a deterministic Miller-Rabin for word-sized
     integers, exact.
+
+    Over several primes, one computation is one computation modulo each
+    prime by the Chinese remainder theorem, as long as it never inverts a
+    residue that is not a unit: :meth:`invert` and :meth:`coerce` raise
+    :class:`SplitModulus` for one.  :func:`residue_ring` builds such a
+    field for the agreement grid (see "Several primes at once" in
+    ``groebner``).
     """
 
     p: int
+    primes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 1 << 30 < self.p < 1 << 64 or self.p % 2 == 0 or not is_probable_prime(self.p):
-            raise CoefficientError(
-                f"characteristic must be an odd prime between 2**30 and 2**64, got {self.p}"
-            )
+        if not self.primes:
+            object.__setattr__(self, "primes", (self.p,))
+        for q in self.primes:
+            if not 1 << 30 < q < 1 << 64 or q % 2 == 0 or not is_probable_prime(q):
+                raise CoefficientError(
+                    f"characteristic must be an odd prime between 2**30 and 2**64, got {q}"
+                )
+        if len(set(self.primes)) != len(self.primes) or math.prod(self.primes) != self.p:
+            raise ValueError(f"{self.p} is not a product of distinct primes {self.primes}")
 
     def coerce(self, value: Union[int, Fraction]) -> int:
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
+            try:
+                return value.numerator * pow(value.denominator, -1, self.p) % self.p
+            except ValueError:
+                if len(self.primes) > 1:
+                    raise SplitModulus(
+                        f"denominator {value.denominator} is not a unit modulo {self}"
+                    ) from None
                 raise CoefficientError(
                     f"denominator {value.denominator} vanishes modulo {self.p}"
-                )
-            return value.numerator * pow(den, -1, self.p) % self.p
-        raise CoefficientError(f"cannot coerce {value!r} into GF({self.p})")
+                ) from None
+        raise CoefficientError(f"cannot coerce {value!r} into {self}")
 
     @property
     def zero(self) -> int:
@@ -161,44 +180,6 @@ class PrimeField:
         return 1
 
     def invert(self, value: int) -> int:
-        if value % self.p == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return pow(value, -1, self.p)
-
-    def __str__(self) -> str:
-        return f"GF({self.p})"
-
-
-@dataclass(frozen=True)
-class ResidueRing(PrimeField):
-    """Integers modulo ``p``, the product of two or more distinct primes
-    ``primes``, each a valid :class:`PrimeField` characteristic.
-
-    By the Chinese remainder theorem one computation here is one
-    computation modulo each prime, as long as it never inverts a residue
-    that is not a unit: :meth:`invert` and :meth:`coerce` raise
-    :class:`SplitModulus` for one.  Arithmetic is that of
-    :class:`PrimeField` with the product as ``p``.  Internal: built by
-    :func:`residue_ring` for the agreement grid.
-    """
-
-    primes: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        for q in self.primes:
-            PrimeField(q)
-        distinct = len(set(self.primes))
-        if distinct < 2 or distinct != len(self.primes) or math.prod(self.primes) != self.p:
-            raise ValueError(f"{self.p} is not a product of distinct primes {self.primes}")
-
-    def coerce(self, value: Union[int, Fraction]) -> int:
-        # An int is tested first: it is the common case, and cheaper to test.
-        if not isinstance(value, int) and isinstance(value, Fraction):
-            if math.gcd(value.denominator, self.p) != 1:
-                raise SplitModulus(f"denominator {value.denominator} is not a unit modulo {self}")
-        return super().coerce(value)
-
-    def invert(self, value: int) -> int:
         try:
             return pow(value, -1, self.p)
         except ValueError:
@@ -207,17 +188,16 @@ class ResidueRing(PrimeField):
             raise SplitModulus(f"{value % self.p} is not a unit modulo {self}") from None
 
     def __str__(self) -> str:
+        if len(self.primes) == 1:
+            return f"GF({self.p})"
         return f"Z/({'*'.join(map(str, self.primes))})"
 
 
 def residue_ring(primes: Sequence[int]) -> PrimeField:
-    """GF(p) for one distinct prime, else the :class:`ResidueRing` of the
-    distinct primes in their order; every prime is validated as by
-    :class:`PrimeField`."""
+    """The integers modulo the product of the distinct ``primes``, kept in
+    their order: GF(p) for one prime."""
     distinct = tuple(dict.fromkeys(primes))
-    if len(distinct) == 1:
-        return PrimeField(distinct[0])
-    return ResidueRing(math.prod(distinct), distinct)
+    return PrimeField(math.prod(distinct), distinct)
 
 
 FieldT = Union[Rationals, PrimeField]
@@ -242,13 +222,6 @@ class Grevlex:
 
 
 @dataclass(frozen=True)
-class Lex:
-    """Pure lexicographic order, first variable strongest."""
-
-    name: str = field(default="lex", init=False)
-
-
-@dataclass(frozen=True)
 class BlockOrder:
     """Eliminates the first ``k`` variables: lex between the two blocks,
     grevlex inside each block."""
@@ -257,10 +230,9 @@ class BlockOrder:
     name: str = field(default="block", init=False)
 
 
-OrderT = Union[Grevlex, Lex, BlockOrder]
+OrderT = Union[Grevlex, BlockOrder]
 
 GREVLEX = Grevlex()
-LEX = Lex()
 
 
 def block_order(k: int) -> BlockOrder:
@@ -287,8 +259,7 @@ class DegreeLimitExceeded(InputError):
     def __init__(self) -> None:
         super().__init__(
             f"a monomial reached degree {PACK_LIMIT}; Groebner computations "
-            f"need degrees below {PACK_LIMIT} (under a block order, each block's "
-            "degree; under lex, each exponent)"
+            f"need degrees below {PACK_LIMIT} (under a block order, each block's degree)"
         )
 
 
@@ -303,9 +274,7 @@ class _Packing:
     and order as :attr:`PolyRing.packing`."""
 
     def __init__(self, n: int, order: OrderT) -> None:
-        if isinstance(order, Lex):
-            sizes = [1] * n
-        elif isinstance(order, BlockOrder):
+        if isinstance(order, BlockOrder):
             k = min(order.k, n)
             sizes = [s for s in (k, n - k) if s]
         elif isinstance(order, Grevlex):
@@ -507,14 +476,15 @@ class Polynomial:
     def vanishes(self) -> bool:
         """Whether the polynomial is zero, for a caller that branches on it.
 
-        Over a :class:`ResidueRing`, a polynomial that is zero modulo some
-        of the primes but not all raises :class:`SplitModulus`: those
-        primes, one at a time, would take the other branch.  It is zero
-        modulo exactly the primes that divide every coefficient."""
+        Over a :class:`PrimeField` of several primes, a polynomial that is
+        zero modulo some of them but not all raises :class:`SplitModulus`:
+        those primes, one at a time, would take the other branch.  It is
+        zero modulo exactly the primes that divide every coefficient."""
         if not self.terms:
             return True
         fld = self.ring.field_
-        if isinstance(fld, ResidueRing) and math.gcd(fld.p, *(c for _, c in self.terms)) != 1:
+        split = len(getattr(fld, "primes", ())) > 1
+        if split and math.gcd(fld.p, *(c for _, c in self.terms)) != 1:
             raise SplitModulus(f"a polynomial vanishes modulo some factors of {fld}")
         return False
 
@@ -702,7 +672,7 @@ def _dict_power(a: dict, e: int, one: dict, p: Optional[int], pk: _Packing) -> d
     """``a**e`` by repeated squaring, every product reduced and checked;
     ``one`` is the dict of 1."""
     if e * max(map(pk.degree, a), default=0) > MAX_EXPONENT:
-        raise OverflowError("exponent overflow in polynomial power")
+        raise DegreeLimitExceeded()
     result = one
     while e:
         if e & 1:
@@ -731,21 +701,22 @@ def _format_term(coeff: CoefT, m: Mono, names: tuple[str, ...]) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()/]))")
+# After any whitespace: a token, the end of the text, or the offending
+# character.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()/])|(?P<end>\Z)|(?P<bad>.))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup is None:  # trailing whitespace
-            break
+    match = _TOKEN_RE.match(text)
+    while match.lastgroup != "end":
         kind, value = match.lastgroup, match.group(match.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", match.start(kind))
         tokens.append((kind, "^" if value == "**" else value, match.start(kind)))
-        pos = match.end()
+        match = _TOKEN_RE.match(text, match.end())
     return tokens
 
 

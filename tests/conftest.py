@@ -5,7 +5,7 @@ import pytest
 
 from lodeg import groebner
 from lodeg.conormal import VarietySpec
-from lodeg.poly import BlockOrder, Grevlex, Lex
+from lodeg.poly import BlockOrder, Grevlex
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -23,8 +23,6 @@ def order_key(order):
 
     if isinstance(order, Grevlex):
         return grevlex
-    if isinstance(order, Lex):
-        return tuple
     if isinstance(order, BlockOrder):
         return lambda m: grevlex(m[: order.k]) + grevlex(m[order.k :])
     raise TypeError(f"no key for the order {order!r}")

@@ -17,7 +17,7 @@ from lodeg.cli import (
     build_parser,
     main,
 )
-from lodeg.poly import PACK_LIMIT
+from lodeg.poly import PACK_LIMIT, PrimeField
 from lodeg.randomness import DEFAULT_PRIMES, derive_seed
 
 from conftest import data_path
@@ -100,7 +100,7 @@ class TestReports:
         )
         assert code == EXIT_OK
         assert report["config"]["primes"] == [2147483629]
-        assert primes == [2147483629]
+        assert primes == [PrimeField(2147483629)]
 
     def test_dimension_uses_the_requested_prime(self, monkeypatch, capsys):
         from lodeg import conormal
@@ -165,6 +165,19 @@ class TestReports:
         runs = [
             run_json(capsys, "bidegrees", path, "--no-timings")
             for path in (data_path("cubic_binomial.json"), str(starred))
+        ]
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
+        assert runs[0][1]["results"] == runs[1][1]["results"]
+
+    def test_trailing_whitespace_in_a_polynomial(self, tmp_path, capsys):
+        with open(data_path("sphere.json")) as f:
+            doc = json.load(f)
+        spaced = tmp_path / "spaced.json"
+        doc["polynomials"] = [p + " " for p in doc["polynomials"]]
+        spaced.write_text(json.dumps(doc))
+        runs = [
+            run_json(capsys, "lodeg", path, "--no-timings")
+            for path in (data_path("sphere.json"), str(spaced))
         ]
         assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
         assert runs[0][1]["results"] == runs[1][1]["results"]
@@ -600,16 +613,18 @@ class TestFailures:
 
     def test_degree_at_the_limit_stops_at_parse(self, tmp_path, capsys):
         # x^16384 never becomes a polynomial: the parser raises, with the
-        # line a Groebner basis of it used to give.
+        # line a Groebner basis of it used to give.  So does a power whose
+        # degree would pass 2**30, before it is formed.
         big = tmp_path / "big.json"
-        big.write_text(json.dumps({"variables": ["x", "y"], "polynomials": ["x^16384 + y^2 - 1"]}))
-        code, out, err = run_cli(capsys, "lodeg", str(big))
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err == (
-            f"input error: {big}: a monomial reached degree 16384; Groebner computations need "
-            "degrees below 16384 (under a block order, each block's degree; under lex, each exponent)\n"
-        )
+        for text in ("x^16384 + y^2 - 1", "(x*y^2)^536870912 - 1"):
+            big.write_text(json.dumps({"variables": ["x", "y"], "polynomials": [text]}))
+            code, out, err = run_cli(capsys, "lodeg", str(big))
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == (
+                f"input error: {big}: a monomial reached degree 16384; Groebner computations need "
+                "degrees below 16384 (under a block order, each block's degree)\n"
+            )
 
     def test_degree_beyond_packed_monomials_in_restrict_base(self, monkeypatch, capsys):
         # A source term of degree 16384 for restrict_base cannot be built:

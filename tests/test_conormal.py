@@ -22,7 +22,6 @@ from lodeg.conormal import (
 from lodeg.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension, normal_form
 from lodeg.poly import (
     GREVLEX,
-    LEX,
     PACK_LIMIT,
     QQ,
     DegreeLimitExceeded,
@@ -67,7 +66,7 @@ class TestVarietySpec:
         assert quadric_cone.is_homogeneous()
 
     def test_reduce_mod(self, sphere):
-        ideal = sphere.reduce_mod(DEFAULT_PRIMES[0])
+        ideal = sphere.reduce_mod(PrimeField(DEFAULT_PRIMES[0]))
         assert ideal.ring.field_.p == DEFAULT_PRIMES[0]
         assert len(ideal.generators) == 1
 
@@ -224,7 +223,7 @@ class TestSlicing:
 
 class TestMultiplierSystem:
     def test_hypersurface_covector(self, sphere):
-        system = multiplier_system(sphere, DEFAULT_PRIMES[0])
+        system = multiplier_system(sphere, PrimeField(DEFAULT_PRIMES[0]))
         assert isinstance(system, MultiplierSystem)
         assert system.base_count == 3
         assert system.multiplier_count == 1
@@ -239,7 +238,7 @@ class TestMultiplierSystem:
             ["y - x^2", "z - x*y", "x*z - y^2"],
         )
         assert cubic.codimension == 2
-        system = multiplier_system(cubic, DEFAULT_PRIMES[0])
+        system = multiplier_system(cubic, PrimeField(DEFAULT_PRIMES[0]))
         assert system.multiplier_count == 3
         assert system.excess == 1
         slack = multiplier_slack_forms(system, SeedStream(1))
@@ -248,18 +247,18 @@ class TestMultiplierSystem:
         assert all(m[: system.base_count] == base_zero for m in slack[0].as_dict())
 
     def test_restrict_base(self, sphere):
-        system = multiplier_system(sphere, DEFAULT_PRIMES[0])
+        system = multiplier_system(sphere, PrimeField(DEFAULT_PRIMES[0]))
         restricted = restrict_base(system, [((1, 1, 1), 0)])
         assert restricted.base_count == 2
         assert restricted.ring.nvars == 3
         assert len(restricted.covector) == 3
 
     def test_restrict_base_by_no_forms_is_the_system(self, sphere):
-        system = multiplier_system(sphere, DEFAULT_PRIMES[0])
+        system = multiplier_system(sphere, PrimeField(DEFAULT_PRIMES[0]))
         assert restrict_base(system, []) is system
 
     def test_restrict_base_width_check(self, sphere):
-        system = multiplier_system(sphere, DEFAULT_PRIMES[0])
+        system = multiplier_system(sphere, PrimeField(DEFAULT_PRIMES[0]))
         with pytest.raises(ValueError):
             restrict_base(system, [((1, 1), 0)])
 
@@ -268,7 +267,7 @@ class TestRestrictBase:
     """Restriction substitutes every polynomial of a system in one pass over
     packed monomials; these systems are built by hand."""
 
-    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(2)], ids=["grevlex", "lex", "block"])
+    @pytest.mark.parametrize("order", [GREVLEX, block_order(2)], ids=["grevlex", "block"])
     @pytest.mark.parametrize(
         "primes",
         [(), DEFAULT_PRIMES, DEFAULT_PRIMES + (1073741827,)],
@@ -393,8 +392,8 @@ class TestConormalIdeals:
 
     def test_projective_rejects_mixed_saturation(self, sphere, monkeypatch):
         # x1 - 1 mixes point-side degrees 1 and 0: only an unlucky random
-        # combination could leave it in the saturation.  Over a residue
-        # ring, only one prime at a time tells which prime drew badly.
+        # combination could leave it in the saturation.  Over several
+        # primes, only one prime at a time tells which prime drew badly.
         def mixed(ideal, other, seed):
             ring = ideal.ring
             return GroebnerBasis(ring, (ring.gen(0) - ring.one(),))
